@@ -28,7 +28,6 @@ from .subpolicy import (
     CalibratedPolicy,
     CalibrationError,
     DiscreteGains,
-    EpisodeRecord,
     RayleighGains,
     SegmentMetrics,
     SegmentProblem,
@@ -36,12 +35,10 @@ from .subpolicy import (
     calibrate_lambda,
     estimate_segment_metrics,
     offline_recursion,
-    online_step,
     per_hop_cost,
     per_hop_time,
     power_foc,
     priced_hop_cost,
-    run_segment_episode,
     solve_optimal_power,
 )
 from .master import (

@@ -23,12 +23,22 @@ from pathlib import Path
 from typing import Sequence
 
 from . import oracle
-from .master import MasterOptions, RateModel, solution_to_payload, solve_master
+from .master import (
+    MasterOptions,
+    MasterSolution,
+    RateModel,
+    pair_problem,
+    solution_to_payload,
+    solve_master,
+)
 from .model import IID_MODE, SPATIAL_MODE, PuActivityModel
 from .seeding import path_fingerprint
 from .sim import (
+    GRID_KEYS,
     SCHEMES,
+    CoverageError,
     RouteSpec,
+    RunMetrics,
     SolverOptions,
     StudySpec,
     grid_points,
@@ -55,6 +65,7 @@ RESULT_COLUMNS = (
     "master_objective",
     "master_iterations",
 )
+RATE_COLUMNS = ("u_min", "u_weighted", "u_empirical", "u_empirical_se", "master_objective")
 
 VERIFY_REPORT_SCHEMA = {
     "type": "object",
@@ -148,6 +159,14 @@ class ExperimentConfig:
         """Rates are computed in nats; optionally reported in bits."""
         return value / LN2 if self.rate_units == "bits" else value
 
+    def row(self, point: dict, metrics: RunMetrics, master: MasterSolution | None) -> dict:
+        """``metrics_row`` with its rate columns in the configured units."""
+        row = metrics_row(point, metrics, master)
+        for key in RATE_COLUMNS:
+            if row[key] != "":
+                row[key] = self.scale(row[key])
+        return row
+
 
 def _require(raw: dict, key: str, section: str) -> object:
     if key not in raw:
@@ -155,15 +174,26 @@ def _require(raw: dict, key: str, section: str) -> object:
     return raw[key]
 
 
+def _check_keys(raw: dict, section: str, known: Sequence[str]) -> None:
+    """Refuse keys that parsing would otherwise ignore."""
+    for key in raw:
+        if key not in known:
+            raise ConfigError(f"unknown key {key!r} in config section {section!r}")
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     if raw.get("version") != CONFIG_VERSION:
         raise ConfigError(f"unsupported config version {raw.get('version')!r}")
+    _check_keys(raw, "<root>", ("version", "seed", "model", "activity", "budget", "schemes",
+                                "solver", "sim", "sweep", "output"))
 
     model_raw = dict(_require(raw, "model", "<root>"))
     alpha = float(model_raw.get("alpha", 2.0))
     if "positions" in model_raw:
+        _check_keys(model_raw, "model", ("alpha", "positions"))
         route = RouteSpec(alpha=alpha, positions=tuple(float(x) for x in model_raw["positions"]))
     elif "nodes" in model_raw:
+        _check_keys(model_raw, "model", ("alpha", "nodes", "span", "min_gap", "placement_seed"))
         route = RouteSpec(
             alpha=alpha,
             nodes=int(model_raw["nodes"]),
@@ -177,30 +207,41 @@ def parse_config(raw: dict) -> ExperimentConfig:
     act_raw = dict(_require(raw, "activity", "<root>"))
     mode = act_raw.get("mode", IID_MODE)
     if mode == IID_MODE:
+        _check_keys(act_raw, "activity", ("mode", "p_avail", "epoch_frames"))
         activity = PuActivityModel(
             mode=IID_MODE,
             p_avail=float(_require(act_raw, "p_avail", "activity")),
-            epoch_frames=int(act_raw.get("epoch_frames", 1)),
         )
     elif mode == SPATIAL_MODE:
+        _check_keys(act_raw, "activity",
+                    ("mode", "rho_p", "p_active", "d0", "strip_width", "epoch_frames"))
         activity = PuActivityModel(
             mode=SPATIAL_MODE,
             rho_p=float(_require(act_raw, "rho_p", "activity")),
             p_active=float(_require(act_raw, "p_active", "activity")),
             d0=float(_require(act_raw, "d0", "activity")),
             strip_width=float(act_raw.get("strip_width", 0.0)),
-            epoch_frames=int(act_raw.get("epoch_frames", 1)),
         )
     else:
         raise ConfigError(f"unknown activity mode {mode!r}")
+    # An epoch is one frame: the simulator draws availability once per
+    # delivery.  The key stays accepted at its only meaningful value.
+    if act_raw.get("epoch_frames", 1) != 1:
+        raise ConfigError("activity.epoch_frames must be 1: every epoch is one frame")
 
     budget = dict(_require(raw, "budget", "<root>"))
+    _check_keys(budget, "budget", ("P0_dB", "P0"))
     if ("P0_dB" in budget) == ("P0" in budget):
         raise ConfigError("budget needs exactly one of 'P0_dB' or 'P0'")
     p0 = db_to_linear(float(budget["P0_dB"])) if "P0_dB" in budget else float(budget["P0"])
 
     solver_raw = dict(raw.get("solver", {}))
+    _check_keys(solver_raw, "solver", ("mc_samples", "episodes", "power_tolerance",
+                                       "p_max_factor", "p_floor_factor", "master"))
     master_raw = dict(solver_raw.get("master", {}))
+    _check_keys(master_raw, "solver.master", ("max_iterations", "step_a", "step_b",
+                                              "tie_tolerance", "objective_tolerance", "window",
+                                              "pair_prob_cutoff"))
     master = MasterOptions(
         max_iterations=int(master_raw.get("max_iterations", 40)),
         step_a=master_raw.get("step_a"),
@@ -220,6 +261,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     )
 
     sim_raw = dict(raw.get("sim", {}))
+    _check_keys(sim_raw, "sim", ("epochs", "episodes_per_segment", "baseline_warmup",
+                                 "prob_samples"))
     spec = StudySpec(
         route=route,
         activity=activity,
@@ -237,10 +280,15 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if s not in SCHEMES:
             raise ConfigError(f"unknown scheme {s!r}")
 
-    grid_raw = dict(raw.get("sweep", {}).get("grid", {}))
+    sweep_raw = dict(raw.get("sweep", {}))
+    _check_keys(sweep_raw, "sweep", ("grid",))
+    grid_raw = dict(sweep_raw.get("grid", {}))
+    _check_keys(grid_raw, "sweep.grid", GRID_KEYS)
     grid = {str(k): tuple(float(v) for v in vals) for k, vals in grid_raw.items()}
 
-    units = str(raw.get("output", {}).get("rate_units", "nats"))
+    output_raw = dict(raw.get("output", {}))
+    _check_keys(output_raw, "output", ("rate_units",))
+    units = str(output_raw.get("rate_units", "nats"))
     if units not in ("nats", "bits"):
         raise ConfigError(f"unknown rate units {units!r}")
     return ExperimentConfig(spec=spec, schemes=schemes, grid=grid, rate_units=units)
@@ -260,8 +308,10 @@ def config_to_payload(cfg: ExperimentConfig) -> dict:
             placement_seed=spec.route.placement_seed,
         )
     act = spec.activity
+    # "epoch_frames" stays in the echo: it keeps config hashes, and with them
+    # artifacts calibrated by earlier versions, valid.
     if act.mode == IID_MODE:
-        activity = {"mode": act.mode, "p_avail": act.p_avail, "epoch_frames": act.epoch_frames}
+        activity = {"mode": act.mode, "p_avail": act.p_avail, "epoch_frames": 1}
     else:
         activity = {
             "mode": act.mode,
@@ -269,7 +319,7 @@ def config_to_payload(cfg: ExperimentConfig) -> dict:
             "p_active": act.p_active,
             "d0": act.d0,
             "strip_width": act.strip_width,
-            "epoch_frames": act.epoch_frames,
+            "epoch_frames": 1,
         }
     m = spec.solver.master
     return {
@@ -417,16 +467,7 @@ def _load_policies(cfg: ExperimentConfig, artifacts: Path, topology) -> dict:
         raise ArtifactMismatchError(
             "artifacts were calibrated for a different configuration; re-run calibrate"
         )
-    spec = cfg.spec
-    rate_model = RateModel(
-        topology,
-        root_seed=spec.seed,
-        mc_samples=spec.solver.mc_samples,
-        episodes=spec.solver.episodes,
-        power_tolerance=spec.solver.power_tolerance,
-        p_max_factor=spec.solver.p_max_factor,
-        p_floor_factor=spec.solver.p_floor_factor,
-    )
+    solver = cfg.spec.solver
     policies = {}
     for raw_pair in manifest["pairs"]:
         pair = (int(raw_pair[0]), int(raw_pair[1]))
@@ -434,7 +475,10 @@ def _load_policies(cfg: ExperimentConfig, artifacts: Path, topology) -> dict:
         if not path.exists():
             raise ArtifactMismatchError(f"missing policy artifact for pair {pair}: {path}")
         payload = json.loads(path.read_text())
-        problem = rate_model.build_problem(pair, float(payload["pbar"]))
+        problem = pair_problem(
+            topology, pair, float(payload["pbar"]), solver.mc_samples, solver.episodes,
+            solver.p_max_factor, solver.p_floor_factor,
+        )
         policies[pair] = policy_from_payload(payload, problem)
     return policies
 
@@ -453,21 +497,7 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path, artifacts: Path) -> int:
             metrics = run_proposed(spec, policies, prob_table, topology)
         else:
             metrics = run_baseline(scheme, spec, prob_table, topology)
-        rows.append(
-            {
-                "scheme": scheme,
-                "u_min": cfg.scale(metrics.u_min),
-                "u_weighted": cfg.scale(metrics.u_weighted),
-                "u_empirical": cfg.scale(metrics.u_empirical),
-                "u_empirical_se": cfg.scale(metrics.u_empirical_se),
-                "total_power": metrics.total_power,
-                "p0": metrics.p0,
-                "epochs": metrics.epochs,
-                "seed": metrics.seed,
-                "master_objective": "",
-                "master_iterations": "",
-            }
-        )
+        rows.append(cfg.row({}, metrics, None))
     write_csv(out / "results.csv", RESULT_COLUMNS, rows)
     atomic_write_json(
         out / "run_manifest.json",
@@ -511,13 +541,9 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
         try:
             spec_at_point = point_spec(cfg.spec, point)
             result = run_point(spec_at_point, cfg.schemes)
-            point_rows = []
-            for scheme in cfg.schemes:
-                row = metrics_row(point, result, scheme)
-                for key in ("u_min", "u_weighted", "u_empirical", "u_empirical_se",
-                            "master_objective"):
-                    row[key] = cfg.scale(row[key])
-                point_rows.append(row)
+            point_rows = [
+                cfg.row(point, result.metrics[scheme], result.master) for scheme in cfg.schemes
+            ]
         except Exception as exc:  # noqa: BLE001 - aggregate and continue
             failures.append({"point": point, "error": f"{type(exc).__name__}: {exc}"})
             continue
@@ -634,7 +660,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 cfg = replace(cfg, grid=merged)
             return cmd_sweep(cfg, args.out)
         raise AssertionError(f"unhandled command {args.command}")
-    except (ConfigError, ArtifactMismatchError) as exc:
+    except (ConfigError, ArtifactMismatchError, CoverageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .model import Topology
-from .seeding import path_fingerprint, stream
+from .seeding import stream
 from .subpolicy import (
     DEFAULT_P_FLOOR_FACTOR,
     DEFAULT_P_MAX_FACTOR,
@@ -142,6 +142,28 @@ def _calibration_job(payload) -> CalibratedPolicy:
     )
 
 
+def pair_problem(
+    topology: Topology,
+    pair: Pair,
+    pbar: float,
+    mc_samples: int,
+    episodes: int,
+    p_max_factor: float,
+    p_floor_factor: float,
+) -> SegmentProblem:
+    """Rayleigh-faded control problem of one segment pair at budget ``pbar``."""
+    return SegmentProblem(
+        head=pair[0],
+        end=pair[1],
+        gains=RayleighGains(topology),
+        pbar=pbar,
+        p_max=p_max_factor * pbar,
+        p_floor=p_floor_factor * pbar,
+        mc_samples=mc_samples,
+        episodes=episodes,
+    )
+
+
 class RateModel:
     """Memoized per-pair evaluator backed by segment calibration.
 
@@ -182,20 +204,10 @@ class RateModel:
     def build_problem(self, pair: Pair, pbar: float) -> SegmentProblem:
         if self._factory is not None:
             return self._factory(pair, pbar)
-        i, j = pair
-        return SegmentProblem(
-            head=i,
-            end=j,
-            gains=RayleighGains(self.topology),
-            pbar=pbar,
-            p_max=self.p_max_factor * pbar,
-            p_floor=self.p_floor_factor * pbar,
-            mc_samples=self.mc_samples,
-            episodes=self.episodes,
+        return pair_problem(
+            self.topology, pair, pbar, self.mc_samples, self.episodes,
+            self.p_max_factor, self.p_floor_factor,
         )
-
-    def seed_path(self, pair: Pair) -> str:
-        return path_fingerprint("pair", pair[0], pair[1])
 
     def evaluate(self, pair: Pair, pbar: float) -> PairEvaluation:
         q = self.quantize(pbar)
@@ -259,11 +271,6 @@ class RateModel:
         self._cache[(pair[0], pair[1], q)] = evaluation
         self._lam_hints[pair] = policy.lam
 
-    def cached_points(self, pair: Pair) -> list[PairEvaluation]:
-        """All cached evaluations of one pair, sorted by budget."""
-        points = [ev for (i, j, _), ev in self._cache.items() if (i, j) == pair]
-        return sorted(points, key=lambda ev: ev.pbar)
-
     def budget_floor(self, pair: Pair) -> float:
         """Smallest calibratable budget for the pair.
 
@@ -319,6 +326,10 @@ def subgradient(
     return grad
 
 
+# Smallest budget share of any pair, as a fraction of the total budget.
+ALLOCATION_FLOOR_FRAC = 1e-8
+
+
 @dataclass(frozen=True)
 class MasterOptions:
     max_iterations: int = 40
@@ -328,8 +339,6 @@ class MasterOptions:
     objective_tolerance: float = 1e-3
     window: int = 10
     pair_prob_cutoff: float = 1e-6
-    allocation_floor_frac: float = 1e-8
-    exchange_polish: bool | None = None  # None: only for noise-free rate models
 
 
 def _exchange_polish(
@@ -424,7 +433,7 @@ def solve_master(
     weights = {p: prob_table[p] for p in pairs}
     mass = sum(weights.values())
     floors = {
-        p: max(options.allocation_floor_frac * p0, rate_model.budget_floor(p))
+        p: max(ALLOCATION_FLOOR_FRAC * p0, rate_model.budget_floor(p))
         for p in pairs
     }
     allocation = project_budget({p: p0 / mass for p in pairs}, weights, p0, floors)
@@ -457,10 +466,8 @@ def solve_master(
         allocation = project_budget(moved, weights, p0, floors)
 
     final_evals = rate_model.evaluate_many(best_alloc)
-    polish = options.exchange_polish
-    if polish is None:
-        polish = all(ev.rate_se == 0.0 for ev in final_evals.values())
-    if polish:
+    # Polish only noise-free (exact) rate models; see _exchange_polish.
+    if all(ev.rate_se == 0.0 for ev in final_evals.values()):
         best_alloc, polished, final_evals = _exchange_polish(
             rate_model, best_alloc, weights, last, p0, floors
         )

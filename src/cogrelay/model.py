@@ -12,7 +12,7 @@ spatial reuse and each one hosts an independent hop/power subproblem.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -137,7 +137,6 @@ class PuActivityModel:
     p_active: float = 0.0
     d0: float = 1.0
     strip_width: float = 0.0
-    epoch_frames: int = 1
 
     def __post_init__(self) -> None:
         if self.mode not in (IID_MODE, SPATIAL_MODE):
@@ -153,8 +152,6 @@ class PuActivityModel:
                 raise ValueError("spatial mode requires d0 > 0")
         if self.strip_width < 0.0:
             raise ValueError("strip_width must be non-negative")
-        if self.epoch_frames < 1:
-            raise ValueError("epoch_frames must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -351,10 +348,3 @@ def segment_probabilities_mc(
     probs = {k: c / samples for k, c in counts.items()}
     errors = {k: float(np.sqrt(p * (1.0 - p) / samples)) for k, p in probs.items()}
     return probs, errors
-
-
-def iter_transmitting_pairs(node_count: int) -> Iterator[tuple[int, int]]:
-    """All ``(i, j)`` with ``0 <= i < j <= M`` in deterministic order."""
-    for i in range(node_count - 1):
-        for j in range(i + 1, node_count):
-            yield (i, j)

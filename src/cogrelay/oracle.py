@@ -25,7 +25,8 @@ from .subpolicy import (
     CalibratedPolicy,
     DiscreteGains,
     SegmentProblem,
-    run_segment_episode,
+    _run_episode_batch,
+    draw_episode_cube,
 )
 
 ENUMERATION_GUARD = 10_000_000
@@ -506,14 +507,11 @@ def verify_covariance_property(
     above the estimate) reports ``inconclusive``, never ``violated``.
     """
     problem = policy.problem
-    n_clusters = math.ceil(problem.length / cluster_size)
-    totals = np.zeros((episodes, n_clusters))
-    for e in range(episodes):
-        record = run_segment_episode(policy, rng)
-        for frame in record.frames:
-            # Frames are grouped by the cluster of their destination node.
-            r = (frame.next_node - problem.head - 1) // cluster_size
-            totals[e, r] += frame.time
+    cube = draw_episode_cube(problem, rng, episodes)
+    hop_times = _run_episode_batch(problem, policy.lam, policy.table, cube).hop_times
+    # Hops are grouped by the cluster of their destination node.
+    totals = np.add.reduceat(hop_times, np.arange(0, problem.length, cluster_size), axis=1)
+    n_clusters = totals.shape[1]
     clusters = []
     worst = "consistent"
     order = {"consistent": 0, "inconclusive": 1, "violated": 2}

@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from .master import (
 from .model import (
     IID_MODE,
     PuActivityModel,
+    Segment,
     Topology,
     make_linear_route,
     partition_segments,
@@ -57,6 +58,9 @@ from .subpolicy import (
     DEFAULT_P_FLOOR_FACTOR,
     DEFAULT_P_MAX_FACTOR,
     CalibratedPolicy,
+    EpisodeBatch,
+    SegmentMetrics,
+    _metrics_from_batch,
     _run_episode_batch,
     draw_episode_cube,
 )
@@ -137,24 +141,11 @@ class StudySpec:
 
 
 @dataclass(frozen=True)
-class PairRunStats:
-    episodes: int
-    epochs_realized: int
-    rate: float
-    rate_se: float
-    power_time_avg: float
-    power_time_se: float
-    power_episode_avg: float
-    max_step_evals: int
-    max_episode_evals: int
-
-
-@dataclass(frozen=True)
 class RunMetrics:
     """Estimated throughput and power of one scheme at one study point."""
 
     scheme: str
-    pair_stats: dict[Pair, PairRunStats]
+    pair_stats: dict[Pair, SegmentMetrics]
     section_rate_values: tuple[float, ...] | None
     u_weighted: float
     u_min: float
@@ -167,55 +158,54 @@ class RunMetrics:
     seed: int
     balance_consistent: bool | None
     max_step_evals: int
-    total_candidate_evals: int
 
 
-def _pair_stats(
-    inv_rates: list[float],
-    times: list[float],
-    energies: list[float],
-    epochs_realized: int,
-    max_step: int,
-    max_episode_evals: int,
-) -> PairRunStats:
-    inv = np.asarray(inv_rates)
-    t = np.asarray(times)
-    e = np.asarray(energies)
-    n = inv.size
-    rate = float(inv.mean())
-    rate_se = float(inv.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    ratio = float(e.sum() / t.sum())
-    if n > 1:
-        # Delta method for the ratio of means.
-        cov = np.cov(e, t, ddof=1)
-        var = max(cov[0, 0] - 2.0 * ratio * cov[0, 1] + ratio**2 * cov[1, 1], 0.0)
-        ratio_se = float(np.sqrt(var / n) / t.mean())
-    else:
-        ratio_se = 0.0
-    return PairRunStats(
-        episodes=n,
-        epochs_realized=epochs_realized,
-        rate=rate,
-        rate_se=rate_se,
-        power_time_avg=ratio,
-        power_time_se=ratio_se,
-        power_episode_avg=float((e / t).mean()),
-        max_step_evals=max_step,
-        max_episode_evals=max_episode_evals,
+def _concat(batches: list[EpisodeBatch]) -> EpisodeBatch:
+    t_sum, e_sum, frames, evals, max_steps, hop_times = zip(*batches)
+    return EpisodeBatch(
+        np.concatenate(t_sum),
+        np.concatenate(e_sum),
+        np.concatenate(frames),
+        np.concatenate(evals),
+        max(max_steps),
+        np.concatenate(hop_times),
     )
 
 
-def _combine(
+def _run_segments(
     scheme: str,
     spec: StudySpec,
     topology: Topology,
     prob_table: dict[Pair, float],
-    acc: dict[Pair, dict],
-    end_rates: list[float],
+    run_segment: Callable[[int, Segment], EpisodeBatch | None],
 ) -> RunMetrics:
+    """The epoch loop of every scheme with dynamic spatial reuse.
+
+    Each epoch draws one availability vector; ``run_segment(epoch, segment)``
+    delivers the epoch's packets through one transmitting segment, or
+    returns ``None`` where the scheme leaves it idle.  A pair's episodes
+    pool over all epochs into its rate and power; the end-to-end rate
+    averages, per epoch, the episodes of the segment reaching the destination.
+    """
     last = topology.last_index
+    acc: dict[Pair, list[EpisodeBatch]] = {}
+    end_rates: list[float] = []
+    for e in range(spec.epochs):
+        act = sample_pu_activity(spec.activity, topology, stream(spec.seed, "activity", e))
+        epoch_end: list[float] = []
+        for seg in partition_segments(act):
+            if not seg.transmits:
+                continue
+            batch = run_segment(e, seg)
+            if batch is None:
+                continue
+            acc.setdefault((seg.head, seg.end), []).append(batch)
+            if seg.end == last:
+                epoch_end.extend(1.0 / batch.t_sum)
+        end_rates.append(float(np.mean(epoch_end)) if epoch_end else 0.0)
+
     pair_stats = {
-        pair: _pair_stats(**data) for pair, data in sorted(acc.items()) if data["inv_rates"]
+        pair: _metrics_from_batch(_concat(batches)) for pair, batches in sorted(acc.items())
     }
     u_table = {pair: st.rate for pair, st in pair_stats.items()}
     rates = section_rates(prob_table, u_table, last)
@@ -245,7 +235,6 @@ def _combine(
         seed=spec.seed,
         balance_consistent=u_weighted <= u_min * 1.01 + 1e-300,
         max_step_evals=max((st.max_step_evals for st in pair_stats.values()), default=0),
-        total_candidate_evals=0,
     )
 
 
@@ -262,49 +251,21 @@ def run_proposed(
     segments' streams.
     """
     topology = topology or spec.topology()
-    acc: dict[Pair, dict] = {}
-    end_rates: list[float] = []
-    total_evals = 0
-    for e in range(spec.epochs):
-        act = sample_pu_activity(spec.activity, topology, stream(spec.seed, "activity", e))
-        epoch_end_rates: list[float] = []
-        for seg in partition_segments(act):
-            if not seg.transmits:
-                continue
-            pair = (seg.head, seg.end)
-            policy = policies.get(pair)
-            if policy is None:
-                raise CoverageError(
-                    f"segment {pair} observed at epoch {e} has no calibrated policy"
-                )
-            rng = stream(spec.seed, "epoch", e, "segment", seg.head, seg.end)
-            cube = draw_episode_cube(policy.problem, rng, spec.episodes_per_segment)
-            t_sum, e_sum, _frames, evals, max_step = _run_episode_batch(
-                policy.problem, policy.lam, policy.table, cube
+    cutoff = spec.solver.master.pair_prob_cutoff
+
+    def run_segment(e: int, seg: Segment) -> EpisodeBatch:
+        pair = (seg.head, seg.end)
+        policy = policies.get(pair)
+        if policy is None:
+            raise CoverageError(
+                f"segment {pair} observed at epoch {e} has no calibrated policy; "
+                f"pairs at or below pair_prob_cutoff {cutoff:g} are not calibrated"
             )
-            slot = acc.setdefault(
-                pair,
-                {
-                    "inv_rates": [],
-                    "times": [],
-                    "energies": [],
-                    "epochs_realized": 0,
-                    "max_step": 0,
-                    "max_episode_evals": 0,
-                },
-            )
-            slot["inv_rates"].extend(1.0 / t_sum)
-            slot["times"].extend(t_sum)
-            slot["energies"].extend(e_sum)
-            slot["epochs_realized"] += 1
-            slot["max_step"] = max(slot["max_step"], max_step)
-            slot["max_episode_evals"] = max(slot["max_episode_evals"], int(evals.max()))
-            total_evals += int(evals.sum())
-            if seg.end == topology.last_index:
-                epoch_end_rates.extend(1.0 / t_sum)
-        end_rates.append(float(np.mean(epoch_end_rates)) if epoch_end_rates else 0.0)
-    metrics = _combine("proposed", spec, topology, prob_table, acc, end_rates)
-    return replace(metrics, total_candidate_evals=total_evals)
+        rng = stream(spec.seed, "epoch", e, "segment", seg.head, seg.end)
+        cube = draw_episode_cube(policy.problem, rng, spec.episodes_per_segment)
+        return _run_episode_batch(policy.problem, policy.lam, policy.table, cube)
+
+    return _run_segments("proposed", spec, topology, prob_table, run_segment)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +363,6 @@ def run_baseline(
             seed=spec.seed,
             balance_consistent=None,
             max_step_evals=0,
-            total_candidate_evals=0,
         )
     p_c = calibrate_constant_power(lambda p: mass * p, spec.p0)
     if kind == "baseline2":
@@ -418,46 +378,27 @@ def _run_segmentwise_baseline(
     p_c: float,
 ) -> RunMetrics:
     last = topology.last_index
-    acc: dict[Pair, dict] = {}
-    end_rates: list[float] = []
-    for e in range(spec.epochs):
-        act = sample_pu_activity(spec.activity, topology, stream(spec.seed, "activity", e))
-        epoch_end: list[float] = []
-        for seg in partition_segments(act):
-            if not seg.transmits:
-                continue
-            pair = (seg.head, seg.end)
-            if kind == "baseline1" and pair != (0, last):
-                continue
-            if kind in ("baseline1", "baseline3"):
-                g = _link_gain(spec, topology, ("epoch", e), seg.head, seg.end)
-                t_total = 1.0 / np.log1p(g * p_c)
-            else:  # baseline4: strict hop-by-hop inside the segment
-                t_total = 0.0
-                for m in range(seg.head, seg.end):
-                    g = _link_gain(spec, topology, ("epoch", e), m, m + 1)
-                    t_total += 1.0 / np.log1p(g * p_c)
-            slot = acc.setdefault(
-                pair,
-                {
-                    "inv_rates": [],
-                    "times": [],
-                    "energies": [],
-                    "epochs_realized": 0,
-                    "max_step": 0,
-                    "max_episode_evals": 0,
-                },
-            )
-            slot["inv_rates"].append(1.0 / t_total)
-            slot["times"].append(t_total)
-            slot["energies"].append(p_c * t_total)
-            slot["epochs_realized"] += 1
-            slot["max_step"] = max(slot["max_step"], 1)
-            slot["max_episode_evals"] = max(slot["max_episode_evals"], seg.length)
-            if seg.end == last:
-                epoch_end.append(1.0 / t_total)
-        end_rates.append(float(np.mean(epoch_end)) if epoch_end else 0.0)
-    return _combine(kind, spec, topology, prob_table, acc, end_rates)
+
+    def run_segment(e: int, seg: Segment) -> EpisodeBatch | None:
+        if kind == "baseline1" and (seg.head, seg.end) != (0, last):
+            return None
+        if kind == "baseline4":  # strict hop-by-hop inside the segment
+            hops = [(m, m + 1) for m in range(seg.head, seg.end)]
+        else:  # baselines 1 and 3: the head transmits straight to the end
+            hops = [(seg.head, seg.end)]
+        hop_times = np.zeros((1, seg.length))
+        t_total = 0.0
+        for src, dst in hops:
+            g = _link_gain(spec, topology, ("epoch", e), src, dst)
+            dt = 1.0 / np.log1p(g * p_c)
+            hop_times[0, dst - seg.head - 1] = dt
+            t_total += dt
+        t_sum = np.array([t_total])
+        return EpisodeBatch(
+            t_sum, p_c * t_sum, np.array([len(hops)]), np.array([seg.length]), 1, hop_times
+        )
+
+    return _run_segments(kind, spec, topology, prob_table, run_segment)
 
 
 def _run_store_and_forward(
@@ -512,7 +453,6 @@ def _run_store_and_forward(
         seed=spec.seed,
         balance_consistent=None,
         max_step_evals=1,
-        total_candidate_evals=0,
     )
 
 
@@ -605,11 +545,14 @@ def point_spec(spec: StudySpec, point: dict[str, float]) -> StudySpec:
     return replace(apply_grid_point(spec, point), seed=seed)
 
 
-def metrics_row(point: dict[str, float], result: StudyResult, scheme: str) -> dict:
-    m = result.metrics[scheme]
+def metrics_row(
+    point: dict[str, float], m: RunMetrics, master: MasterSolution | None
+) -> dict:
+    """One output row: the grid point's keys, then the scheme's results.
+    The master columns stay blank for runs against stored tables."""
     return {
         **{k: point[k] for k in sorted(point)},
-        "scheme": scheme,
+        "scheme": m.scheme,
         "u_min": m.u_min,
         "u_weighted": m.u_weighted,
         "u_empirical": m.u_empirical,
@@ -618,8 +561,8 @@ def metrics_row(point: dict[str, float], result: StudyResult, scheme: str) -> di
         "p0": m.p0,
         "epochs": m.epochs,
         "seed": m.seed,
-        "master_objective": result.master.best_objective,
-        "master_iterations": result.master.iterations,
+        "master_objective": "" if master is None else master.best_objective,
+        "master_iterations": "" if master is None else master.iterations,
     }
 
 
@@ -640,7 +583,7 @@ def sweep(
     for idx, point in enumerate(grid_points(grid)):
         result = run_point(point_spec(spec, point), schemes)
         for scheme in schemes:
-            rows.append(metrics_row(point, result, scheme))
+            rows.append(metrics_row(point, result.metrics[scheme], result.master))
         if point_hook is not None:
             point_hook(idx, point, result)
     return rows

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -241,8 +241,6 @@ class SegmentProblem:
     the per-frame power well-posed at the multiplier extremes.  ``exact``
     instances (enumerable gains) replace Monte-Carlo expectations with exact
     sums, which is what the brute-force oracles compare against.
-    ``packet_bits`` only scales reported per-packet times; it cancels out of
-    all rates.
     """
 
     head: int
@@ -255,7 +253,6 @@ class SegmentProblem:
     episodes: int = 2000
     power_levels: tuple[float, ...] | None = None
     exact: bool = False
-    packet_bits: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0 <= self.head < self.end:
@@ -275,11 +272,6 @@ class SegmentProblem:
     @property
     def length(self) -> int:
         return self.end - self.head
-
-    def candidates(self, source: int) -> range:
-        if not self.head <= source < self.end:
-            raise ValueError(f"node {source} cannot transmit in this segment")
-        return range(source + 1, self.end + 1)
 
     def problem_hash(self) -> str:
         payload = {
@@ -390,60 +382,24 @@ def offline_recursion(
 
 
 @dataclass(frozen=True)
-class EpisodeFrame:
-    source: int
-    next_node: int
-    power: float
-    time: float
-    candidate_evals: int
-
-
-@dataclass(frozen=True)
-class EpisodeRecord:
-    """One packet's journey through a segment: strictly forward hops ending
-    at the end node in at most ``length`` frames."""
-
-    head: int
-    end: int
-    frames: tuple[EpisodeFrame, ...]
-
-    @property
-    def hops(self) -> tuple[int, ...]:
-        return tuple(f.source for f in self.frames) + (self.end,)
-
-    @property
-    def total_time(self) -> float:
-        return sum(f.time for f in self.frames)
-
-    @property
-    def total_energy(self) -> float:
-        return sum(f.power * f.time for f in self.frames)
-
-    @property
-    def candidate_evals(self) -> int:
-        return sum(f.candidate_evals for f in self.frames)
-
-
-@dataclass(frozen=True)
 class SegmentMetrics:
     """Throughput and power of a segment policy, with sampling errors.
 
     ``rate`` is the episode-average of inverse delivery times;
     ``power_time_avg`` is total energy over total airtime (the calibration
-    target) and ``power_episode_avg`` the per-episode ratio average.
+    target).  ``max_step_evals`` and ``max_episode_evals`` are the largest
+    candidate counts of one hop decision and of one delivery.
     """
 
     rate: float
     rate_se: float
     power_time_avg: float
     power_time_se: float
-    power_episode_avg: float
-    power_episode_se: float
-    mean_time: float
     episodes: int
     frames: int
     candidate_evals: int
     max_step_evals: int
+    max_episode_evals: int
     exact: bool = False
 
 
@@ -453,8 +409,6 @@ class CalibrationReport:
     iterations: int
     converged: bool
     budget_slack: bool
-    lam_lo: float
-    lam_hi: float
 
 
 @dataclass(frozen=True)
@@ -477,63 +431,22 @@ class CalibratedPolicy:
         return self.lam * self.metrics.rate
 
 
-@dataclass(frozen=True)
-class HopDecision:
-    next_node: int
-    power: float
-    candidate_evals: int
+class EpisodeBatch(NamedTuple):
+    """Per-episode outcomes of packet deliveries through one segment.
 
-
-def online_step(
-    source: int, gains: np.ndarray, policy: CalibratedPolicy
-) -> HopDecision:
-    """Pick the next hop and power at ``source`` from current local CSI.
-
-    Minimizes priced hop cost plus downstream cost-to-go over the candidate
-    hops; ties resolve to the nearest hop.
+    ``t_sum``, ``e_sum``, ``frames`` and ``evals`` hold each episode's
+    delivery time, energy, hop count and candidate evaluations;
+    ``max_step`` is the largest candidate count of one hop decision.
+    ``hop_times[e, k]`` is the airtime of the hop into node ``head + 1 + k``
+    in episode ``e`` (zero where no hop lands there).
     """
-    problem = policy.problem
-    if source == problem.end:
-        raise ValueError("the end node does not transmit")
-    cands = problem.candidates(source)
-    gains = np.asarray(gains, dtype=float)
-    if gains.shape != (len(cands),):
-        raise ValueError(f"expected {len(cands)} candidate gains, got {gains.shape}")
-    tail = policy.table.values[source - problem.head + 1 :]
-    _, pick, power = _best_actions(problem, policy.lam, gains[None, :], tail)
-    next_node = source + 1 + int(pick[0])
-    return HopDecision(next_node=next_node, power=float(power[0]), candidate_evals=len(cands))
 
-
-def run_segment_episode(
-    policy: CalibratedPolicy,
-    rng: np.random.Generator,
-    csi: dict[int, np.ndarray] | None = None,
-) -> EpisodeRecord:
-    """Deliver one packet through the segment, drawing fresh local CSI each
-    frame (no lookahead).  ``csi`` substitutes pre-drawn per-node gains."""
-    problem = policy.problem
-    frames: list[EpisodeFrame] = []
-    s = problem.head
-    while s < problem.end:
-        if csi is not None:
-            gains = csi[s]
-        else:
-            gains = problem.gains.draw_block(rng, s, problem.end, 1)[0]
-        decision = online_step(s, gains, policy)
-        g = gains[decision.next_node - s - 1]
-        t = per_hop_time(g, decision.power)
-        frames.append(
-            EpisodeFrame(
-                source=s,
-                next_node=decision.next_node,
-                power=decision.power,
-                time=float(t),
-                candidate_evals=decision.candidate_evals,
-            )
-        )
-        s = decision.next_node
-    return EpisodeRecord(head=problem.head, end=problem.end, frames=tuple(frames))
+    t_sum: np.ndarray
+    e_sum: np.ndarray
+    frames: np.ndarray
+    evals: np.ndarray
+    max_step: int
+    hop_times: np.ndarray
 
 
 def _run_episode_batch(
@@ -541,13 +454,12 @@ def _run_episode_batch(
     lam: float,
     table: ValueTable,
     cube: dict[int, np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """Vectorized episodes over a pre-drawn CSI cube (node -> gains block).
+) -> EpisodeBatch:
+    """The episode engine: vectorized deliveries over a pre-drawn CSI cube
+    (node -> gains block), each hop the online argmin at the current node.
 
     Forward hopping visits each node at most once, so indexing CSI by node is
-    exact common-random-numbers reuse across multiplier iterates.  Returns
-    per-episode (time, energy, frames, candidate evals) and the max per-step
-    candidate count seen.
+    exact common-random-numbers reuse across multiplier iterates.
     """
     n = next(iter(cube.values())).shape[0]
     cur = np.full(n, problem.head, dtype=int)
@@ -555,6 +467,7 @@ def _run_episode_batch(
     e_sum = np.zeros(n)
     frames = np.zeros(n, dtype=int)
     evals = np.zeros(n, dtype=int)
+    hop_times = np.zeros((n, problem.length))
     max_step = 0
     while True:
         alive = cur < problem.end
@@ -569,21 +482,18 @@ def _run_episode_batch(
             t = 1.0 / np.log1p(chosen_g * power)
             t_sum[rows] += t
             e_sum[rows] += power * t
+            hop_times[rows, int(s) - problem.head + pick] = t
             frames[rows] += 1
             n_cands = gains.shape[1]
             evals[rows] += n_cands
             max_step = max(max_step, n_cands)
             cur[rows] = int(s) + 1 + pick
-    return t_sum, e_sum, frames, evals, max_step
+    return EpisodeBatch(t_sum, e_sum, frames, evals, max_step, hop_times)
 
 
-def _metrics_from_batch(
-    t_sum: np.ndarray,
-    e_sum: np.ndarray,
-    frames: np.ndarray,
-    evals: np.ndarray,
-    max_step: int,
-) -> SegmentMetrics:
+def _metrics_from_batch(batch: EpisodeBatch) -> SegmentMetrics:
+    """Rate and ratio-of-means power of a batch, with delta-method errors."""
+    t_sum, e_sum = batch.t_sum, batch.e_sum
     n = t_sum.size
     inv = 1.0 / t_sum
     rate = float(np.mean(inv))
@@ -600,21 +510,16 @@ def _metrics_from_batch(
         )
     else:
         ratio_se = 0.0
-    per_ep = e_sum / t_sum
-    ep_avg = float(np.mean(per_ep))
-    ep_se = float(np.std(per_ep, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     return SegmentMetrics(
         rate=rate,
         rate_se=rate_se,
         power_time_avg=ratio,
         power_time_se=ratio_se,
-        power_episode_avg=ep_avg,
-        power_episode_se=ep_se,
-        mean_time=tbar,
         episodes=n,
-        frames=int(frames.sum()),
-        candidate_evals=int(evals.sum()),
-        max_step_evals=max_step,
+        frames=int(batch.frames.sum()),
+        candidate_evals=int(batch.evals.sum()),
+        max_step_evals=batch.max_step,
+        max_episode_evals=int(batch.evals.max()),
     )
 
 
@@ -622,14 +527,13 @@ def _exact_policy_metrics(
     problem: SegmentProblem, lam: float, table: ValueTable
 ) -> SegmentMetrics:
     """Exact policy value by full trajectory enumeration (tiny instances)."""
-    sums = {"inv": 0.0, "t": 0.0, "e": 0.0, "ratio": 0.0}
+    sums = {"inv": 0.0, "t": 0.0, "e": 0.0}
 
     def walk(s: int, prob: float, t_acc: float, e_acc: float) -> None:
         if s == problem.end:
             sums["inv"] += prob / t_acc
             sums["t"] += prob * t_acc
             sums["e"] += prob * e_acc
-            sums["ratio"] += prob * (e_acc / t_acc)
             return
         tail = table.values[s - problem.head + 1 :]
         for pg, gains in problem.gains.joint_states(s, problem.end):
@@ -645,13 +549,11 @@ def _exact_policy_metrics(
         rate_se=0.0,
         power_time_avg=sums["e"] / sums["t"],
         power_time_se=0.0,
-        power_episode_avg=sums["ratio"],
-        power_episode_se=0.0,
-        mean_time=sums["t"],
         episodes=0,
         frames=0,
         candidate_evals=0,
         max_step_evals=0,
+        max_episode_evals=0,
         exact=True,
     )
 
@@ -675,7 +577,7 @@ def estimate_segment_metrics(
     if policy.problem.exact:
         return _exact_policy_metrics(policy.problem, policy.lam, policy.table)
     cube = draw_episode_cube(policy.problem, rng, episodes)
-    return _metrics_from_batch(*_run_episode_batch(policy.problem, policy.lam, policy.table, cube))
+    return _metrics_from_batch(_run_episode_batch(policy.problem, policy.lam, policy.table, cube))
 
 
 # ---------------------------------------------------------------------------
@@ -704,6 +606,11 @@ def calibrate_lambda(
     policy when it already fits the budget.  For discrete power grids the
     achieved power is a step function of the multiplier; the best feasible
     policy seen is returned when no iterate lands inside the tolerance band.
+
+    The bracket's top is ``1/pbar``.  There every hop runs at the power floor
+    (continuous power) or at the cheapest level (a discrete grid, since
+    ``p / ln(1 + g p)`` increases with ``p``), so a policy that overspends at
+    ``1/pbar`` overspends at every multiplier and calibration fails at once.
     """
     pbar = problem.pbar
     if problem.exact:
@@ -728,20 +635,16 @@ def calibrate_lambda(
         if problem.exact:
             metrics = _exact_policy_metrics(problem, lam, table)
         else:
-            metrics = _metrics_from_batch(
-                *_run_episode_batch(problem, lam, table, cube)
-            )
+            metrics = _metrics_from_batch(_run_episode_batch(problem, lam, table, cube))
         seen[lam] = (table, metrics)
         return table, metrics
 
-    def finish(lam, table, metrics, converged, slack, lo, hi):
+    def finish(lam, table, metrics, converged, slack):
         report = CalibrationReport(
             achieved_power=metrics.power_time_avg,
             iterations=evaluations,
             converged=converged,
             budget_slack=slack,
-            lam_lo=lo,
-            lam_hi=hi,
         )
         return CalibratedPolicy(
             problem=problem, lam=lam, table=table, report=report, metrics=metrics
@@ -752,11 +655,10 @@ def calibrate_lambda(
     # budget-slack test.
     if _max_power(problem) <= pbar * (1.0 + power_tolerance):
         table, metrics = evaluate(0.0)
-        return finish(0.0, table, metrics, True, True, 0.0, 0.0)
+        return finish(0.0, table, metrics, True, True)
 
-    lam_cap = 64.0 / pbar
     lo, hi = 0.0, 1.0 / pbar
-    if lam_hint is not None and 0.0 < lam_hint < lam_cap:
+    if lam_hint is not None and 0.0 < lam_hint < 64.0 / pbar:
         # Try a tight bracket around the caller's guess before the full one.
         cand_lo, cand_hi = lam_hint * 0.5, lam_hint * 2.0
         _, m_lo = evaluate(cand_lo)
@@ -766,45 +668,32 @@ def calibrate_lambda(
                 lo, hi = cand_lo, cand_hi
 
     table_hi, metrics_hi = evaluate(hi)
-    while metrics_hi.power_time_avg > pbar and hi < lam_cap:
-        lo = hi
-        hi = min(2.0 * hi, lam_cap)
-        table_hi, metrics_hi = evaluate(hi)
     if metrics_hi.power_time_avg > pbar:
         raise CalibrationError(
-            "no multiplier bracket meets the power budget",
+            "the cheapest policy overspends the power budget",
             diagnostics={
                 "head": problem.head,
                 "end": problem.end,
                 "pbar": pbar,
-                "lam_hi": hi,
+                "lam": hi,
                 "achieved_power": metrics_hi.power_time_avg,
             },
         )
 
-    best_feasible: tuple[float, ValueTable, SegmentMetrics] | None = (
-        (hi, table_hi, metrics_hi)
-        if metrics_hi.power_time_avg <= pbar
-        else None
-    )
+    best_feasible = (hi, table_hi, metrics_hi)
     for _ in range(max_iterations):
         mid = 0.5 * (lo + hi)
         table, metrics = evaluate(mid)
         if abs(metrics.power_time_avg - pbar) <= power_tolerance * pbar:
-            return finish(mid, table, metrics, True, False, lo, hi)
+            return finish(mid, table, metrics, True, False)
         if metrics.power_time_avg > pbar:
             lo = mid
         else:
             hi = mid
-            if best_feasible is None or metrics.rate > best_feasible[2].rate:
+            if metrics.rate > best_feasible[2].rate:
                 best_feasible = (mid, table, metrics)
-    if best_feasible is None:
-        raise CalibrationError(
-            "bisection exhausted without a feasible policy",
-            diagnostics={"head": problem.head, "end": problem.end, "pbar": pbar},
-        )
     lam, table, metrics = best_feasible
-    return finish(lam, table, metrics, False, False, lo, hi)
+    return finish(lam, table, metrics, False, False)
 
 
 # ---------------------------------------------------------------------------
@@ -860,21 +749,17 @@ def policy_from_payload(payload: dict, problem: SegmentProblem) -> CalibratedPol
         iterations=payload["iterations"],
         converged=payload["converged"],
         budget_slack=payload["budget_slack"],
-        lam_lo=0.0,
-        lam_hi=0.0,
     )
     metrics = SegmentMetrics(
         rate=payload["rate"],
         rate_se=payload["rate_se"],
         power_time_avg=payload["achieved_power"],
         power_time_se=0.0,
-        power_episode_avg=payload["achieved_power"],
-        power_episode_se=0.0,
-        mean_time=0.0,
         episodes=0,
         frames=0,
         candidate_evals=0,
         max_step_evals=0,
+        max_episode_evals=0,
     )
     return CalibratedPolicy(
         problem=problem,

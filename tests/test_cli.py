@@ -81,12 +81,27 @@ class TestConfig:
             {"activity": {"mode": "weird"}},
             {"model": {"alpha": 2.0}},
             {"output": {"rate_units": "furlongs"}},
+            {"activity_typo": 1},
+            {"activity": {"mode": "iid-bernoulli", "p_avail": 0.8, "epoch_frames": 2}},
+            {"activity": {"mode": "iid-bernoulli", "p_avail": 0.8, "rho_p": 0.4}},
+            {"model": {"positions": [0.0, 2.0, 5.0], "alpha": 2.0, "span": 5.0}},
+            {"budget": {"P0": 1.0, "p0": 2.0}},
+            {"solver": {"mc_samples": 150, "master": {"max_iteration": 4}}},
+            {"sim": {"epoch": 150}},
+            {"sweep": {"grid": {"p0db": [1.0]}}},
+            {"output": {"rate_unit": "bits"}},
         ],
     )
     def test_invalid_configs_rejected(self, tmp_path, mutate):
         raw = base_config(**mutate)
         with pytest.raises(ConfigError):
             parse_config(raw)
+
+    def test_epoch_frames_of_one_is_accepted_and_hashes_alike(self):
+        raw = base_config()
+        raw["activity"] = {**raw["activity"], "epoch_frames": 1}
+        assert config_hash(parse_config(raw)) == config_hash(parse_config(base_config()))
+        assert config_to_payload(parse_config(raw))["activity"]["epoch_frames"] == 1
 
     def test_grid_flag_parsing(self):
         key, values = _parse_grid_flag("p0_db=0:40:10")
@@ -136,6 +151,17 @@ class TestCalibrateCommand:
         manifest = json.loads((out / "calibration_manifest.json").read_text())
         assert manifest["table_entries_total"] <= 6**3
 
+    def test_threads_do_not_change_the_artifacts(self, tmp_path):
+        cfg_path = write_config(tmp_path, base_config())
+        out_1, out_2 = tmp_path / "t1", tmp_path / "t2"
+        for out, threads in ((out_1, "1"), (out_2, "2")):
+            assert main(["calibrate", "--config", str(cfg_path), "--out", str(out),
+                         "--threads", threads]) == 0
+        files = sorted(p.relative_to(out_1) for p in out_1.rglob("*.json"))
+        assert Path("master.json") in files and len(files) == 5  # 3 pairs, master, manifest
+        for rel in files:
+            assert (out_1 / rel).read_bytes() == (out_2 / rel).read_bytes()
+
     def test_cutoff_above_all_pairs_warns_and_succeeds(self, tmp_path, capsys):
         raw = base_config()
         raw["solver"]["master"] = {"max_iterations": 4, "pair_prob_cutoff": 1.0}
@@ -173,6 +199,19 @@ class TestSimulateCommand:
         code = main(["simulate", "--config", str(other_cfg), "--out", str(out)])
         assert code == 2
         assert "different configuration" in capsys.readouterr().err
+
+    def test_uncalibrated_segment_is_an_exit_2_error(self, tmp_path, capsys):
+        raw = base_config()
+        raw["solver"]["master"] = {"max_iterations": 4, "pair_prob_cutoff": 0.2}
+        cfg_path = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        # Pairs (0, 1) and (1, 2) occur with probability 0.128: only (0, 2) is calibrated.
+        assert main(["calibrate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        code = main(["simulate", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: segment (0, 1)")
+        assert "pair_prob_cutoff 0.2" in err
 
     def test_missing_artifact_names_the_pair(self, calibrated, capsys):
         cfg_path, out = calibrated
@@ -261,6 +300,12 @@ class TestMainEntry:
         )
         assert code == 2
         assert "unknown scheme" in capsys.readouterr().err
+
+    def test_unknown_config_key_names_key_and_section(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, base_config(activity_typo=1))
+        code = main(["calibrate", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "unknown key 'activity_typo' in config section '<root>'" in capsys.readouterr().err
 
     def test_bad_config_path(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"

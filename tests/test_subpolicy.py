@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cogrelay.subpolicy as subpolicy
 from cogrelay.model import Topology
 from cogrelay.seeding import stream
 from cogrelay.subpolicy import (
     CalibratedPolicy,
+    CalibrationError,
     DiscreteGains,
     RayleighGains,
     SegmentProblem,
@@ -18,14 +21,12 @@ from cogrelay.subpolicy import (
     draw_episode_cube,
     estimate_segment_metrics,
     offline_recursion,
-    online_step,
     per_hop_cost,
     per_hop_time,
     policy_from_payload,
     policy_to_payload,
     power_foc,
     priced_hop_cost,
-    run_segment_episode,
     solve_optimal_power,
     _run_episode_batch,
 )
@@ -260,6 +261,32 @@ class TestCalibration:
             lams.append(policy.lam)
         assert all(b <= a * (1.0 + 1e-9) for a, b in zip(lams, lams[1:]))
 
+    def test_grid_above_budget_fails_at_inverse_budget(self, bench_topology, monkeypatch):
+        # The cheapest level (2.0) exceeds the budget: no multiplier can help,
+        # and none above 1/pbar may be tried before saying so.
+        problem = SegmentProblem(
+            head=0,
+            end=2,
+            gains=RayleighGains(bench_topology),
+            pbar=1.0,
+            p_max=4.0,
+            p_floor=2.0,
+            mc_samples=100,
+            episodes=100,
+            power_levels=(2.0, 4.0),
+        )
+        tried = []
+        real = subpolicy.offline_recursion
+
+        def recording(problem, lam, **kwargs):
+            tried.append(lam)
+            return real(problem, lam, **kwargs)
+
+        monkeypatch.setattr(subpolicy, "offline_recursion", recording)
+        with pytest.raises(CalibrationError, match="overspends"):
+            calibrate_lambda(problem, stream(22, "cal"))
+        assert tried == [1.0 / problem.pbar]
+
     def test_deterministic_given_seed(self, bench_topology):
         problem = rayleigh_problem(bench_topology, 0, 3, pbar=6.0, n=300)
         a = calibrate_lambda(problem, stream(4, "cal"))
@@ -286,51 +313,71 @@ def episode_policy(bench_topology):
     return calibrate_lambda(problem, stream(12, "cal"))
 
 
+def first_hops(batch, head):
+    """Destination node of each episode's first hop."""
+    return head + 1 + np.argmax(batch.hop_times > 0.0, axis=1)
+
+
+def greedy_unroll(problem, lam, table, csi):
+    """Deliver one packet by scanning every candidate hop and its optimal
+    power at each node, outside the episode engine; returns (time, energy, hops)."""
+    s, t_total, e_total, hops = problem.head, 0.0, 0.0, [problem.head]
+    while s < problem.end:
+        best = None
+        for k, m in enumerate(range(s + 1, problem.end + 1)):
+            g = csi[s][k]
+            p = solve_optimal_power(g, problem.pbar, lam, problem.p_max, problem.p_floor)
+            cost = priced_hop_cost(g, p, lam, problem.pbar) + table.cost_to_go(m)
+            if best is None or cost < best[0]:
+                best = (cost, m, p, per_hop_time(g, p))
+        _, s, p, t = best
+        t_total += t
+        e_total += p * t
+        hops.append(s)
+    return t_total, e_total, hops
+
+
 class TestOnlinePolicy:
     @pytest.fixture
     def policy(self, online_policy):
         return online_policy
 
     def test_single_candidate_goes_to_end(self, policy):
-        problem = policy.problem
-        decision = online_step(problem.end - 1, np.array([0.9]), policy)
-        assert decision.next_node == problem.end
-        assert decision.candidate_evals == 1
+        problem = dataclasses.replace(policy.problem, head=policy.problem.end - 1)
+        table = ValueTable(problem.head, problem.end, policy.table.values[-2:])
+        batch = _run_episode_batch(
+            problem, policy.lam, table, {problem.head: np.full((3, 1), 0.9)}
+        )
+        assert np.all(batch.frames == 1)
+        assert np.all(batch.evals == 1)
+        assert np.array_equal(batch.hop_times[:, 0], batch.t_sum)
 
     def test_dominated_cost_to_go_avoided(self, bench_topology):
         problem = rayleigh_problem(bench_topology, 0, 2, pbar=5.0, n=100)
         table = ValueTable(0, 2, np.array([3.0, 100.0, 0.0]))
         policy = calibrate_lambda(problem, stream(10, "cal"))
-        rigged = CalibratedPolicy(
-            problem=problem,
-            lam=policy.lam,
-            table=table,
-            report=policy.report,
-            metrics=policy.metrics,
-        )
-        decision = online_step(0, np.array([1.0, 1.0]), rigged)
-        assert decision.next_node == 2  # equal gains, far smaller cost-to-go
+        cube = {0: np.array([[1.0, 1.0]]), 1: np.array([[1.0]])}
+        batch = _run_episode_batch(problem, policy.lam, table, cube)
+        # Equal gains, far smaller cost-to-go: straight to node 2.
+        assert first_hops(batch, 0)[0] == 2
+        assert batch.frames[0] == 1
 
     def test_argmin_matches_exhaustive_candidate_scan(self, policy):
         problem = policy.problem
-        gains = stream(11, "csi").exponential(1.0, size=problem.length) * np.array(
-            [problem.gains.topology.pathloss[0, m] for m in problem.candidates(0)]
-        )
-        decision = online_step(0, gains, policy)
-        best = None
-        for k, m in enumerate(problem.candidates(0)):
-            p = solve_optimal_power(
-                gains[k], problem.pbar, policy.lam, problem.p_max, problem.p_floor
-            )
-            cost = priced_hop_cost(gains[k], p, policy.lam, problem.pbar)
-            cost += policy.table.cost_to_go(m)
-            if best is None or cost < best[1]:
-                best = (m, cost)
-        assert decision.next_node == best[0]
+        cube = draw_episode_cube(problem, stream(11, "csi"), 20)
+        batch = _run_episode_batch(problem, policy.lam, policy.table, cube)
+        for e, first in enumerate(first_hops(batch, problem.head)):
+            csi = {s: cube[s][e] for s in cube}
+            _, _, hops = greedy_unroll(problem, policy.lam, policy.table, csi)
+            assert first == hops[1]
 
     def test_end_node_does_not_transmit(self, policy):
-        with pytest.raises(ValueError):
-            online_step(policy.problem.end, np.array([]), policy)
+        problem = policy.problem
+        cube = draw_episode_cube(problem, stream(11, "end"), 30)
+        assert problem.end not in cube  # no CSI is drawn for the end node
+        batch = _run_episode_batch(problem, policy.lam, policy.table, cube)
+        # Every delivery ends with a hop into the end node, and none leaves it.
+        assert np.all(batch.hop_times[:, -1] > 0.0)
 
 
 class TestEpisodes:
@@ -339,24 +386,34 @@ class TestEpisodes:
         return episode_policy
 
     def test_forward_progress_and_termination(self, policy):
-        for k in range(40):
-            record = run_segment_episode(policy, stream(13, "ep", k))
-            hops = record.hops
-            assert hops[0] == policy.problem.head
-            assert hops[-1] == policy.problem.end
+        problem = policy.problem
+        cube = draw_episode_cube(problem, stream(13, "ep"), 40)
+        batch = _run_episode_batch(problem, policy.lam, policy.table, cube)
+        for e in range(40):
+            hops = [problem.head] + [
+                problem.head + 1 + k for k in np.flatnonzero(batch.hop_times[e])
+            ]
+            assert hops[-1] == problem.end
             assert all(b > a for a, b in zip(hops, hops[1:]))
-            assert len(record.frames) <= policy.problem.length
+            assert len(hops) - 1 == batch.frames[e] <= problem.length
 
     def test_fixed_seed_reproducible(self, policy):
-        a = run_segment_episode(policy, stream(14, "ep"))
-        b = run_segment_episode(policy, stream(14, "ep"))
-        assert a == b
+        problem = policy.problem
+        a, b = (
+            _run_episode_batch(
+                problem, policy.lam, policy.table, draw_episode_cube(problem, stream(14, "ep"), 8)
+            )
+            for _ in range(2)
+        )
+        for x, y in zip(a, b):
+            assert np.array_equal(x, y)
 
     def test_candidate_evals_bounded(self, policy):
         length = policy.problem.length
-        record = run_segment_episode(policy, stream(15, "ep"))
-        assert all(f.candidate_evals <= length for f in record.frames)
-        assert record.candidate_evals <= length**2
+        cube = draw_episode_cube(policy.problem, stream(15, "ep"), 50)
+        batch = _run_episode_batch(policy.problem, policy.lam, policy.table, cube)
+        assert batch.max_step <= length
+        assert np.all(batch.evals <= length**2)
 
     def test_deterministic_gains_time_matches_table_unroll(self):
         topo = line_topology(0.0, 1.0, 2.2, 3.1)
@@ -373,37 +430,24 @@ class TestEpisodes:
         )
         lam = 0.1
         table = offline_recursion(problem, lam)
-        policy = CalibratedPolicy(
-            problem=problem,
-            lam=lam,
-            table=table,
-            report=None,
-            metrics=None,
-        )
-        record = run_segment_episode(policy, stream(16, "ep"))
+        cube = draw_episode_cube(problem, stream(16, "ep"), 1)
+        batch = _run_episode_batch(problem, lam, table, cube)
         # Unroll the table's own greedy actions, summing pure hop times.
-        s, expected = 0, 0.0
-        while s < 3:
-            gains = problem.gains.draw_block(stream(0, "na"), s, 3, 1)[0]
-            decision = online_step(s, gains, policy)
-            g = gains[decision.next_node - s - 1]
-            expected += per_hop_time(g, decision.power)
-            s = decision.next_node
-        assert record.total_time == pytest.approx(expected, rel=1e-12)
+        expected, _, _ = greedy_unroll(problem, lam, table, {s: cube[s][0] for s in cube})
+        assert batch.t_sum[0] == pytest.approx(expected, rel=1e-12)
 
     def test_batch_runner_matches_per_episode_path(self, policy):
         problem = policy.problem
         cube = draw_episode_cube(problem, stream(17, "cube"), 16)
-        t_sum, e_sum, frames, evals, _ = _run_episode_batch(
-            problem, policy.lam, policy.table, cube
-        )
+        batch = _run_episode_batch(problem, policy.lam, policy.table, cube)
         for e in range(16):
             csi = {s: cube[s][e] for s in cube}
-            record = run_segment_episode(policy, stream(0, "na"), csi=csi)
-            assert record.total_time == pytest.approx(t_sum[e], rel=1e-12)
-            assert record.total_energy == pytest.approx(e_sum[e], rel=1e-12)
-            assert len(record.frames) == frames[e]
-            assert record.candidate_evals == evals[e]
+            t, energy, hops = greedy_unroll(problem, policy.lam, policy.table, csi)
+            assert batch.t_sum[e] == pytest.approx(t, rel=1e-12)
+            assert batch.e_sum[e] == pytest.approx(energy, rel=1e-12)
+            assert batch.hop_times[e].sum() == pytest.approx(t, rel=1e-12)
+            assert batch.frames[e] == len(hops) - 1
+            assert batch.evals[e] == sum(problem.end - s for s in hops[:-1])
 
 
 class TestSegmentMetrics:
