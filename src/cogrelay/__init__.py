@@ -10,7 +10,6 @@ force.  `cli` wires everything to configuration files and CSV/JSON outputs.
 """
 
 from .model import (
-    FadingDraw,
     PuActivityModel,
     PuActivityState,
     Segment,
@@ -19,7 +18,6 @@ from .model import (
     min_safe_distance,
     partition_segments,
     path_loss,
-    sample_fading,
     sample_pu_activity,
     segment_probabilities,
     segment_probability,

@@ -12,21 +12,21 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_args, get_origin, get_type_hints
 
 from . import oracle
 from .master import (
     MasterOptions,
     MasterSolution,
-    RateModel,
     pair_problem,
     solution_to_payload,
     solve_master,
@@ -45,7 +45,9 @@ from .sim import (
     metrics_row,
     point_spec,
     run_baseline,
+    run_point,
     run_proposed,
+    study_rate_model,
 )
 from .subpolicy import CalibrationError, policy_from_payload, policy_to_payload
 
@@ -109,10 +111,11 @@ def linear_to_db(x: float) -> float:
 
 
 def atomic_write_text(path: Path, text: str) -> None:
+    """Write ``text`` as is, line endings included, via a temp file and rename."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "w", newline="") as handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -126,21 +129,12 @@ def atomic_write_json(path: Path, payload: dict) -> None:
 
 
 def write_csv(path: Path, columns: Sequence[str], rows: Sequence[dict]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "w", newline="") as handle:
-            writer = csv.DictWriter(
-                handle, fieldnames=list(columns), lineterminator="\r\n"
-            )
-            writer.writeheader()
-            for row in rows:
-                writer.writerow({k: row.get(k, "") for k in columns})
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    buffer = io.StringIO()
+    writer = csv.DictWriter(buffer, fieldnames=list(columns), lineterminator="\r\n")
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: row.get(k, "") for k in columns})
+    atomic_write_text(path, buffer.getvalue())
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +142,41 @@ def write_csv(path: Path, columns: Sequence[str], rows: Sequence[dict]) -> None:
 # ---------------------------------------------------------------------------
 
 
+# Each section's keys, read by ``parse_config`` and echoed by
+# ``config_to_payload``.  A route is given by its positions or by a placement
+# recipe, and each activity mode has its own parameters.
+ROOT_KEYS = ("version", "seed", "model", "activity", "budget", "schemes", "solver", "sim",
+             "sweep", "output")
+ROUTE_KEYS = {
+    "positions": ("alpha", "positions"),
+    "nodes": ("alpha", "nodes", "span", "min_gap", "placement_seed"),
+}
+ACTIVITY_KEYS = {
+    IID_MODE: ("mode", "p_avail"),
+    SPATIAL_MODE: ("mode", "rho_p", "p_active", "d0", "strip_width"),
+}
+ACTIVITY_REQUIRED = {IID_MODE: ("p_avail",), SPATIAL_MODE: ("rho_p", "p_active", "d0")}
+BUDGET_KEYS = ("P0_dB", "P0")
+SOLVER_KEYS = ("mc_samples", "episodes", "power_tolerance", "p_max_factor", "p_floor_factor")
+MASTER_KEYS = ("max_iterations", "step_a", "step_b", "tie_tolerance", "objective_tolerance",
+               "window", "pair_prob_cutoff")
+SIM_KEYS = ("epochs", "episodes_per_segment", "baseline_warmup", "prob_samples")
+OUTPUT_KEYS = ("rate_units",)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     spec: StudySpec
-    schemes: tuple[str, ...]
-    grid: dict[str, tuple[float, ...]]
-    rate_units: str
+    schemes: tuple[str, ...] = SCHEMES
+    grid: dict[str, tuple[float, ...]] = field(default_factory=dict)
+    rate_units: str = "nats"
+
+    def __post_init__(self) -> None:
+        for s in self.schemes:
+            if s not in SCHEMES:
+                raise ConfigError(f"unknown scheme {s!r}")
+        if self.rate_units not in ("nats", "bits"):
+            raise ConfigError(f"unknown rate units {self.rate_units!r}")
 
     def scale(self, value: float) -> float:
         """Rates are computed in nats; optionally reported in bits."""
@@ -168,191 +191,139 @@ class ExperimentConfig:
         return row
 
 
-def _require(raw: dict, key: str, section: str) -> object:
-    if key not in raw:
-        raise ConfigError(f"missing {key!r} in config section {section!r}")
-    return raw[key]
+def _section(raw: dict, key: str, name: str | None = None) -> dict:
+    """Sub-section ``key`` of ``raw``; an absent one is empty."""
+    value = raw.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"config section {name or key!r} must be an object")
+    return value
 
 
-def _check_keys(raw: dict, section: str, known: Sequence[str]) -> None:
-    """Refuse keys that parsing would otherwise ignore."""
+def _check_keys(
+    raw: dict, section: str, known: Sequence[str], required: Sequence[str] = ()
+) -> None:
+    """Refuse keys that parsing would otherwise ignore, and absent required ones."""
     for key in raw:
         if key not in known:
             raise ConfigError(f"unknown key {key!r} in config section {section!r}")
+    for key in required:
+        if key not in raw:
+            raise ConfigError(f"missing {key!r} in config section {section!r}")
+
+
+def _convert(hint, raw: dict, section: str, key: str):
+    """``raw[key]`` as the type ``hint``: a scalar type, ``tuple[T, ...]`` or ``T | None``."""
+    value = raw[key]
+    try:
+        if type(None) in get_args(hint):
+            if value is None:
+                return None
+            hint = get_args(hint)[0]
+        if get_origin(hint) is tuple:
+            if not isinstance(value, (list, tuple)):
+                raise TypeError("not a list")
+            return tuple(get_args(hint)[0](v) for v in value)
+        return hint(value)
+    except (TypeError, ValueError) as exc:
+        name = f"a list of {get_args(hint)[0].__name__}" if get_origin(hint) else hint.__name__
+        raise ConfigError(
+            f"key {key!r} in config section {section!r} must be {name}, not {value!r}"
+        ) from exc
+
+
+def _fields(cls, raw: dict, section: str, keys: Sequence[str]) -> dict:
+    """The present ``keys`` of ``raw``, each converted to the type of the
+    dataclass field of ``cls`` that it sets."""
+    hints = get_type_hints(cls)
+    return {key: _convert(hints[key], raw, section, key) for key in keys if key in raw}
+
+
+def _build(cls, raw: dict, section: str, keys: Sequence[str], required: Sequence[str] = (),
+           **fixed):
+    """Dataclass ``cls`` from one config section whose ``keys`` set its fields
+    of the same names; an absent key leaves its field at the default."""
+    _check_keys(raw, section, keys, required)
+    values = _fields(cls, raw, section, keys)
+    try:
+        return cls(**values, **fixed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
+    _check_keys(raw, "<root>", ROOT_KEYS)
     if raw.get("version") != CONFIG_VERSION:
         raise ConfigError(f"unsupported config version {raw.get('version')!r}")
-    _check_keys(raw, "<root>", ("version", "seed", "model", "activity", "budget", "schemes",
-                                "solver", "sim", "sweep", "output"))
 
-    model_raw = dict(_require(raw, "model", "<root>"))
-    alpha = float(model_raw.get("alpha", 2.0))
-    if "positions" in model_raw:
-        _check_keys(model_raw, "model", ("alpha", "positions"))
-        route = RouteSpec(alpha=alpha, positions=tuple(float(x) for x in model_raw["positions"]))
-    elif "nodes" in model_raw:
-        _check_keys(model_raw, "model", ("alpha", "nodes", "span", "min_gap", "placement_seed"))
-        route = RouteSpec(
-            alpha=alpha,
-            nodes=int(model_raw["nodes"]),
-            span=float(model_raw.get("span", 5.0)),
-            min_gap=float(model_raw.get("min_gap", 0.25)),
-            placement_seed=int(model_raw.get("placement_seed", 7)),
-        )
-    else:
+    model = _section(raw, "model")
+    recipe = next((key for key in ROUTE_KEYS if key in model), None)
+    if recipe is None:
         raise ConfigError("model needs 'positions' or 'nodes'")
+    route = _build(RouteSpec, model, "model", ROUTE_KEYS[recipe])
 
-    act_raw = dict(_require(raw, "activity", "<root>"))
-    mode = act_raw.get("mode", IID_MODE)
-    if mode == IID_MODE:
-        _check_keys(act_raw, "activity", ("mode", "p_avail", "epoch_frames"))
-        activity = PuActivityModel(
-            mode=IID_MODE,
-            p_avail=float(_require(act_raw, "p_avail", "activity")),
-        )
-    elif mode == SPATIAL_MODE:
-        _check_keys(act_raw, "activity",
-                    ("mode", "rho_p", "p_active", "d0", "strip_width", "epoch_frames"))
-        activity = PuActivityModel(
-            mode=SPATIAL_MODE,
-            rho_p=float(_require(act_raw, "rho_p", "activity")),
-            p_active=float(_require(act_raw, "p_active", "activity")),
-            d0=float(_require(act_raw, "d0", "activity")),
-            strip_width=float(act_raw.get("strip_width", 0.0)),
-        )
-    else:
-        raise ConfigError(f"unknown activity mode {mode!r}")
+    act_raw = dict(_section(raw, "activity"))
     # An epoch is one frame: the simulator draws availability once per
     # delivery.  The key stays accepted at its only meaningful value.
-    if act_raw.get("epoch_frames", 1) != 1:
+    if act_raw.pop("epoch_frames", 1) != 1:
         raise ConfigError("activity.epoch_frames must be 1: every epoch is one frame")
+    mode = act_raw.get("mode", PuActivityModel.mode)
+    if mode not in (IID_MODE, SPATIAL_MODE):
+        raise ConfigError(f"unknown activity mode {mode!r}")
+    activity = _build(PuActivityModel, act_raw, "activity", ACTIVITY_KEYS[mode],
+                      ACTIVITY_REQUIRED[mode])
 
-    budget = dict(_require(raw, "budget", "<root>"))
-    _check_keys(budget, "budget", ("P0_dB", "P0"))
-    if ("P0_dB" in budget) == ("P0" in budget):
+    budget = _section(raw, "budget")
+    _check_keys(budget, "budget", BUDGET_KEYS)
+    if len(budget) != 1:
         raise ConfigError("budget needs exactly one of 'P0_dB' or 'P0'")
-    p0 = db_to_linear(float(budget["P0_dB"])) if "P0_dB" in budget else float(budget["P0"])
+    if "P0" in budget:
+        p0 = _convert(float, budget, "budget", "P0")
+    else:
+        p0 = db_to_linear(_convert(float, budget, "budget", "P0_dB"))
 
-    solver_raw = dict(raw.get("solver", {}))
-    _check_keys(solver_raw, "solver", ("mc_samples", "episodes", "power_tolerance",
-                                       "p_max_factor", "p_floor_factor", "master"))
-    master_raw = dict(solver_raw.get("master", {}))
-    _check_keys(master_raw, "solver.master", ("max_iterations", "step_a", "step_b",
-                                              "tie_tolerance", "objective_tolerance", "window",
-                                              "pair_prob_cutoff"))
-    master = MasterOptions(
-        max_iterations=int(master_raw.get("max_iterations", 40)),
-        step_a=master_raw.get("step_a"),
-        step_b=float(master_raw.get("step_b", 5.0)),
-        tie_tolerance=float(master_raw.get("tie_tolerance", 1e-2)),
-        objective_tolerance=float(master_raw.get("objective_tolerance", 1e-3)),
-        window=int(master_raw.get("window", 10)),
-        pair_prob_cutoff=float(master_raw.get("pair_prob_cutoff", 1e-6)),
-    )
-    solver = SolverOptions(
-        mc_samples=int(solver_raw.get("mc_samples", 2000)),
-        episodes=int(solver_raw.get("episodes", 2000)),
-        power_tolerance=float(solver_raw.get("power_tolerance", 1e-2)),
-        p_max_factor=float(solver_raw.get("p_max_factor", 100.0)),
-        p_floor_factor=float(solver_raw.get("p_floor_factor", 1e-6)),
-        master=master,
-    )
+    solver_raw = dict(_section(raw, "solver"))
+    master_raw = _section(solver_raw, "master", "solver.master")
+    solver_raw.pop("master", None)
+    solver = _build(SolverOptions, solver_raw, "solver", SOLVER_KEYS,
+                    master=_build(MasterOptions, master_raw, "solver.master", MASTER_KEYS))
+    spec = _build(StudySpec, _section(raw, "sim"), "sim", SIM_KEYS, route=route,
+                  activity=activity, p0=p0, solver=solver,
+                  **_fields(StudySpec, raw, "<root>", ("seed",)))
 
-    sim_raw = dict(raw.get("sim", {}))
-    _check_keys(sim_raw, "sim", ("epochs", "episodes_per_segment", "baseline_warmup",
-                                 "prob_samples"))
-    spec = StudySpec(
-        route=route,
-        activity=activity,
-        p0=p0,
-        epochs=int(sim_raw.get("epochs", 2000)),
-        episodes_per_segment=int(sim_raw.get("episodes_per_segment", 1)),
-        baseline_warmup=int(sim_raw.get("baseline_warmup", 16)),
-        prob_samples=int(sim_raw.get("prob_samples", 100_000)),
-        seed=int(raw.get("seed", 0)),
-        solver=solver,
-    )
-
-    schemes = tuple(raw.get("schemes", list(SCHEMES)))
-    for s in schemes:
-        if s not in SCHEMES:
-            raise ConfigError(f"unknown scheme {s!r}")
-
-    sweep_raw = dict(raw.get("sweep", {}))
-    _check_keys(sweep_raw, "sweep", ("grid",))
-    grid_raw = dict(sweep_raw.get("grid", {}))
+    sweep = _section(raw, "sweep")
+    _check_keys(sweep, "sweep", ("grid",))
+    grid_raw = _section(sweep, "grid", "sweep.grid")
     _check_keys(grid_raw, "sweep.grid", GRID_KEYS)
-    grid = {str(k): tuple(float(v) for v in vals) for k, vals in grid_raw.items()}
+    grid = {key: _convert(tuple[float, ...], grid_raw, "sweep.grid", key) for key in grid_raw}
+    return _build(ExperimentConfig, _section(raw, "output"), "output", OUTPUT_KEYS,
+                  spec=spec, grid=grid, **_fields(ExperimentConfig, raw, "<root>", ("schemes",)))
 
-    output_raw = dict(raw.get("output", {}))
-    _check_keys(output_raw, "output", ("rate_units",))
-    units = str(output_raw.get("rate_units", "nats"))
-    if units not in ("nats", "bits"):
-        raise ConfigError(f"unknown rate units {units!r}")
-    return ExperimentConfig(spec=spec, schemes=schemes, grid=grid, rate_units=units)
+
+def _echo(obj, keys: Sequence[str]) -> dict:
+    """The attributes ``keys`` of ``obj``, tuples as lists."""
+    values = {key: getattr(obj, key) for key in keys}
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
 
 
 def config_to_payload(cfg: ExperimentConfig) -> dict:
     """Canonical echo of a parsed config; parsing it again is the identity."""
     spec = cfg.spec
-    model: dict = {"alpha": spec.route.alpha}
-    if spec.route.positions is not None:
-        model["positions"] = list(spec.route.positions)
-    else:
-        model.update(
-            nodes=spec.route.nodes,
-            span=spec.route.span,
-            min_gap=spec.route.min_gap,
-            placement_seed=spec.route.placement_seed,
-        )
-    act = spec.activity
-    # "epoch_frames" stays in the echo: it keeps config hashes, and with them
-    # artifacts calibrated by earlier versions, valid.
-    if act.mode == IID_MODE:
-        activity = {"mode": act.mode, "p_avail": act.p_avail, "epoch_frames": 1}
-    else:
-        activity = {
-            "mode": act.mode,
-            "rho_p": act.rho_p,
-            "p_active": act.p_active,
-            "d0": act.d0,
-            "strip_width": act.strip_width,
-            "epoch_frames": 1,
-        }
-    m = spec.solver.master
+    route, solver = spec.route, spec.solver
+    recipe = "positions" if route.positions is not None else "nodes"
     return {
         "version": CONFIG_VERSION,
         "seed": spec.seed,
-        "model": model,
-        "activity": activity,
+        "model": _echo(route, ROUTE_KEYS[recipe]),
+        # "epoch_frames" stays in the echo: it keeps config hashes, and with
+        # them artifacts calibrated by earlier versions, valid.
+        "activity": {**_echo(spec.activity, ACTIVITY_KEYS[spec.activity.mode]),
+                     "epoch_frames": 1},
         "budget": {"P0": spec.p0},
         "schemes": list(cfg.schemes),
-        "solver": {
-            "mc_samples": spec.solver.mc_samples,
-            "episodes": spec.solver.episodes,
-            "power_tolerance": spec.solver.power_tolerance,
-            "p_max_factor": spec.solver.p_max_factor,
-            "p_floor_factor": spec.solver.p_floor_factor,
-            "master": {
-                "max_iterations": m.max_iterations,
-                "step_a": m.step_a,
-                "step_b": m.step_b,
-                "tie_tolerance": m.tie_tolerance,
-                "objective_tolerance": m.objective_tolerance,
-                "window": m.window,
-                "pair_prob_cutoff": m.pair_prob_cutoff,
-            },
-        },
-        "sim": {
-            "epochs": spec.epochs,
-            "episodes_per_segment": spec.episodes_per_segment,
-            "baseline_warmup": spec.baseline_warmup,
-            "prob_samples": spec.prob_samples,
-        },
+        "solver": {**_echo(solver, SOLVER_KEYS), "master": _echo(solver.master, MASTER_KEYS)},
+        "sim": _echo(spec, SIM_KEYS),
         "sweep": {"grid": {k: list(v) for k, v in sorted(cfg.grid.items())}},
-        "output": {"rate_units": cfg.rate_units},
+        "output": _echo(cfg, OUTPUT_KEYS),
     }
 
 
@@ -366,6 +337,8 @@ def load_config(path: Path) -> ExperimentConfig:
         raw = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} is not a JSON object")
     return parse_config(raw)
 
 
@@ -396,20 +369,11 @@ def cmd_calibrate(cfg: ExperimentConfig, out: Path, threads: int = 1) -> int:
             },
         )
         return 0
-    rate_model = RateModel(
-        topology,
-        root_seed=spec.seed,
-        mc_samples=spec.solver.mc_samples,
-        episodes=spec.solver.episodes,
-        power_tolerance=spec.solver.power_tolerance,
-        p_max_factor=spec.solver.p_max_factor,
-        p_floor_factor=spec.solver.p_floor_factor,
-        threads=threads,
-    )
     started = time.time()
     try:
         solution = solve_master(
-            rate_model, eligible, spec.p0, topology.last_index, spec.solver.master
+            study_rate_model(spec, topology, threads), eligible, spec.p0,
+            topology.last_index, spec.solver.master,
         )
     except CalibrationError as exc:
         print(f"calibration failed: {exc}")
@@ -524,8 +488,6 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
         )
         print("empty sweep grid; wrote header-only CSV")
         return 0
-    from .sim import run_point  # local import keeps CLI startup light
-
     points = grid_points(dict(cfg.grid))
     columns = tuple(sorted(cfg.grid)) + RESULT_COLUMNS
     marker_dir = out / "sweep_points"
@@ -642,9 +604,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.seed is not None:
             cfg = replace(cfg, spec=replace(cfg.spec, seed=args.seed))
         if getattr(args, "scheme", None):
-            for s in args.scheme:
-                if s not in SCHEMES:
-                    raise ConfigError(f"unknown scheme {s!r}")
             cfg = replace(cfg, schemes=tuple(args.scheme))
         if args.command == "calibrate":
             return cmd_calibrate(cfg, args.out, threads=args.threads)

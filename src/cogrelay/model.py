@@ -201,44 +201,6 @@ class Segment:
         return self.end > self.head
 
 
-@dataclass(frozen=True)
-class FadingDraw:
-    """One node's instantaneous view of its candidate links.
-
-    ``gains[k]`` is the combined linear gain (fading power times path loss)
-    from ``source`` to ``candidates[k]``; candidates are exactly the nodes
-    strictly downstream within the segment, matching the local-CSI scope.
-    """
-
-    source: int
-    candidates: tuple[int, ...]
-    gains: np.ndarray
-    lineage: str = ""
-
-
-def sample_fading(
-    topology: Topology,
-    segment: Segment,
-    source: int,
-    rng: np.random.Generator,
-    lineage: str = "",
-) -> FadingDraw:
-    """Draw local channel state at ``source`` inside ``segment``.
-
-    Fading powers are i.i.d. unit-mean exponential (Rayleigh envelope),
-    independent across links and across calls.
-    """
-    if not segment.head <= source < segment.end:
-        raise ValueError(
-            f"source {source} cannot transmit in segment ({segment.head}, {segment.end})"
-        )
-    cands = tuple(range(source + 1, segment.end + 1))
-    fading = rng.exponential(1.0, size=len(cands))
-    gains = fading * topology.pathloss[source, list(cands)]
-    gains.setflags(write=False)
-    return FadingDraw(source=source, candidates=cands, gains=gains, lineage=lineage)
-
-
 def sample_pu_activity(
     model: PuActivityModel, topology: Topology, rng: np.random.Generator
 ) -> PuActivityState:

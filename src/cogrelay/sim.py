@@ -87,11 +87,13 @@ class RouteSpec:
     min_gap: float = 0.25
     placement_seed: int = 7
 
+    def __post_init__(self) -> None:
+        if self.positions is None and self.nodes is None:
+            raise ValueError("route needs positions or a node count")
+
     def build(self) -> Topology:
         if self.positions is not None:
             return Topology.from_positions(self.positions, self.alpha)
-        if self.nodes is None:
-            raise ValueError("route needs positions or a node count")
         pos = make_linear_route(self.nodes, self.span, self.placement_seed, self.min_gap)
         return Topology.from_positions(pos, self.alpha)
 
@@ -146,7 +148,6 @@ class RunMetrics:
 
     scheme: str
     pair_stats: dict[Pair, SegmentMetrics]
-    section_rate_values: tuple[float, ...] | None
     u_weighted: float
     u_min: float
     u_empirical: float
@@ -157,7 +158,6 @@ class RunMetrics:
     epochs: int
     seed: int
     balance_consistent: bool | None
-    max_step_evals: int
 
 
 def _concat(batches: list[EpisodeBatch]) -> EpisodeBatch:
@@ -223,7 +223,6 @@ def _run_segments(
     return RunMetrics(
         scheme=scheme,
         pair_stats=pair_stats,
-        section_rate_values=tuple(float(r) for r in rates),
         u_weighted=u_weighted,
         u_min=u_min,
         u_empirical=u_emp,
@@ -234,7 +233,6 @@ def _run_segments(
         epochs=spec.epochs,
         seed=spec.seed,
         balance_consistent=u_weighted <= u_min * 1.01 + 1e-300,
-        max_step_evals=max((st.max_step_evals for st in pair_stats.values()), default=0),
     )
 
 
@@ -309,26 +307,6 @@ def transmit_mass(
     raise ValueError(f"unknown baseline kind {kind!r}")
 
 
-def calibrate_constant_power(measure, p0: float, tol: float = 1e-9) -> float:
-    """Constant transmit power whose measured average consumption is ``p0``.
-
-    ``measure`` maps a candidate power to the scheme's expected radiated
-    power; it is non-decreasing, so one bisection suffices.
-    """
-    lo, hi = p0 * 1e-9, p0 * 1e9
-    if measure(hi) < p0 or measure(lo) > p0:
-        raise ValueError("budget outside the reachable power range")
-    for _ in range(200):
-        mid = np.sqrt(lo * hi)
-        if measure(mid) > p0:
-            hi = mid
-        else:
-            lo = mid
-        if hi / lo <= 1.0 + tol:
-            break
-    return float(np.sqrt(lo * hi))
-
-
 def _link_gain(
     spec: StudySpec, topology: Topology, epoch_key: tuple, s: int, t: int
 ) -> float:
@@ -351,7 +329,6 @@ def run_baseline(
         return RunMetrics(
             scheme=kind,
             pair_stats={},
-            section_rate_values=None,
             u_weighted=0.0,
             u_min=0.0,
             u_empirical=0.0,
@@ -362,9 +339,8 @@ def run_baseline(
             epochs=spec.epochs,
             seed=spec.seed,
             balance_consistent=None,
-            max_step_evals=0,
         )
-    p_c = calibrate_constant_power(lambda p: mass * p, spec.p0)
+    p_c = spec.p0 / mass  # the expected radiated power mass * p_c meets the budget
     if kind == "baseline2":
         return _run_store_and_forward(spec, topology, p_c, mass)
     return _run_segmentwise_baseline(kind, spec, topology, prob_table, p_c)
@@ -441,7 +417,6 @@ def _run_store_and_forward(
     return RunMetrics(
         scheme="baseline2",
         pair_stats={},
-        section_rate_values=None,
         u_weighted=u,
         u_min=u,
         u_empirical=u,
@@ -452,7 +427,6 @@ def _run_store_and_forward(
         epochs=spec.epochs,
         seed=spec.seed,
         balance_consistent=None,
-        max_step_evals=1,
     )
 
 
@@ -469,20 +443,27 @@ class StudyResult:
     metrics: dict[str, RunMetrics]
 
 
+def study_rate_model(spec: StudySpec, topology: Topology, threads: int = 1) -> RateModel:
+    """The pair calibrations of ``spec.solver`` on ``topology``."""
+    solver = spec.solver
+    return RateModel(
+        topology,
+        root_seed=spec.seed,
+        mc_samples=solver.mc_samples,
+        episodes=solver.episodes,
+        power_tolerance=solver.power_tolerance,
+        p_max_factor=solver.p_max_factor,
+        p_floor_factor=solver.p_floor_factor,
+        threads=threads,
+    )
+
+
 def solve_study_master(
     spec: StudySpec, topology: Topology, prob_table: dict[Pair, float]
 ) -> MasterSolution:
-    model = RateModel(
-        topology,
-        root_seed=spec.seed,
-        mc_samples=spec.solver.mc_samples,
-        episodes=spec.solver.episodes,
-        power_tolerance=spec.solver.power_tolerance,
-        p_max_factor=spec.solver.p_max_factor,
-        p_floor_factor=spec.solver.p_floor_factor,
-    )
     return solve_master(
-        model, prob_table, spec.p0, topology.last_index, spec.solver.master
+        study_rate_model(spec, topology), prob_table, spec.p0, topology.last_index,
+        spec.solver.master,
     )
 
 
@@ -567,23 +548,16 @@ def metrics_row(
 
 
 def sweep(
-    spec: StudySpec,
-    grid: dict[str, Sequence[float]],
-    schemes: Sequence[str],
-    point_hook=None,
+    spec: StudySpec, grid: dict[str, Sequence[float]], schemes: Sequence[str]
 ) -> list[dict]:
     """Recalibrate and rerun every scheme at each grid point.
 
     Each point gets a content-derived seed so rows are reproducible in
-    isolation; ``point_hook(index, point, result)`` observes completed points
-    (the CLI uses it for resumable markers).  Rows come out in deterministic
-    grid order.
+    isolation.  Rows come out in deterministic grid order.
     """
     rows: list[dict] = []
-    for idx, point in enumerate(grid_points(grid)):
+    for point in grid_points(grid):
         result = run_point(point_spec(spec, point), schemes)
         for scheme in schemes:
             rows.append(metrics_row(point, result.metrics[scheme], result.master))
-        if point_hook is not None:
-            point_hook(idx, point, result)
     return rows

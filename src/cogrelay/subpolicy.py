@@ -611,6 +611,8 @@ def calibrate_lambda(
     (continuous power) or at the cheapest level (a discrete grid, since
     ``p / ln(1 + g p)`` increases with ``p``), so a policy that overspends at
     ``1/pbar`` overspends at every multiplier and calibration fails at once.
+    ``lam_hint`` narrows the bracket but never lifts its top above ``1/pbar``,
+    where the priced numerator ``1 + lam (p - pbar)`` can go negative.
     """
     pbar = problem.pbar
     if problem.exact:
@@ -658,9 +660,9 @@ def calibrate_lambda(
         return finish(0.0, table, metrics, True, True)
 
     lo, hi = 0.0, 1.0 / pbar
-    if lam_hint is not None and 0.0 < lam_hint < 64.0 / pbar:
+    if lam_hint is not None and 0.0 < lam_hint < hi:
         # Try a tight bracket around the caller's guess before the full one.
-        cand_lo, cand_hi = lam_hint * 0.5, lam_hint * 2.0
+        cand_lo, cand_hi = lam_hint * 0.5, min(lam_hint * 2.0, hi)
         _, m_lo = evaluate(cand_lo)
         if m_lo.power_time_avg > pbar:
             _, m_hi = evaluate(cand_hi)

@@ -90,6 +90,10 @@ class TestConfig:
             {"sim": {"epoch": 150}},
             {"sweep": {"grid": {"p0db": [1.0]}}},
             {"output": {"rate_unit": "bits"}},
+            {"activity": {"mode": "iid-bernoulli", "p_avail": "high"}},
+            {"sim": {"epochs": "many"}},
+            {"model": {"nodes": [6], "alpha": 2.0}},
+            {"solver": {"master": {"step_a": "fast"}}},
         ],
     )
     def test_invalid_configs_rejected(self, tmp_path, mutate):
@@ -102,6 +106,12 @@ class TestConfig:
         raw["activity"] = {**raw["activity"], "epoch_frames": 1}
         assert config_hash(parse_config(raw)) == config_hash(parse_config(base_config()))
         assert config_to_payload(parse_config(raw))["activity"]["epoch_frames"] == 1
+
+    def test_numeric_strings_convert_to_the_field_type(self):
+        raw = base_config()
+        raw["solver"]["master"] = {"step_a": "1"}
+        step_a = parse_config(raw).spec.solver.master.step_a
+        assert step_a == 1.0 and isinstance(step_a, float)
 
     def test_grid_flag_parsing(self):
         key, values = _parse_grid_flag("p0_db=0:40:10")
@@ -306,6 +316,15 @@ class TestMainEntry:
         code = main(["calibrate", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "unknown key 'activity_typo' in config section '<root>'" in capsys.readouterr().err
+
+    def test_wrongly_typed_value_names_key_and_section(self, tmp_path, capsys):
+        raw = base_config(activity={"mode": "iid-bernoulli", "p_avail": "high"})
+        cfg_path = write_config(tmp_path, raw)
+        code = main(["calibrate", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: key 'p_avail' in config section 'activity'")
+        assert "Traceback" not in err
 
     def test_bad_config_path(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"

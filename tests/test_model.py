@@ -11,19 +11,18 @@ from cogrelay.model import (
     SPATIAL_MODE,
     PuActivityModel,
     PuActivityState,
-    Segment,
     Topology,
     make_linear_route,
     min_safe_distance,
     partition_segments,
     path_loss,
-    sample_fading,
     sample_pu_activity,
     segment_probabilities,
     segment_probabilities_mc,
     segment_probability,
 )
 from cogrelay.seeding import stream
+from cogrelay.subpolicy import RayleighGains
 
 
 class TestPathLoss:
@@ -190,35 +189,30 @@ class TestSegmentProbability:
 
 class TestFading:
     def test_local_csi_scope(self, bench_topology):
-        seg = Segment(1, 4)
-        draw = sample_fading(bench_topology, seg, 2, stream(0, "csi"))
-        assert draw.candidates == (3, 4)
-        assert draw.gains.shape == (2,)
-        with pytest.raises(ValueError):
-            sample_fading(bench_topology, seg, 4, stream(0, "csi"))
-        with pytest.raises(ValueError):
-            sample_fading(bench_topology, seg, 0, stream(0, "csi"))
+        # Node 2 of segment (1, 4) sees its links to nodes 3 and 4 only; the
+        # end node has no candidate to see.
+        gains = RayleighGains(bench_topology)
+        block = gains.draw_block(stream(0, "csi"), 2, 4, 5)
+        fading = stream(0, "csi").exponential(1.0, size=(5, 2))
+        assert np.array_equal(block, fading * bench_topology.pathloss[2, [3, 4]])
+        assert gains.draw_block(stream(0, "csi"), 4, 4, 5).shape == (5, 0)
 
     def test_unit_mean_fading_power(self):
         topo = Topology.from_positions((0.0, 1.0), alpha=2.0)  # unit path loss
-        from cogrelay.subpolicy import RayleighGains
-
         block = RayleighGains(topo).draw_block(stream(1, "fade"), 0, 1, 1_000_000)
         assert abs(block.mean() - 1.0) <= 0.01
 
     def test_exponential_distribution(self):
         topo = Topology.from_positions((0.0, 1.0), alpha=2.0)
-        from cogrelay.subpolicy import RayleighGains
-
         block = RayleighGains(topo).draw_block(stream(2, "fade"), 0, 1, 20_000)[:, 0]
         _, pvalue = stats.kstest(block, "expon")
         assert pvalue > 0.01
 
     def test_fixed_seed_reproducible(self, bench_topology):
-        seg = Segment(0, 5)
-        a = sample_fading(bench_topology, seg, 1, stream(7, "fade"))
-        b = sample_fading(bench_topology, seg, 1, stream(7, "fade"))
-        assert np.array_equal(a.gains, b.gains)
+        gains = RayleighGains(bench_topology)
+        a = gains.draw_block(stream(7, "fade"), 1, 5, 10)
+        b = gains.draw_block(stream(7, "fade"), 1, 5, 10)
+        assert np.array_equal(a, b)
 
 
 class TestPuActivity:

@@ -14,7 +14,6 @@ from cogrelay.sim import (
     SolverOptions,
     StudySpec,
     apply_grid_point,
-    calibrate_constant_power,
     grid_points,
     point_spec,
     run_baseline,
@@ -178,10 +177,11 @@ class TestBaselines:
         assert mass == pytest.approx(total, rel=1e-12)
 
     def test_constant_power_solver(self):
-        p_c = calibrate_constant_power(lambda p: 0.25 * p, p0=10.0)
-        assert p_c == pytest.approx(40.0, rel=1e-6)
-        with pytest.raises(ValueError):
-            calibrate_constant_power(lambda p: 0.0 * p, p0=10.0)
+        # Store-and-forward reports mass * p_c, its expected radiated power.
+        spec = small_spec((0.0, 1.0, 2.0, 3.0), p_avail=0.6, epochs=50)
+        topo = spec.topology()
+        metrics = run_baseline("baseline2", spec, spec.pair_probabilities(topo), topo)
+        assert metrics.total_power == pytest.approx(spec.p0, rel=1e-12)
 
 
 class TestStudyPoints:

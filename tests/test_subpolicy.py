@@ -287,6 +287,23 @@ class TestCalibration:
             calibrate_lambda(problem, stream(22, "cal"))
         assert tried == [1.0 / problem.pbar]
 
+    def test_hint_bracket_stays_at_or_below_inverse_budget(self, bench_topology, monkeypatch):
+        # This pair calibrates near 0.89/pbar, so the hint's lower end (0.45/pbar)
+        # overspends and the bracket's top, twice the hint, would pass 1/pbar.
+        problem = rayleigh_problem(bench_topology, 0, 1, pbar=10.0, n=100)
+        tried = []
+        real = subpolicy.offline_recursion
+
+        def recording(problem, lam, **kwargs):
+            tried.append(lam)
+            return real(problem, lam, **kwargs)
+
+        monkeypatch.setattr(subpolicy, "offline_recursion", recording)
+        policy = calibrate_lambda(problem, stream(5, "cal"), lam_hint=0.9 / problem.pbar)
+        assert policy.report.converged
+        assert 0.45 / problem.pbar in tried
+        assert max(tried) <= 1.0 / problem.pbar
+
     def test_deterministic_given_seed(self, bench_topology):
         problem = rayleigh_problem(bench_topology, 0, 3, pbar=6.0, n=300)
         a = calibrate_lambda(problem, stream(4, "cal"))
