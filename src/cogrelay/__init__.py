@@ -43,6 +43,7 @@ from .master import (
     MasterOptions,
     MasterSolution,
     RateModel,
+    SolverOptions,
     flow_balance_identity,
     project_budget,
     section_rate,
@@ -53,7 +54,6 @@ from .master import (
 from .sim import (
     RouteSpec,
     RunMetrics,
-    SolverOptions,
     StudySpec,
     run_baseline,
     run_point,

@@ -27,6 +27,8 @@ from . import oracle
 from .master import (
     MasterOptions,
     MasterSolution,
+    RateModel,
+    SolverOptions,
     pair_problem,
     solution_to_payload,
     solve_master,
@@ -39,7 +41,6 @@ from .sim import (
     CoverageError,
     RouteSpec,
     RunMetrics,
-    SolverOptions,
     StudySpec,
     grid_points,
     metrics_row,
@@ -47,7 +48,6 @@ from .sim import (
     run_baseline,
     run_point,
     run_proposed,
-    study_rate_model,
 )
 from .subpolicy import CalibrationError, policy_from_payload, policy_to_payload
 
@@ -372,7 +372,7 @@ def cmd_calibrate(cfg: ExperimentConfig, out: Path, threads: int = 1) -> int:
     started = time.time()
     try:
         solution = solve_master(
-            study_rate_model(spec, topology, threads), eligible, spec.p0,
+            RateModel(topology, spec.seed, spec.solver, threads), eligible, spec.p0,
             topology.last_index, spec.solver.master,
         )
     except CalibrationError as exc:
@@ -383,8 +383,8 @@ def cmd_calibrate(cfg: ExperimentConfig, out: Path, threads: int = 1) -> int:
 
     node_count = topology.node_count
     total_entries = 0
-    for pair, evaluation in sorted(solution.evaluations.items()):
-        entries = evaluation.policy.table.entries
+    for pair, policy in sorted(solution.policies.items()):
+        entries = policy.table.entries
         if entries > node_count:
             raise AssertionError(
                 f"offline table for pair {pair} holds {entries} entries, "
@@ -392,10 +392,15 @@ def cmd_calibrate(cfg: ExperimentConfig, out: Path, threads: int = 1) -> int:
             )
         total_entries += entries
         payload = policy_to_payload(
-            evaluation.policy,
-            seed_path=path_fingerprint(spec.seed, "pair", pair[0], pair[1]),
+            policy, seed_path=path_fingerprint(spec.seed, "pair", pair[0], pair[1])
         )
         atomic_write_json(_pair_artifact_path(out, pair), payload)
+        if not policy.report.converged:
+            print(f"warning: pair {pair}: calibration did not converge; the best feasible "
+                  "multiplier found is used", file=sys.stderr)
+        if policy.report.budget_slack:
+            print(f"warning: pair {pair}: budget slack; the power cap binds before its "
+                  "budget share does", file=sys.stderr)
     if total_entries > node_count**3:
         raise AssertionError(
             f"total offline table size {total_entries} exceeds the cubic bound "
@@ -408,14 +413,14 @@ def cmd_calibrate(cfg: ExperimentConfig, out: Path, threads: int = 1) -> int:
             "format_version": 1,
             "config_hash": config_hash(cfg),
             "seed": spec.seed,
-            "pairs": [list(p) for p in sorted(solution.evaluations)],
+            "pairs": [list(p) for p in sorted(solution.policies)],
             "table_entries_total": total_entries,
             "table_entries_bound": node_count**3,
             "objective": cfg.scale(solution.best_objective),
         },
     )
     print(
-        f"calibrated {len(solution.evaluations)} pairs in {time.time() - started:.1f}s; "
+        f"calibrated {len(solution.policies)} pairs in {time.time() - started:.1f}s; "
         f"offline tables hold {total_entries} values (bound {node_count ** 3}); "
         f"objective {cfg.scale(solution.best_objective):.6g}"
     )
@@ -431,7 +436,6 @@ def _load_policies(cfg: ExperimentConfig, artifacts: Path, topology) -> dict:
         raise ArtifactMismatchError(
             "artifacts were calibrated for a different configuration; re-run calibrate"
         )
-    solver = cfg.spec.solver
     policies = {}
     for raw_pair in manifest["pairs"]:
         pair = (int(raw_pair[0]), int(raw_pair[1]))
@@ -439,10 +443,7 @@ def _load_policies(cfg: ExperimentConfig, artifacts: Path, topology) -> dict:
         if not path.exists():
             raise ArtifactMismatchError(f"missing policy artifact for pair {pair}: {path}")
         payload = json.loads(path.read_text())
-        problem = pair_problem(
-            topology, pair, float(payload["pbar"]), solver.mc_samples, solver.episodes,
-            solver.p_max_factor, solver.p_floor_factor,
-        )
+        problem = pair_problem(topology, pair, float(payload["pbar"]), cfg.spec.solver)
         policies[pair] = policy_from_payload(payload, problem)
     return policies
 
@@ -616,6 +617,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 for flag in args.grid:
                     key, values = _parse_grid_flag(flag)
                     merged[key] = values
+                _check_keys(merged, "--grid", GRID_KEYS)
                 cfg = replace(cfg, grid=merged)
             return cmd_sweep(cfg, args.out)
         raise AssertionError(f"unhandled command {args.command}")

@@ -120,17 +120,30 @@ def project_budget(
 
 
 @dataclass(frozen=True)
-class PairEvaluation:
-    """One pair's calibrated operating point at a given budget share."""
+class MasterOptions:
+    max_iterations: int = 40
+    step_a: float | None = None  # defaults to p0 / 2
+    step_b: float = 5.0
+    tie_tolerance: float = 1e-2
+    objective_tolerance: float = 1e-3
+    window: int = 10
+    pair_prob_cutoff: float = 1e-6
 
-    pair: Pair
-    pbar: float
-    rate: float
-    rate_se: float
-    lam: float
-    shadow_price: float
-    achieved_power: float
-    policy: CalibratedPolicy
+
+@dataclass(frozen=True)
+class SolverOptions:
+    """How every pair is calibrated, and how the master allocates among them.
+
+    The power cap and floor of a pair's problem are these multiples of its
+    budget share.
+    """
+
+    mc_samples: int = 2000
+    episodes: int = 2000
+    power_tolerance: float = 1e-2
+    p_max_factor: float = DEFAULT_P_MAX_FACTOR
+    p_floor_factor: float = DEFAULT_P_FLOOR_FACTOR
+    master: MasterOptions = field(default_factory=MasterOptions)
 
 
 def _calibration_job(payload) -> CalibratedPolicy:
@@ -143,13 +156,7 @@ def _calibration_job(payload) -> CalibratedPolicy:
 
 
 def pair_problem(
-    topology: Topology,
-    pair: Pair,
-    pbar: float,
-    mc_samples: int,
-    episodes: int,
-    p_max_factor: float,
-    p_floor_factor: float,
+    topology: Topology, pair: Pair, pbar: float, solver: SolverOptions
 ) -> SegmentProblem:
     """Rayleigh-faded control problem of one segment pair at budget ``pbar``."""
     return SegmentProblem(
@@ -157,10 +164,10 @@ def pair_problem(
         end=pair[1],
         gains=RayleighGains(topology),
         pbar=pbar,
-        p_max=p_max_factor * pbar,
-        p_floor=p_floor_factor * pbar,
-        mc_samples=mc_samples,
-        episodes=episodes,
+        p_max=solver.p_max_factor * pbar,
+        p_floor=solver.p_floor_factor * pbar,
+        mc_samples=solver.mc_samples,
+        episodes=solver.episodes,
     )
 
 
@@ -177,24 +184,16 @@ class RateModel:
         self,
         topology: Topology,
         root_seed: int,
-        mc_samples: int = 2000,
-        episodes: int = 2000,
-        power_tolerance: float = 1e-2,
-        p_max_factor: float = DEFAULT_P_MAX_FACTOR,
-        p_floor_factor: float = DEFAULT_P_FLOOR_FACTOR,
-        problem_factory: Callable[[Pair, float], SegmentProblem] | None = None,
+        solver: SolverOptions = SolverOptions(),
         threads: int = 1,
+        problem_factory: Callable[[Pair, float], SegmentProblem] | None = None,
     ) -> None:
         self.topology = topology
         self.root_seed = root_seed
-        self.mc_samples = mc_samples
-        self.episodes = episodes
-        self.power_tolerance = power_tolerance
-        self.p_max_factor = p_max_factor
-        self.p_floor_factor = p_floor_factor
+        self.solver = solver
         self._factory = problem_factory
         self.threads = max(int(threads), 1)
-        self._cache: dict[tuple[int, int, float], PairEvaluation] = {}
+        self._cache: dict[tuple[int, int, float], CalibratedPolicy] = {}
         self._lam_hints: dict[Pair, float] = {}
 
     @staticmethod
@@ -204,30 +203,26 @@ class RateModel:
     def build_problem(self, pair: Pair, pbar: float) -> SegmentProblem:
         if self._factory is not None:
             return self._factory(pair, pbar)
-        return pair_problem(
-            self.topology, pair, pbar, self.mc_samples, self.episodes,
-            self.p_max_factor, self.p_floor_factor,
+        return pair_problem(self.topology, pair, pbar, self.solver)
+
+    def _job(self, pair: Pair, q: float) -> tuple:
+        """Payload of ``_calibration_job`` for the pair at quantized budget ``q``."""
+        return (
+            self.build_problem(pair, q),
+            self.root_seed,
+            pair,
+            self.solver.power_tolerance,
+            self._lam_hints.get(pair),
         )
 
-    def evaluate(self, pair: Pair, pbar: float) -> PairEvaluation:
+    def evaluate(self, pair: Pair, pbar: float) -> CalibratedPolicy:
         q = self.quantize(pbar)
         key = (pair[0], pair[1], q)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        policy = _calibration_job(
-            (
-                self.build_problem(pair, q),
-                self.root_seed,
-                pair,
-                self.power_tolerance,
-                self._lam_hints.get(pair),
-            )
-        )
-        self._store(pair, q, policy)
+        if key not in self._cache:
+            self._store(pair, q, _calibration_job(self._job(pair, q)))
         return self._cache[key]
 
-    def evaluate_many(self, allocation: dict[Pair, float]) -> dict[Pair, PairEvaluation]:
+    def evaluate_many(self, allocation: dict[Pair, float]) -> dict[Pair, CalibratedPolicy]:
         """Evaluate a whole allocation; missing pairs run in parallel when the
         model was built with ``threads > 1``.
 
@@ -242,33 +237,14 @@ class RateModel:
         if self.threads > 1 and len(jobs) > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            payloads = [
-                (
-                    self.build_problem(pair, q),
-                    self.root_seed,
-                    pair,
-                    self.power_tolerance,
-                    self._lam_hints.get(pair),
-                )
-                for pair, q in jobs
-            ]
+            payloads = [self._job(pair, q) for pair, q in jobs]
             with ProcessPoolExecutor(max_workers=self.threads) as pool:
                 for (pair, q), policy in zip(jobs, pool.map(_calibration_job, payloads)):
                     self._store(pair, q, policy)
         return {pair: self.evaluate(pair, pbar) for pair, pbar in allocation.items()}
 
     def _store(self, pair: Pair, q: float, policy: CalibratedPolicy) -> None:
-        evaluation = PairEvaluation(
-            pair=pair,
-            pbar=q,
-            rate=policy.metrics.rate,
-            rate_se=policy.metrics.rate_se,
-            lam=policy.lam,
-            shadow_price=policy.shadow_price,
-            achieved_power=policy.report.achieved_power,
-            policy=policy,
-        )
-        self._cache[(pair[0], pair[1], q)] = evaluation
+        self._cache[(pair[0], pair[1], q)] = policy
         self._lam_hints[pair] = policy.lam
 
     def budget_floor(self, pair: Pair) -> float:
@@ -300,7 +276,7 @@ def objective(
 
 def subgradient(
     allocation: dict[Pair, float],
-    evaluations: dict[Pair, PairEvaluation],
+    policies: dict[Pair, CalibratedPolicy],
     prob_table: dict[Pair, float],
     last: int,
     tie_tolerance: float = 1e-2,
@@ -312,7 +288,7 @@ def subgradient(
     averaged over the tied sections it straddles.  Entrywise non-negative
     because shadow prices are.
     """
-    u_table = {p: ev.rate for p, ev in evaluations.items()}
+    u_table = {p: policy.metrics.rate for p, policy in policies.items()}
     rates = section_rates(prob_table, u_table, last)
     floor = float(np.min(rates))
     tied = [m for m in range(1, last + 1) if rates[m - 1] <= floor * (1.0 + tie_tolerance) + 1e-300]
@@ -321,24 +297,13 @@ def subgradient(
         i, j = pair
         straddles = sum(1 for m in tied if i < m <= j)
         grad[pair] = (
-            prob_table[pair] * evaluations[pair].shadow_price * straddles / len(tied)
+            prob_table[pair] * policies[pair].shadow_price * straddles / len(tied)
         )
     return grad
 
 
 # Smallest budget share of any pair, as a fraction of the total budget.
 ALLOCATION_FLOOR_FRAC = 1e-8
-
-
-@dataclass(frozen=True)
-class MasterOptions:
-    max_iterations: int = 40
-    step_a: float | None = None  # defaults to p0 / 2
-    step_b: float = 5.0
-    tie_tolerance: float = 1e-2
-    objective_tolerance: float = 1e-3
-    window: int = 10
-    pair_prob_cutoff: float = 1e-6
 
 
 def _exchange_polish(
@@ -350,7 +315,7 @@ def _exchange_polish(
     floors: dict[Pair, float],
     fractions=(0.25, 0.1, 0.04, 0.015, 0.006),
     max_moves: int = 400,
-) -> tuple[dict[Pair, float], float, dict[Pair, PairEvaluation]]:
+) -> tuple[dict[Pair, float], float, dict[Pair, CalibratedPolicy]]:
     """Greedy budget exchanges between pairs at shrinking step sizes.
 
     Subgradients carry no information on the piecewise-constant rate curves
@@ -362,12 +327,12 @@ def _exchange_polish(
     pairs = sorted(allocation)
 
     def value_of(alloc):
-        evals = rate_model.evaluate_many(alloc)
-        u = {p: e.rate for p, e in evals.items()}
-        return float(np.min(section_rates(weights, u, last))), evals
+        policies = rate_model.evaluate_many(alloc)
+        u = {p: policy.metrics.rate for p, policy in policies.items()}
+        return float(np.min(section_rates(weights, u, last))), policies
 
     best_alloc = dict(allocation)
-    best_value, best_evals = value_of(best_alloc)
+    best_value, best_policies = value_of(best_alloc)
     moves = 0
     for frac in fractions:
         improved = True
@@ -385,12 +350,12 @@ def _exchange_polish(
                     trial = dict(best_alloc)
                     trial[src] = best_alloc[src] - give / weights[src]
                     trial[dst] = best_alloc[dst] + give / weights[dst]
-                    value, evals = value_of(trial)
+                    value, policies = value_of(trial)
                     if value > best_value * (1.0 + 1e-12) + 1e-300:
-                        best_value, best_alloc, best_evals = value, trial, evals
+                        best_value, best_alloc, best_policies = value, trial, policies
                         moves += 1
                         improved = True
-    return best_alloc, best_value, best_evals
+    return best_alloc, best_value, best_policies
 
 
 @dataclass(frozen=True)
@@ -402,7 +367,7 @@ class MasterSolution:
     u_min: float
     u_weighted: float
     balance_active: bool
-    evaluations: dict[Pair, PairEvaluation] = field(repr=False)
+    policies: dict[Pair, CalibratedPolicy] = field(repr=False)
     iterations: int
     p0: float
 
@@ -441,22 +406,20 @@ def solve_master(
 
     best_obj = -np.inf
     best_alloc = dict(allocation)
-    best_evals: dict[Pair, PairEvaluation] = {}
     trace: list[float] = []
     for t in range(options.max_iterations):
-        evals = rate_model.evaluate_many(allocation)
-        u_table = {p: ev.rate for p, ev in evals.items()}
+        policies = rate_model.evaluate_many(allocation)
+        u_table = {p: policy.metrics.rate for p, policy in policies.items()}
         obj = float(np.min(section_rates(weights, u_table, last)))
         trace.append(obj)
         if obj > best_obj:
             best_obj = obj
             best_alloc = dict(allocation)
-            best_evals = evals
         if t >= options.window:
             past = max(trace[: t - options.window + 1])
             if best_obj - past <= options.objective_tolerance * max(best_obj, 1e-300):
                 break
-        grad = subgradient(allocation, evals, weights, last, options.tie_tolerance)
+        grad = subgradient(allocation, policies, weights, last, options.tie_tolerance)
         g = np.asarray([grad[p] for p in pairs])
         norm = float(np.linalg.norm(g))
         if norm == 0.0:
@@ -465,16 +428,16 @@ def solve_master(
         moved = {p: allocation[p] + step * grad[p] / norm for p in pairs}
         allocation = project_budget(moved, weights, p0, floors)
 
-    final_evals = rate_model.evaluate_many(best_alloc)
+    policies = rate_model.evaluate_many(best_alloc)
     # Polish only noise-free (exact) rate models; see _exchange_polish.
-    if all(ev.rate_se == 0.0 for ev in final_evals.values()):
-        best_alloc, polished, final_evals = _exchange_polish(
+    if all(policy.metrics.rate_se == 0.0 for policy in policies.values()):
+        best_alloc, polished, policies = _exchange_polish(
             rate_model, best_alloc, weights, last, p0, floors
         )
         if polished > best_obj:
             best_obj = polished
             trace.append(polished)
-    u_table = {p: ev.rate for p, ev in final_evals.items()}
+    u_table = {p: policy.metrics.rate for p, policy in policies.items()}
     rates = section_rates(weights, u_table, last)
     u_min = float(np.min(rates))
     u_weighted = float(rates[last - 1])
@@ -487,7 +450,7 @@ def solve_master(
         u_min=u_min,
         u_weighted=u_weighted,
         balance_active=balance_active,
-        evaluations=final_evals,
+        policies=policies,
         iterations=len(trace),
         p0=p0,
     )
@@ -512,13 +475,13 @@ def solution_to_payload(
             {
                 "pair": list(pair),
                 "prob": prob_table[pair],
-                "pbar": pbar,
-                "rate": solution.evaluations[pair].rate,
-                "rate_se": solution.evaluations[pair].rate_se,
-                "lambda": solution.evaluations[pair].lam,
-                "shadow_price": solution.evaluations[pair].shadow_price,
-                "achieved_power": solution.evaluations[pair].achieved_power,
+                "pbar": solution.allocation[pair],
+                "rate": policy.metrics.rate,
+                "rate_se": policy.metrics.rate_se,
+                "lambda": policy.lam,
+                "shadow_price": policy.shadow_price,
+                "achieved_power": policy.report.achieved_power,
             }
-            for pair, pbar in sorted(solution.allocation.items())
+            for pair, policy in sorted(solution.policies.items())
         ],
     }

@@ -37,9 +37,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .master import (
-    MasterOptions,
     MasterSolution,
     RateModel,
+    SolverOptions,
     section_rates,
     solve_master,
 )
@@ -55,8 +55,6 @@ from .model import (
 )
 from .seeding import stream
 from .subpolicy import (
-    DEFAULT_P_FLOOR_FACTOR,
-    DEFAULT_P_MAX_FACTOR,
     CalibratedPolicy,
     EpisodeBatch,
     SegmentMetrics,
@@ -90,22 +88,13 @@ class RouteSpec:
     def __post_init__(self) -> None:
         if self.positions is None and self.nodes is None:
             raise ValueError("route needs positions or a node count")
+        self.build()  # an unbuildable route fails here, not at first use
 
     def build(self) -> Topology:
         if self.positions is not None:
             return Topology.from_positions(self.positions, self.alpha)
         pos = make_linear_route(self.nodes, self.span, self.placement_seed, self.min_gap)
         return Topology.from_positions(pos, self.alpha)
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    mc_samples: int = 2000
-    episodes: int = 2000
-    power_tolerance: float = 1e-2
-    p_max_factor: float = DEFAULT_P_MAX_FACTOR
-    p_floor_factor: float = DEFAULT_P_FLOOR_FACTOR
-    master: MasterOptions = field(default_factory=MasterOptions)
 
 
 @dataclass(frozen=True)
@@ -443,30 +432,6 @@ class StudyResult:
     metrics: dict[str, RunMetrics]
 
 
-def study_rate_model(spec: StudySpec, topology: Topology, threads: int = 1) -> RateModel:
-    """The pair calibrations of ``spec.solver`` on ``topology``."""
-    solver = spec.solver
-    return RateModel(
-        topology,
-        root_seed=spec.seed,
-        mc_samples=solver.mc_samples,
-        episodes=solver.episodes,
-        power_tolerance=solver.power_tolerance,
-        p_max_factor=solver.p_max_factor,
-        p_floor_factor=solver.p_floor_factor,
-        threads=threads,
-    )
-
-
-def solve_study_master(
-    spec: StudySpec, topology: Topology, prob_table: dict[Pair, float]
-) -> MasterSolution:
-    return solve_master(
-        study_rate_model(spec, topology), prob_table, spec.p0, topology.last_index,
-        spec.solver.master,
-    )
-
-
 def run_point(spec: StudySpec, schemes: Sequence[str]) -> StudyResult:
     """Calibrate and simulate every requested scheme at one study point."""
     for s in schemes:
@@ -475,14 +440,17 @@ def run_point(spec: StudySpec, schemes: Sequence[str]) -> StudyResult:
     topology = spec.topology()
     prob_table = spec.pair_probabilities(topology)
     cutoff = spec.solver.master.pair_prob_cutoff
-    master = solve_study_master(
-        spec, topology, {p: v for p, v in prob_table.items() if v > cutoff}
+    master = solve_master(
+        RateModel(topology, spec.seed, spec.solver),
+        {p: v for p, v in prob_table.items() if v > cutoff},
+        spec.p0,
+        topology.last_index,
+        spec.solver.master,
     )
     metrics: dict[str, RunMetrics] = {}
     for scheme in schemes:
         if scheme == "proposed":
-            policies = {p: ev.policy for p, ev in master.evaluations.items()}
-            metrics[scheme] = run_proposed(spec, policies, prob_table, topology)
+            metrics[scheme] = run_proposed(spec, master.policies, prob_table, topology)
         else:
             metrics[scheme] = run_baseline(scheme, spec, prob_table, topology)
     return StudyResult(spec=spec, prob_table=prob_table, master=master, metrics=metrics)

@@ -170,7 +170,8 @@ class TestCriterion4PowerFoc:
 class TestCriterion5GradientIdentity:
     def test_finite_differences_match_shadow_price(self, bench_topology):
         started = time.time()
-        model = RateModel(bench_topology, root_seed=303, mc_samples=2500, episodes=2500)
+        model = RateModel(bench_topology, root_seed=303,
+                          solver=SolverOptions(mc_samples=2500, episodes=2500))
         points = [
             ((0, 5), 40.0), ((1, 4), 25.0), ((2, 5), 60.0), ((0, 2), 15.0),
             ((3, 4), 8.0), ((1, 3), 30.0), ((0, 1), 20.0), ((2, 4), 12.0),
@@ -182,8 +183,10 @@ class TestCriterion5GradientIdentity:
             lo = model.evaluate(pair, pbar - h)
             hi = model.evaluate(pair, pbar + h)
             mid = model.evaluate(pair, pbar)
-            fd = (hi.rate - lo.rate) / (hi.pbar - lo.pbar)
-            se = math.hypot(hi.rate_se, lo.rate_se) / (hi.pbar - lo.pbar)
+            fd = (hi.metrics.rate - lo.metrics.rate) / (hi.problem.pbar - lo.problem.pbar)
+            se = math.hypot(hi.metrics.rate_se, lo.metrics.rate_se) / (
+                hi.problem.pbar - lo.problem.pbar
+            )
             tol = max(3.0 * se, 0.05 * abs(mid.shadow_price))
             if abs(fd - mid.shadow_price) > tol:
                 failures.append((pair, pbar, fd, mid.shadow_price, tol))
@@ -202,18 +205,23 @@ class TestCriterion5GradientIdentity:
 class TestCriterion6Concavity:
     def test_midpoint_concavity_within_noise(self, bench_topology):
         started = time.time()
-        model = RateModel(bench_topology, root_seed=606, mc_samples=600, episodes=600)
+        model = RateModel(bench_topology, root_seed=606,
+                          solver=SolverOptions(mc_samples=600, episodes=600))
         grid = np.linspace(4.0, 58.0, 10)
         violations = []
         pairs = [(i, j) for i in range(5) for j in range(i + 1, 6)]
         for pair in pairs:
             evals = [model.evaluate(pair, float(pb)) for pb in grid]
             for k in range(1, len(grid) - 1):
-                bulge = evals[k - 1].rate + evals[k + 1].rate - 2.0 * evals[k].rate
+                bulge = (
+                    evals[k - 1].metrics.rate
+                    + evals[k + 1].metrics.rate
+                    - 2.0 * evals[k].metrics.rate
+                )
                 se = math.sqrt(
-                    evals[k - 1].rate_se ** 2
-                    + evals[k + 1].rate_se ** 2
-                    + 4.0 * evals[k].rate_se ** 2
+                    evals[k - 1].metrics.rate_se ** 2
+                    + evals[k + 1].metrics.rate_se ** 2
+                    + 4.0 * evals[k].metrics.rate_se ** 2
                 )
                 if bulge > 3.0 * se:
                     violations.append((pair, float(grid[k]), bulge, se))
@@ -370,7 +378,7 @@ def _constant_power_relaying(result, power, rng, samples=20_000):
     per packet)."""
     pathloss = result.spec.topology().pathloss
     out = {}
-    for i, j in result.master.evaluations:
+    for i, j in result.master.policies:
 
         def hop_times(s, n):
             cands = np.arange(s + 1, j + 1)
@@ -472,8 +480,8 @@ class TestCriterion9SweepShape:
         hops = _hops_per_length(
             result.prob_table,
             {
-                pair: ev.policy.metrics.frames / ev.policy.metrics.episodes
-                for pair, ev in result.master.evaluations.items()
+                pair: policy.metrics.frames / policy.metrics.episodes
+                for pair, policy in result.master.policies.items()
             },
         )
         reference_hops = _hops_per_length(
@@ -525,7 +533,8 @@ class TestCriterion10Convergence:
             for p, v in segment_probabilities(PuActivityModel(p_avail=0.85), topo).items()
             if p[1] > p[0] and v > 1e-6
         }
-        model = RateModel(topo, root_seed=4040, mc_samples=800, episodes=800)
+        model = RateModel(topo, root_seed=4040,
+                          solver=SolverOptions(mc_samples=800, episodes=800))
         solution = solve_master(
             model, prob, 1000.0, topo.last_index, MasterOptions(max_iterations=40, window=40)
         )
@@ -558,7 +567,7 @@ class TestCriterion11Complexity:
             online_ok &= stats.max_episode_evals <= length**2
         # Offline: one value per node per pair, cubic total.
         entries = {
-            pair: ev.policy.table.entries for pair, ev in result.master.evaluations.items()
+            pair: policy.table.entries for pair, policy in result.master.policies.items()
         }
         per_pair_ok = all(n <= node_count for n in entries.values())
         total = sum(entries.values())

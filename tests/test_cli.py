@@ -11,6 +11,7 @@ from cogrelay.cli import (
     RESULT_COLUMNS,
     VERIFY_REPORT_SCHEMA,
     ConfigError,
+    _pair_artifact_path,
     _parse_grid_flag,
     cmd_verify,
     config_hash,
@@ -94,6 +95,8 @@ class TestConfig:
             {"sim": {"epochs": "many"}},
             {"model": {"nodes": [6], "alpha": 2.0}},
             {"solver": {"master": {"step_a": "fast"}}},
+            {"model": {"nodes": 30, "span": 5.0, "alpha": 2.0}},
+            {"model": {"positions": [0.0, 3.0, 2.0], "alpha": 2.0}},
         ],
     )
     def test_invalid_configs_rejected(self, tmp_path, mutate):
@@ -136,6 +139,18 @@ class TestCalibrateCommand:
         assert len(master["allocation"]) == 3
         payload = json.loads(pairs[0].read_text())
         assert {"lambda", "values", "problem_hash", "seed_path"} <= set(payload)
+        for entry in master["allocation"]:
+            artifact = json.loads(_pair_artifact_path(out, entry["pair"]).read_text())
+            for key in ("rate", "rate_se", "lambda", "shadow_price", "achieved_power"):
+                assert entry[key] == artifact[key]
+        # Calibrate and simulate build each pair's problem alike, so the
+        # artifacts load under non-default calibration settings too.
+        raw = base_config()
+        raw["solver"].update(mc_samples=120, p_max_factor=3.0, p_floor_factor=1e-4)
+        cfg_path = write_config(tmp_path, raw, "solver.json")
+        out = tmp_path / "solver"
+        assert main(["calibrate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
 
     def test_reruns_are_byte_identical(self, tmp_path):
         cfg_path = write_config(tmp_path, base_config())
@@ -171,6 +186,18 @@ class TestCalibrateCommand:
         assert Path("master.json") in files and len(files) == 5  # 3 pairs, master, manifest
         for rel in files:
             assert (out_1 / rel).read_bytes() == (out_2 / rel).read_bytes()
+
+    def test_budget_slack_is_warned_per_pair(self, tmp_path, capsys):
+        raw = base_config()
+        raw["solver"]["p_max_factor"] = 1.0  # every pair runs at its cap within budget
+        cfg_path = write_config(tmp_path, raw)
+        assert main(["calibrate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+        warnings = [
+            line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")
+        ]
+        assert len(warnings) == 3
+        for pair in ("(0, 1)", "(0, 2)", "(1, 2)"):
+            assert sum(pair in line and "budget slack" in line for line in warnings) == 1
 
     def test_cutoff_above_all_pairs_warns_and_succeeds(self, tmp_path, capsys):
         raw = base_config()
@@ -274,6 +301,14 @@ class TestSweepCommand:
             rows = list(csv.DictReader(handle))
         assert len(rows) == 1
         assert rows[0]["p_block"] == "0.2"
+
+    def test_unknown_grid_flag_key_is_an_exit_2_error(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, base_config())
+        code = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                     "--grid", "p0db=0:10:10"])
+        assert code == 2
+        assert "unknown key 'p0db'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestVerifyCommand:

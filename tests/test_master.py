@@ -1,12 +1,13 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from cogrelay.master import (
     MasterOptions,
-    PairEvaluation,
     RateModel,
+    SolverOptions,
     flow_balance_identity,
     objective,
     project_budget,
@@ -121,6 +122,17 @@ class TestProjection:
             project_budget({(0, 1): 5.0}, prob, p0=0.5, p_floor=1.0)
 
 
+def stub_policy(pbar, rate, lam, shadow_price, achieved_power):
+    """Stand-in for a calibrated policy: the fields the master reads and reports."""
+    return SimpleNamespace(
+        problem=SimpleNamespace(pbar=pbar),
+        metrics=SimpleNamespace(rate=rate, rate_se=0.0),
+        lam=lam,
+        shadow_price=shadow_price,
+        report=SimpleNamespace(achieved_power=achieved_power),
+    )
+
+
 class StubRateModel:
     """Closed-form concave rate curves: u = a * log(1 + b * pbar)."""
 
@@ -131,15 +143,12 @@ class StubRateModel:
         a, b = self.curves[pair]
         rate = a * math.log1p(b * pbar)
         slope = a * b / (1.0 + b * pbar)
-        return PairEvaluation(
-            pair=pair,
+        return stub_policy(
             pbar=pbar,
             rate=rate,
-            rate_se=0.0,
             lam=slope / max(rate, 1e-12),
             shadow_price=slope,
             achieved_power=pbar,
-            policy=None,
         )
 
     def evaluate_many(self, allocation):
@@ -183,9 +192,8 @@ class TestObjectiveAndSubgradient:
     def test_unique_bottleneck_structure(self):
         prob = {(0, 1): 0.5, (1, 2): 0.5, (0, 2): 0.25}
         evals = {
-            pair: PairEvaluation(
-                pair=pair, pbar=1.0, rate=r, rate_se=0.0, lam=0.0,
-                shadow_price=s, achieved_power=1.0, policy=None,
+            pair: stub_policy(
+                pbar=1.0, rate=r, lam=0.0, shadow_price=s, achieved_power=1.0,
             )
             for pair, (r, s) in {
                 (0, 1): (1.0, 0.7),
@@ -205,10 +213,10 @@ class TestObjectiveAndSubgradient:
         prob, _ = random_tables(rng, last)
         alloc = {k: 1.0 for k in prob}
         evals = {
-            k: PairEvaluation(
-                pair=k, pbar=1.0, rate=float(rng.uniform(0.1, 2.0)), rate_se=0.0,
+            k: stub_policy(
+                pbar=1.0, rate=float(rng.uniform(0.1, 2.0)),
                 lam=0.0, shadow_price=float(rng.uniform(0.0, 1.0)),
-                achieved_power=1.0, policy=None,
+                achieved_power=1.0,
             )
             for k in prob
         }
@@ -229,7 +237,7 @@ class TestSolveMaster:
         for x in np.linspace(0.0, 1.0, 51):
             alloc = {(0, 1): x * p0 / 0.5, (1, 2): (1.0 - x) * p0 / 0.5}
             evals = model.evaluate_many(alloc)
-            u = {k: e.rate for k, e in evals.items()}
+            u = {k: e.metrics.rate for k, e in evals.items()}
             val = float(np.min(section_rates(prob, u, 2)))
             best_grid = max(best_grid, val)
         assert solution.best_objective >= best_grid * 0.99
@@ -265,29 +273,34 @@ class TestSolveMaster:
 
 class TestRateModelCache:
     def test_cache_and_determinism(self, bench_topology):
-        model = RateModel(bench_topology, root_seed=77, mc_samples=200, episodes=200)
+        model = RateModel(bench_topology, root_seed=77,
+                          solver=SolverOptions(mc_samples=200, episodes=200))
         first = model.evaluate((0, 2), 5.0)
         again = model.evaluate((0, 2), 5.0)
         assert first is again
-        fresh = RateModel(bench_topology, root_seed=77, mc_samples=200, episodes=200)
+        fresh = RateModel(bench_topology, root_seed=77,
+                          solver=SolverOptions(mc_samples=200, episodes=200))
         other = fresh.evaluate((0, 2), 5.0)
-        assert other.rate == first.rate
+        assert other.metrics.rate == first.metrics.rate
         assert other.lam == first.lam
 
     def test_quantization_groups_nearby_budgets(self, bench_topology):
-        model = RateModel(bench_topology, root_seed=78, mc_samples=100, episodes=100)
+        model = RateModel(bench_topology, root_seed=78,
+                          solver=SolverOptions(mc_samples=100, episodes=100))
         a = model.evaluate((0, 1), 5.0)
         b = model.evaluate((0, 1), 5.0001)
         assert a is b
 
     def test_parallel_matches_serial(self, bench_topology):
         alloc = {(0, 1): 4.0, (1, 3): 6.0, (2, 5): 8.0}
-        serial = RateModel(bench_topology, root_seed=79, mc_samples=150, episodes=150)
+        serial = RateModel(bench_topology, root_seed=79,
+                           solver=SolverOptions(mc_samples=150, episodes=150))
         parallel = RateModel(
-            bench_topology, root_seed=79, mc_samples=150, episodes=150, threads=3
+            bench_topology, root_seed=79,
+            solver=SolverOptions(mc_samples=150, episodes=150), threads=3
         )
         a = serial.evaluate_many(alloc)
         b = parallel.evaluate_many(alloc)
         for pair in alloc:
-            assert a[pair].rate == b[pair].rate
+            assert a[pair].metrics.rate == b[pair].metrics.rate
             assert a[pair].lam == b[pair].lam

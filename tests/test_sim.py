@@ -104,8 +104,7 @@ class TestProposed:
         monkeypatch.setattr(sim, "stream", skewed)
         topo = spec.topology()
         prob_table = spec.pair_probabilities(topo)
-        policies = {p: ev.policy for p, ev in result.master.evaluations.items()}
-        perturbed = run_proposed(spec, policies, prob_table, topo)
+        perturbed = run_proposed(spec, result.master.policies, prob_table, topo)
         assert perturbed.pair_stats[target] == baseline_stats
         assert perturbed.pair_stats != result.metrics["proposed"].pair_stats
 
