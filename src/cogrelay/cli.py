@@ -358,7 +358,8 @@ def cmd_calibrate(cfg: ExperimentConfig, out: Path, threads: int = 1) -> int:
     cutoff = spec.solver.master.pair_prob_cutoff
     eligible = {p: v for p, v in prob_table.items() if v > cutoff}
     if not eligible:
-        print("warning: no pair clears the probability cutoff; nothing to calibrate")
+        print("warning: no pair clears the probability cutoff; nothing to calibrate",
+              file=sys.stderr)
         atomic_write_json(
             out / "calibration_manifest.json",
             {

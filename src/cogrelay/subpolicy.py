@@ -4,8 +4,10 @@ One continuous segment hosts a finite-horizon stochastic control problem: a
 packet starts at the head node and must reach the end node by forward hops,
 each frame choosing the next hop and transmit power from the current node's
 local channel state only.  The solver prices transmit energy with a
-multiplier, folds it into a per-hop cost, computes an expected cost-to-go
-table by backward recursion, and calibrates the multiplier by bisection until
+multiplier, folds it into a per-hop cost whose minimizing power has a closed
+form in the Lambert W function (Corless et al., "On the Lambert W function",
+Adv. Comput. Math. 5, 1996), computes an expected cost-to-go table by
+backward recursion, and calibrates the multiplier by bisection until
 the simulated time-averaged power meets the segment's budget.  The resulting
 policy is stationary, decentralized and causal.
 
@@ -24,7 +26,6 @@ import numpy as np
 
 from .model import Topology
 
-DEFAULT_FOC_ITERATIONS = 64
 DEFAULT_P_MAX_FACTOR = 100.0
 DEFAULT_P_FLOOR_FACTOR = 1e-6
 
@@ -79,7 +80,9 @@ def power_foc(gain, power, pbar: float):
     """Left side of the stationarity condition for the priced hop cost.
 
     Equals ``1/pbar`` at ``power -> 0`` and decreases monotonically in
-    ``power``, which is what makes bisection on the root valid.
+    ``power``, so the condition has at most one root.  ``solve_optimal_power``
+    evaluates it only at ``p_max``, to decide the cap, and finds the root in
+    closed form; elsewhere this direct evaluation checks that root.
     """
     g = np.asarray(gain, dtype=float)
     p = np.asarray(power, dtype=float)
@@ -87,20 +90,47 @@ def power_foc(gain, power, pbar: float):
     return g / ((1.0 + gp) * np.log1p(gp) + (pbar - p) * g)
 
 
-def solve_optimal_power(
-    gain,
-    pbar,
-    lam,
-    p_max,
-    p_floor=None,
-    iterations: int = DEFAULT_FOC_ITERATIONS,
-):
+def lambert_w0(z, offset=None):
+    """Principal branch of the Lambert W function for ``z >= -1/e``.
+
+    An initial guess (the branch-point series below zero, Winitzki's
+    logarithmic form above) followed by four Halley steps, as in Corless et
+    al., "On the Lambert W function", Adv. Comput. Math. 5 (1996).  Within
+    1e-3 of the branch point in the series variable, Halley's residual
+    ``w e^w - z`` cancels and the series is the more accurate; it is
+    returned as is.  ``offset``, when given, is ``e z + 1`` computed without
+    that cancellation.
+    """
+    z = np.asarray(z, dtype=float)
+    offset = np.e * z + 1.0 if offset is None else np.asarray(offset, dtype=float)
+    q = np.sqrt(2.0 * np.clip(offset, 0.0, 1.0))
+    L = np.log1p(np.maximum(z, 0.0))
+    guess = np.where(
+        z < 0.0,
+        -1.0 + q * (1.0 + q * (-1.0 / 3.0 + q * 11.0 / 72.0)),
+        L * (1.0 - np.log1p(L) / (2.0 + L)),
+    )
+    w = guess
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(4):
+            ew = np.exp(w)
+            f = w * ew - z
+            w1 = w + 1.0
+            w = w - f / (ew * w1 - (w1 + 1.0) * f / (2.0 * w1))
+    return np.where(q < 1e-3, guess, w)
+
+
+def solve_optimal_power(gain, pbar, lam, p_max, p_floor=None):
     """Power minimizing the priced hop cost; broadcasts over all arguments.
 
-    Bisects the first-order condition on ``(0, p_max]``.  When the multiplier
-    is at least ``1/pbar`` the root is at or below zero and the configured
-    floor is returned (the policy declines to boost); when the multiplier is
-    zero or below the condition's value at ``p_max``, the cap is returned.
+    With ``x = gain * power`` the first-order condition reads
+    ``(1 + x) ln(1 + x) - x = c``, ``c = gain (1 - lam pbar) / lam``, whose
+    root is ``1 + x = exp(1 + W0((c - 1) / e))``.  One Newton step on ``x``
+    restores the precision ``expm1`` loses at small ``x``.  When the
+    multiplier is at least ``1/pbar`` the root is at or below zero and the
+    configured floor is returned (the policy declines to boost); when the
+    multiplier is zero or below the condition's value at ``p_max``, the cap
+    is returned.
     """
     if p_floor is None:
         p_floor = DEFAULT_P_FLOOR_FACTOR * np.asarray(pbar, dtype=float)
@@ -128,15 +158,15 @@ def solve_optimal_power(
     out[cap] = pm[cap]
     todo = active & ~cap
     if np.any(todo):
-        gi, pbi, lmi = g[todo], pb[todo], lm[todo]
-        lo = np.zeros_like(gi)
-        hi = pm[todo]
-        for _ in range(iterations):
-            mid = 0.5 * (lo + hi)
-            high_side = power_foc(gi, mid, pbi) >= lmi
-            lo = np.where(high_side, mid, lo)
-            hi = np.where(high_side, hi, mid)
-        out[todo] = np.maximum(0.5 * (lo + hi), pf[todo])
+        gi, lmi = g[todo], lm[todo]
+        c = gi * (1.0 - lmi * pb[todo]) / lmi
+        x = np.expm1(1.0 + lambert_w0((c - 1.0) / np.e, c))
+        lx = np.log1p(x)
+        # x is 0 when c is below about 1e-32, as when 1 - lam * pbar rounds
+        # to 0; the floor then applies.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = np.where(lx > 0.0, x - ((1.0 + x) * lx - x - c) / lx, 0.0)
+        out[todo] = np.clip(x / gi, pf[todo], pm[todo])
     return float(out[0]) if scalar else out
 
 

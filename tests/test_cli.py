@@ -205,7 +205,7 @@ class TestCalibrateCommand:
         cfg_path = write_config(tmp_path, raw)
         out = tmp_path / "out"
         assert main(["calibrate", "--config", str(cfg_path), "--out", str(out)]) == 0
-        assert "nothing to calibrate" in capsys.readouterr().out
+        assert "nothing to calibrate" in capsys.readouterr().err
         manifest = json.loads((out / "calibration_manifest.json").read_text())
         assert manifest["pairs"] == []
 

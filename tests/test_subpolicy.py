@@ -20,6 +20,7 @@ from cogrelay.subpolicy import (
     deterministic_gains,
     draw_episode_cube,
     estimate_segment_metrics,
+    lambert_w0,
     offline_recursion,
     per_hop_cost,
     per_hop_time,
@@ -129,6 +130,49 @@ class TestOptimalPower:
             solve_optimal_power(np.nan, 1.0, 0.1, 10.0)
         with pytest.raises(ValueError):
             solve_optimal_power(1.0, np.inf, 0.1, 10.0)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        log_gain=st.floats(min_value=-4.0, max_value=4.0),
+        price=st.one_of(
+            st.floats(min_value=1e-9, max_value=1.0 - 1e-9),
+            st.floats(min_value=1.0, max_value=10.0),
+        ),
+        pbar=st.sampled_from([0.3, 1.0, 10.0, 1000.0]),
+    )
+    def test_closed_form_residual_and_branches(self, log_gain, price, pbar):
+        g, lam = 10.0**log_gain, price / pbar
+        p_max, p_floor = 100.0 * pbar, 1e-6 * pbar
+        p = solve_optimal_power(g, pbar, lam, p_max, p_floor)
+        assert p_floor <= p <= p_max
+        if lam >= 1.0 / pbar:
+            assert p == p_floor
+        elif power_foc(g, p_max, pbar) >= lam:
+            assert p == p_max
+        elif p > p_floor:
+            assert abs(float(power_foc(g, p, pbar)) - lam) <= 1e-12 * lam
+        else:
+            # The root lies at or below the floor.
+            assert power_foc(g, p_floor, pbar) <= lam * (1.0 + 1e-12)
+
+    def test_small_roots_match_series_reference(self):
+        # Roots of (1 + x) ln(1 + x) - x = c for small c, against bisection
+        # on the cancellation-free series sum_k (-x)^k / (k (k - 1)).
+        lam = 1.0 / (1.0 + 0.5 * np.logspace(-14, -1.5, 200))
+        c = (1.0 - lam) / lam
+        k = np.arange(2, 80)
+        lo, hi = np.zeros_like(c), np.ones_like(c)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            above = np.sum((-mid[:, None]) ** k / (k * (k - 1.0)), axis=1) > c
+            lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
+        p = solve_optimal_power(1.0, 1.0, lam, p_max=100.0, p_floor=1e-12)
+        assert np.max(np.abs(p - 0.5 * (lo + hi))) <= 1e-15
+
+    def test_lambert_w0_residual(self):
+        z = np.concatenate([[-1.0 / E + 1e-15, 0.0, 1e12], np.linspace(2.0, 3.0, 1001)])
+        w = lambert_w0(z)
+        assert np.all(np.abs(w * np.exp(w) - z) <= 1e-14 * np.maximum(1.0, np.abs(z)))
 
 
 def two_hop_problem(g01, g02, g12, pbar=2.0, levels=None, exact=True):
