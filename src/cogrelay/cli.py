@@ -371,16 +371,10 @@ def cmd_calibrate(cfg: ExperimentConfig, out: Path, threads: int = 1) -> int:
         )
         return 0
     started = time.time()
-    try:
-        solution = solve_master(
-            RateModel(topology, spec.seed, spec.solver, threads), eligible, spec.p0,
-            topology.last_index, spec.solver.master,
-        )
-    except CalibrationError as exc:
-        print(f"calibration failed: {exc}")
-        for key, value in sorted(exc.diagnostics.items()):
-            print(f"  {key}: {value}")
-        return 1
+    solution = solve_master(
+        RateModel(topology, spec.seed, spec.solver, threads), eligible, spec.p0,
+        topology.last_index, spec.solver.master,
+    )
 
     node_count = topology.node_count
     total_entries = 0
@@ -453,6 +447,7 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path, artifacts: Path) -> int:
     spec = cfg.spec
     topology = spec.topology()
     prob_table = spec.pair_probabilities(topology)
+    activity = spec.epoch_activity(topology)
     started = time.time()
     rows = []
     policies = None
@@ -460,9 +455,9 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path, artifacts: Path) -> int:
         if scheme == "proposed":
             if policies is None:
                 policies = _load_policies(cfg, artifacts, topology)
-            metrics = run_proposed(spec, policies, prob_table, topology)
+            metrics = run_proposed(spec, policies, prob_table, topology, activity)
         else:
-            metrics = run_baseline(scheme, spec, prob_table, topology)
+            metrics = run_baseline(scheme, spec, prob_table, topology, activity)
         rows.append(cfg.row({}, metrics, None))
     write_csv(out / "results.csv", RESULT_COLUMNS, rows)
     atomic_write_json(
@@ -624,6 +619,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         raise AssertionError(f"unhandled command {args.command}")
     except (ConfigError, ArtifactMismatchError, CoverageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except CalibrationError as exc:
+        print(f"error: calibration failed: {exc}", file=sys.stderr)
+        for key, value in sorted(exc.diagnostics.items()):
+            print(f"  {key}: {value}", file=sys.stderr)
         return 2
 
 

@@ -145,6 +145,17 @@ class SolverOptions:
     p_floor_factor: float = DEFAULT_P_FLOOR_FACTOR
     master: MasterOptions = field(default_factory=MasterOptions)
 
+    def __post_init__(self) -> None:
+        # A floor at or above the budget share overspends at every multiplier.
+        if not 0.0 < self.p_floor_factor < 1.0:
+            raise ValueError("p_floor_factor must lie in (0, 1)")
+        if not self.p_floor_factor <= self.p_max_factor:
+            raise ValueError("p_floor_factor must not exceed p_max_factor")
+        if self.mc_samples < 1 or self.episodes < 1:
+            raise ValueError("mc_samples and episodes must be positive")
+        if not self.power_tolerance > 0.0:
+            raise ValueError("power_tolerance must be positive")
+
 
 def _calibration_job(payload) -> CalibratedPolicy:
     """Top-level calibration task so process pools can pickle it."""

@@ -11,8 +11,10 @@ spatial reuse and each one hosts an independent hop/power subproblem.
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -20,6 +22,9 @@ from .seeding import stream
 
 IID_MODE = "iid-bernoulli"
 SPATIAL_MODE = "spatial-field"
+# Rows per batch of the chunked availability consumers: enough to amortise
+# numpy dispatch, few enough to keep peak memory flat.
+CHUNK_ROWS = 256
 
 
 def path_loss(distance: float, alpha: float) -> float:
@@ -201,29 +206,78 @@ class Segment:
         return self.end > self.head
 
 
-def sample_pu_activity(
-    model: PuActivityModel, topology: Topology, rng: np.random.Generator
-) -> PuActivityState:
-    """Draw one availability vector for all nodes of the route."""
-    n = topology.node_count
-    if model.mode == IID_MODE:
-        bits = (rng.random(n) < model.p_avail).astype(np.uint8)
-        return PuActivityState(bits)
+def sample_availability(
+    model: PuActivityModel, topology: Topology, rngs: Iterable[np.random.Generator]
+) -> np.ndarray:
+    """Availability bit matrix: one ``uint8`` row of the route's nodes per
+    generator in ``rngs`` (a generator may repeat).
+
+    Each row consumes its generator exactly as one vector drawn on its own:
+    ``n`` uniforms in iid mode; in spatial mode the Poisson count, then the
+    primaries' x, y (with a strip) and activity uniforms as one block, since
+    ``uniform(lo, hi)`` is ``lo + (hi - lo) * random()``.  The field geometry
+    of all rows is then evaluated in one vectorised pass.
+    """
     x = np.asarray(topology.positions)
+    n = x.size
+    if model.mode == IID_MODE:
+        u = np.array([g.random(n) for g in rngs]).reshape(-1, n)
+        return (u < model.p_avail).astype(np.uint8)
     lo, hi = x[0] - model.d0, x[-1] + model.d0
     length = hi - lo
     width = model.strip_width
     measure = length * width if width > 0.0 else length
-    count = rng.poisson(model.rho_p * measure)
-    px = rng.uniform(lo, hi, size=count)
-    py = rng.uniform(-width / 2.0, width / 2.0, size=count) if width > 0.0 else np.zeros(count)
-    active = rng.random(count) < model.p_active
-    px, py = px[active], py[active]
-    if px.size == 0:
-        return PuActivityState(np.ones(n, dtype=np.uint8))
-    d2 = (x[:, None] - px[None, :]) ** 2 + py[None, :] ** 2
-    bits = (d2.min(axis=1) >= model.d0**2).astype(np.uint8)
-    return PuActivityState(bits)
+    k = 3 if width > 0.0 else 2  # uniforms per primary: x, (y,) activity
+    counts, blocks = [], [np.empty(0)]  # the empty block covers zero rows
+    for g in rngs:
+        counts.append(g.poisson(model.rho_p * measure))
+        blocks.append(g.random(k * counts[-1]))
+    counts = np.asarray(counts, dtype=np.intp)
+    u = np.concatenate(blocks)
+    # Primary j of a row whose c primaries' block starts at u[s] has its x at
+    # u[s + j], its y (with a strip) at u[s + c + j], its activity last.
+    per_primary = np.repeat(counts, counts)
+    first = np.repeat(np.cumsum(counts) - counts, counts)
+    at = (k - 1) * first + np.arange(first.size)
+    px = lo + (hi - lo) * u[at]
+    active = u[at + (k - 1) * per_primary] < model.p_active
+    d2 = (x[None, :] - px[active, None]) ** 2
+    if width > 0.0:
+        py = -width / 2.0 + (width / 2.0 - -width / 2.0) * u[at + per_primary]
+        d2 += py[active, None] ** 2
+    row = np.repeat(np.arange(counts.size), counts)[active]
+    primary, node = np.nonzero(d2 < model.d0**2)
+    blocked = np.zeros((counts.size, n), dtype=bool)
+    blocked[row[primary], node] = True
+    return (~blocked).astype(np.uint8)
+
+
+def availability_chunks(
+    model: PuActivityModel, topology: Topology, rngs: Iterable[np.random.Generator]
+) -> Iterator[np.ndarray]:
+    """:func:`sample_availability` over ``rngs``, ``CHUNK_ROWS`` rows at a
+    time, so long runs amortise numpy dispatch at a bounded memory cost."""
+    rngs = iter(rngs)
+    while (bits := sample_availability(model, topology, itertools.islice(rngs, CHUNK_ROWS))).size:
+        yield bits
+
+
+def sample_pu_activity(
+    model: PuActivityModel, topology: Topology, rng: np.random.Generator
+) -> PuActivityState:
+    """Draw one availability vector for all nodes of the route."""
+    return PuActivityState(sample_availability(model, topology, [rng])[0])
+
+
+def segment_runs(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximal runs of available nodes in every row of a bit matrix, as
+    parallel ``(row, head, end)`` arrays in row order, then route order."""
+    padded = np.zeros((bits.shape[0], bits.shape[1] + 2), dtype=np.int8)
+    padded[:, 1:-1] = bits
+    edges = np.diff(padded, axis=1)
+    row, head = np.nonzero(edges == 1)
+    end = np.nonzero(edges == -1)[1] - 1
+    return row, head, end
 
 
 def partition_segments(state: PuActivityState) -> list[Segment]:
@@ -232,11 +286,8 @@ def partition_segments(state: PuActivityState) -> list[Segment]:
     Segments are disjoint, cover exactly the available nodes, and distinct
     segments may transmit simultaneously (dynamic spatial reuse).
     """
-    padded = np.concatenate(([0], state.bits, [0]))
-    edges = np.diff(padded.astype(np.int8))
-    heads = np.flatnonzero(edges == 1)
-    ends = np.flatnonzero(edges == -1) - 1
-    return [Segment(int(h), int(e)) for h, e in zip(heads, ends)]
+    _, heads, ends = segment_runs(state.bits[None, :])
+    return [Segment(h, e) for h, e in zip(heads.tolist(), ends.tolist())]
 
 
 def _iid_segment_probability(i: int, j: int, p: float, last: int) -> float:
@@ -301,12 +352,12 @@ def segment_probabilities_mc(
     """Monte-Carlo segment frequencies and their binomial standard errors."""
     if samples < 1:
         raise ValueError("samples must be positive")
-    counts: dict[tuple[int, int], int] = {}
-    for _ in range(samples):
-        state = sample_pu_activity(model, topology, rng)
-        for seg in partition_segments(state):
-            key = (seg.head, seg.end)
-            counts[key] = counts.get(key, 0) + 1
+    # A Counter keeps first-occurrence order, the order of one draw at a time,
+    # which the float sums over the table downstream follow.
+    counts: Counter[tuple[int, int]] = Counter()
+    for bits in availability_chunks(model, topology, itertools.repeat(rng, samples)):
+        _, heads, ends = segment_runs(bits)
+        counts.update(zip(heads.tolist(), ends.tolist()))
     probs = {k: c / samples for k, c in counts.items()}
     errors = {k: float(np.sqrt(p * (1.0 - p) / samples)) for k, p in probs.items()}
     return probs, errors

@@ -1,11 +1,12 @@
 """End-to-end Monte-Carlo experiments with dynamic spatial reuse.
 
-Each sensing epoch draws one availability vector, splits the route into
-continuous segments, and lets every transmitting segment run independently
-(segments do not interfere by construction).  Per-pair rates are aggregated
-by segment identity and combined with the model's occurrence probabilities
-into section rates and the end-to-end throughput, in both the weighted form
-over segments reaching the destination and the min-section form.
+Each sensing epoch draws one availability vector, shared by every scheme of
+the run, that splits the route into continuous segments; every transmitting
+segment runs independently (segments do not interfere by construction).
+Per-pair rates are aggregated by segment identity and combined with the
+model's occurrence probabilities into section rates and the end-to-end
+throughput, in both the weighted form over segments reaching the destination
+and the min-section form.
 
 Baseline conventions (the reference schemes use constant transmit power):
 
@@ -48,10 +49,11 @@ from .model import (
     PuActivityModel,
     Segment,
     Topology,
+    availability_chunks,
     make_linear_route,
-    partition_segments,
-    sample_pu_activity,
+    sample_availability,
     segment_probabilities,
+    segment_runs,
 )
 from .seeding import stream
 from .subpolicy import (
@@ -130,6 +132,24 @@ class StudySpec:
         )
         return {p: v for p, v in table.items() if p[1] > p[0]}
 
+    def epoch_activity(self, topology: Topology) -> EpochActivity:
+        """Every epoch's availability, each drawn once from its own stream."""
+        gens = (stream(self.seed, "activity", e) for e in range(self.epochs))
+        bits = np.concatenate(list(availability_chunks(self.activity, topology, gens)))
+        return EpochActivity(bits, *segment_runs(bits))
+
+
+@dataclass(frozen=True)
+class EpochActivity:
+    """The availability of every epoch, shared by all schemes of a run: the
+    ``(epochs, n)`` bit matrix, and its continuous segments as parallel
+    ``(epoch, head, end)`` arrays in epoch order, then route order."""
+
+    bits: np.ndarray
+    epoch: np.ndarray
+    head: np.ndarray
+    end: np.ndarray
+
 
 @dataclass(frozen=True)
 class RunMetrics:
@@ -167,10 +187,11 @@ def _run_segments(
     topology: Topology,
     prob_table: dict[Pair, float],
     run_segment: Callable[[int, Segment], EpisodeBatch | None],
+    activity: EpochActivity,
 ) -> RunMetrics:
     """The epoch loop of every scheme with dynamic spatial reuse.
 
-    Each epoch draws one availability vector; ``run_segment(epoch, segment)``
+    Each epoch has one availability vector; ``run_segment(epoch, segment)``
     delivers the epoch's packets through one transmitting segment, or
     returns ``None`` where the scheme leaves it idle.  A pair's episodes
     pool over all epochs into its rate and power; the end-to-end rate
@@ -178,20 +199,18 @@ def _run_segments(
     """
     last = topology.last_index
     acc: dict[Pair, list[EpisodeBatch]] = {}
-    end_rates: list[float] = []
-    for e in range(spec.epochs):
-        act = sample_pu_activity(spec.activity, topology, stream(spec.seed, "activity", e))
-        epoch_end: list[float] = []
-        for seg in partition_segments(act):
-            if not seg.transmits:
-                continue
-            batch = run_segment(e, seg)
-            if batch is None:
-                continue
-            acc.setdefault((seg.head, seg.end), []).append(batch)
-            if seg.end == last:
-                epoch_end.extend(1.0 / batch.t_sum)
-        end_rates.append(float(np.mean(epoch_end)) if epoch_end else 0.0)
+    end_rates = np.zeros(spec.epochs)
+    for e, head, end in zip(
+        activity.epoch.tolist(), activity.head.tolist(), activity.end.tolist()
+    ):
+        if end == head:
+            continue
+        batch = run_segment(e, Segment(head, end))
+        if batch is None:
+            continue
+        acc.setdefault((head, end), []).append(batch)
+        if end == last:  # the one segment of the epoch that reaches the destination
+            end_rates[e] = np.mean(1.0 / batch.t_sum)
 
     pair_stats = {
         pair: _metrics_from_batch(_concat(batches)) for pair, batches in sorted(acc.items())
@@ -200,9 +219,10 @@ def _run_segments(
     rates = section_rates(prob_table, u_table, last)
     u_weighted = float(rates[last - 1])
     u_min = float(rates.min())
-    end = np.asarray(end_rates)
-    u_emp = float(end.mean())
-    u_emp_se = float(end.std(ddof=1) / np.sqrt(end.size)) if end.size > 1 else 0.0
+    u_emp = float(end_rates.mean())
+    u_emp_se = (
+        float(end_rates.std(ddof=1) / np.sqrt(end_rates.size)) if end_rates.size > 1 else 0.0
+    )
     total_power = sum(
         prob_table[pair] * st.power_time_avg for pair, st in pair_stats.items()
     )
@@ -230,6 +250,7 @@ def run_proposed(
     policies: dict[Pair, CalibratedPolicy],
     prob_table: dict[Pair, float],
     topology: Topology | None = None,
+    activity: EpochActivity | None = None,
 ) -> RunMetrics:
     """Simulate the calibrated scheme over fresh epochs.
 
@@ -238,6 +259,7 @@ def run_proposed(
     segments' streams.
     """
     topology = topology or spec.topology()
+    activity = activity or spec.epoch_activity(topology)
     cutoff = spec.solver.master.pair_prob_cutoff
 
     def run_segment(e: int, seg: Segment) -> EpisodeBatch:
@@ -252,7 +274,7 @@ def run_proposed(
         cube = draw_episode_cube(policy.problem, rng, spec.episodes_per_segment)
         return _run_episode_batch(policy.problem, policy.lam, policy.table, cube)
 
-    return _run_segments("proposed", spec, topology, prob_table, run_segment)
+    return _run_segments("proposed", spec, topology, prob_table, run_segment, activity)
 
 
 # ---------------------------------------------------------------------------
@@ -286,12 +308,9 @@ def transmit_mass(
         if spec.activity.mode == IID_MODE:
             return 1.0 - _no_adjacent_pair_probability(spec.activity.p_avail, last + 1)
         rng = stream(spec.seed, "baseline2-duty")
-        hits = 0
         samples = max(spec.prob_samples // 10, 1000)
-        for _ in range(samples):
-            bits = sample_pu_activity(spec.activity, topology, rng).bits
-            if np.any(bits[:-1] & bits[1:]):
-                hits += 1
+        chunks = availability_chunks(spec.activity, topology, itertools.repeat(rng, samples))
+        hits = sum(int((bits[:, :-1] & bits[:, 1:]).any(axis=1).sum()) for bits in chunks)
         return hits / samples
     raise ValueError(f"unknown baseline kind {kind!r}")
 
@@ -308,6 +327,7 @@ def run_baseline(
     spec: StudySpec,
     prob_table: dict[Pair, float],
     topology: Topology | None = None,
+    activity: EpochActivity | None = None,
 ) -> RunMetrics:
     """Simulate one reference scheme at a power-fair constant transmit power."""
     if kind not in SCHEMES or kind == "proposed":
@@ -330,9 +350,10 @@ def run_baseline(
             balance_consistent=None,
         )
     p_c = spec.p0 / mass  # the expected radiated power mass * p_c meets the budget
+    activity = activity or spec.epoch_activity(topology)
     if kind == "baseline2":
-        return _run_store_and_forward(spec, topology, p_c, mass)
-    return _run_segmentwise_baseline(kind, spec, topology, prob_table, p_c)
+        return _run_store_and_forward(spec, topology, p_c, mass, activity)
+    return _run_segmentwise_baseline(kind, spec, topology, prob_table, p_c, activity)
 
 
 def _run_segmentwise_baseline(
@@ -341,6 +362,7 @@ def _run_segmentwise_baseline(
     topology: Topology,
     prob_table: dict[Pair, float],
     p_c: float,
+    activity: EpochActivity,
 ) -> RunMetrics:
     last = topology.last_index
 
@@ -363,26 +385,24 @@ def _run_segmentwise_baseline(
             t_sum, p_c * t_sum, np.array([len(hops)]), np.array([seg.length]), 1, hop_times
         )
 
-    return _run_segments(kind, spec, topology, prob_table, run_segment)
+    return _run_segments(kind, spec, topology, prob_table, run_segment, activity)
 
 
 def _run_store_and_forward(
-    spec: StudySpec, topology: Topology, p_c: float, mass: float
+    spec: StudySpec, topology: Topology, p_c: float, mass: float, activity: EpochActivity
 ) -> RunMetrics:
     last = topology.last_index
     buffers = np.zeros(last, dtype=bool)  # packet held at nodes 0..M-1
     epoch_rates: list[float] = []
-    warm_and_live = [("warmup", k) for k in range(spec.baseline_warmup)] + [
-        ("epoch", e) for e in range(spec.epochs)
-    ]
-    for tag, e in warm_and_live:
-        if tag == "warmup":
-            act_key = ("activity", "warmup", e)
-            epoch_key = ("epoch", "warmup", e)
-        else:
-            act_key = ("activity", e)
-            epoch_key = ("epoch", e)
-        bits = sample_pu_activity(spec.activity, topology, stream(spec.seed, *act_key)).bits
+    warmup = sample_availability(
+        spec.activity,
+        topology,
+        (stream(spec.seed, "activity", "warmup", k) for k in range(spec.baseline_warmup)),
+    )
+    warm_and_live = [
+        (False, ("epoch", "warmup", k), bits) for k, bits in enumerate(warmup.tolist())
+    ] + [(True, ("epoch", e), bits) for e, bits in enumerate(activity.bits.tolist())]
+    for live, epoch_key, bits in warm_and_live:
         buffers[0] = True  # the source always has traffic
         delivered = 0
         airtime = 0.0
@@ -398,7 +418,7 @@ def _run_store_and_forward(
                 delivered += 1
             else:
                 buffers[m + 1] = True
-        if tag == "epoch":
+        if live:
             epoch_rates.append(delivered / airtime if delivered else 0.0)
     rates = np.asarray(epoch_rates)
     u = float(rates.mean())
@@ -447,12 +467,15 @@ def run_point(spec: StudySpec, schemes: Sequence[str]) -> StudyResult:
         topology.last_index,
         spec.solver.master,
     )
+    activity = spec.epoch_activity(topology)
     metrics: dict[str, RunMetrics] = {}
     for scheme in schemes:
         if scheme == "proposed":
-            metrics[scheme] = run_proposed(spec, master.policies, prob_table, topology)
+            metrics[scheme] = run_proposed(
+                spec, master.policies, prob_table, topology, activity
+            )
         else:
-            metrics[scheme] = run_baseline(scheme, spec, prob_table, topology)
+            metrics[scheme] = run_baseline(scheme, spec, prob_table, topology, activity)
     return StudyResult(spec=spec, prob_table=prob_table, master=master, metrics=metrics)
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import cogrelay.cli
 import cogrelay.master
 from cogrelay.cli import (
     RESULT_COLUMNS,
@@ -22,6 +23,7 @@ from cogrelay.cli import (
     main,
     parse_config,
 )
+from cogrelay.subpolicy import CalibrationError
 
 
 def base_config(**overrides):
@@ -208,6 +210,45 @@ class TestCalibrateCommand:
         assert "nothing to calibrate" in capsys.readouterr().err
         manifest = json.loads((out / "calibration_manifest.json").read_text())
         assert manifest["pairs"] == []
+
+    def test_calibration_failure_is_an_exit_2_error(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise CalibrationError("policy overspends at lambda = 1/pbar",
+                                   {"pair": (0, 2), "power_at_max_lambda": 3.5})
+
+        monkeypatch.setattr(cogrelay.cli, "solve_master", fail)
+        cfg_path = write_config(tmp_path, base_config())
+        code = main(["calibrate", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: calibration failed: policy overspends at lambda = 1/pbar",
+            "  pair: (0, 2)",
+            "  power_at_max_lambda: 3.5",
+        ]
+
+    @pytest.mark.parametrize(
+        "solver",
+        [
+            {"p_floor_factor": 2.0},
+            {"p_floor_factor": 1.0},
+            {"p_floor_factor": 0.0},
+            {"p_floor_factor": 0.5, "p_max_factor": 0.25},
+            {"mc_samples": 0},
+            {"episodes": 0},
+            {"power_tolerance": 0.0},
+        ],
+    )
+    def test_unworkable_solver_options_are_exit_2_errors(self, tmp_path, capsys, solver):
+        raw = base_config()
+        raw["solver"].update(solver)
+        cfg_path = write_config(tmp_path, raw)
+        code = main(["calibrate", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and next(iter(solver)) in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestSimulateCommand:

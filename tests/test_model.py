@@ -16,10 +16,12 @@ from cogrelay.model import (
     min_safe_distance,
     partition_segments,
     path_loss,
+    sample_availability,
     sample_pu_activity,
     segment_probabilities,
     segment_probabilities_mc,
     segment_probability,
+    segment_runs,
 )
 from cogrelay.seeding import stream
 from cogrelay.subpolicy import RayleighGains
@@ -250,3 +252,82 @@ class TestPuActivity:
             PuActivityModel(mode=SPATIAL_MODE, rho_p=0.0, p_active=0.5, d0=1.0)
         with pytest.raises(ValueError):
             PuActivityModel(mode="other")
+
+
+def one_vector_reference(model, topology, rng):
+    """One availability vector drawn with one generator call per quantity,
+    the way the sampler worked before it was batched."""
+    n = topology.node_count
+    if model.mode == IID_MODE:
+        return (rng.random(n) < model.p_avail).astype(np.uint8)
+    x = np.asarray(topology.positions)
+    lo, hi = x[0] - model.d0, x[-1] + model.d0
+    width = model.strip_width
+    measure = (hi - lo) * width if width > 0.0 else hi - lo
+    count = rng.poisson(model.rho_p * measure)
+    px = rng.uniform(lo, hi, size=count)
+    py = rng.uniform(-width / 2.0, width / 2.0, size=count) if width > 0.0 else np.zeros(count)
+    active = rng.random(count) < model.p_active
+    px, py = px[active], py[active]
+    if px.size == 0:
+        return np.ones(n, dtype=np.uint8)
+    d2 = (x[:, None] - px[None, :]) ** 2 + py[None, :] ** 2
+    return (d2.min(axis=1) >= model.d0**2).astype(np.uint8)
+
+
+def mc_reference(model, topology, rng, samples):
+    """Segment counts one draw at a time, in first-occurrence order."""
+    counts = {}
+    for _ in range(samples):
+        bits = one_vector_reference(model, topology, rng)
+        for seg in partition_segments(PuActivityState(bits)):
+            counts[(seg.head, seg.end)] = counts.get((seg.head, seg.end), 0) + 1
+    return {k: c / samples for k, c in counts.items()}
+
+
+ACTIVITY_CASES = {
+    "iid": PuActivityModel(p_avail=0.7),
+    "strip": PuActivityModel(mode=SPATIAL_MODE, rho_p=0.4, p_active=0.5, d0=0.8,
+                             strip_width=1.0),
+    "line": PuActivityModel(mode=SPATIAL_MODE, rho_p=0.4, p_active=0.5, d0=0.8),
+    "dense": PuActivityModel(mode=SPATIAL_MODE, rho_p=6.0, p_active=0.9, d0=0.4,
+                             strip_width=2.0),
+    "sparse": PuActivityModel(mode=SPATIAL_MODE, rho_p=1e-3, p_active=0.5, d0=1.0),
+}
+
+
+class TestBatchedSampler:
+    @pytest.mark.parametrize("case", sorted(ACTIVITY_CASES))
+    @pytest.mark.parametrize("nodes, span", [(6, 5.0), (12, 10.0)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_mc_matches_one_draw_at_a_time(self, case, nodes, span, seed):
+        # Same frequencies in the same dict order, and the generator left in
+        # the same state: the batches consume the stream draw for draw.
+        model = ACTIVITY_CASES[case]
+        topo = Topology.from_positions(make_linear_route(nodes, span, 7), alpha=2.0)
+        samples = 2500  # spans a chunk boundary
+        ref_rng, rng = stream(seed, "mc"), stream(seed, "mc")
+        expected = mc_reference(model, topo, ref_rng, samples)
+        probs, errors = segment_probabilities_mc(model, topo, rng, samples)
+        assert list(probs.items()) == list(expected.items())
+        assert list(errors) == list(expected)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("case", sorted(ACTIVITY_CASES))
+    def test_rows_from_separate_generators(self, case, bench_topology):
+        model = ACTIVITY_CASES[case]
+        bits = sample_availability(model, bench_topology, (stream(4, "row", k) for k in range(50)))
+        for k, row in enumerate(bits):
+            expected = one_vector_reference(model, bench_topology, stream(4, "row", k))
+            assert np.array_equal(row, expected)
+
+    def test_no_generators_no_rows(self, bench_topology):
+        for model in ACTIVITY_CASES.values():
+            assert sample_availability(model, bench_topology, []).shape == (0, 6)
+
+    def test_segment_runs_match_partition_row_by_row(self):
+        bits = np.array(list(itertools.product((0, 1), repeat=5)), dtype=np.uint8)
+        row, head, end = segment_runs(bits)
+        for r, vector in enumerate(bits):
+            expected = [(s.head, s.end) for s in partition_segments(PuActivityState(vector))]
+            assert list(zip(head[row == r].tolist(), end[row == r].tolist())) == expected

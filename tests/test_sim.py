@@ -6,7 +6,7 @@ import pytest
 
 import cogrelay.sim as sim
 from cogrelay.master import MasterOptions
-from cogrelay.model import PuActivityModel, PuActivityState, partition_segments
+from cogrelay.model import SPATIAL_MODE, PuActivityModel, partition_segments, sample_pu_activity
 from cogrelay.seeding import stream
 from cogrelay.sim import (
     CoverageError,
@@ -38,6 +38,54 @@ def small_spec(positions, p_avail, p0=100.0, epochs=400, seed=5, n=250, iters=6)
 
 
 BASELINES = ("baseline1", "baseline2", "baseline3", "baseline4")
+SPATIAL = PuActivityModel(mode=SPATIAL_MODE, rho_p=0.4, p_active=0.5, d0=0.8, strip_width=1.0)
+
+
+class TestEpochActivity:
+    @pytest.mark.parametrize("activity", [SPATIAL, PuActivityModel(p_avail=0.6)])
+    def test_each_epoch_is_its_own_stream_partitioned(self, activity):
+        spec = dataclasses.replace(
+            small_spec((0.0, 1.0, 2.2, 3.1, 4.0, 5.0), p_avail=0.6, epochs=1500, seed=11),
+            activity=activity,
+        )
+        topo = spec.topology()
+        drawn = spec.epoch_activity(topo)
+        assert drawn.bits.shape == (spec.epochs, topo.node_count)
+        for e in range(spec.epochs):
+            state = sample_pu_activity(activity, topo, stream(spec.seed, "activity", e))
+            assert np.array_equal(drawn.bits[e], state.bits)
+            mine = drawn.epoch == e
+            runs = list(zip(drawn.head[mine].tolist(), drawn.end[mine].tolist()))
+            assert runs == [(s.head, s.end) for s in partition_segments(state)]
+
+    def test_shared_draw_gives_the_same_metrics(self):
+        spec = dataclasses.replace(
+            small_spec((0.0, 1.5, 3.2, 5.0), p_avail=1.0, epochs=120, n=120, iters=3),
+            activity=SPATIAL, prob_samples=4000,
+        )
+        result = run_point(spec, sim.SCHEMES)
+        topo = spec.topology()
+        prob_table = spec.pair_probabilities(topo)
+        assert run_proposed(spec, result.master.policies, prob_table, topo) == (
+            result.metrics["proposed"]
+        )
+        for kind in BASELINES:
+            assert run_baseline(kind, spec, prob_table, topo) == result.metrics[kind]
+
+    def test_store_and_forward_duty_mass_is_one_draw_per_sample(self):
+        spec = dataclasses.replace(
+            small_spec((0.0, 1.0, 2.2, 3.1, 4.0, 5.0), p_avail=1.0), activity=SPATIAL,
+            prob_samples=25_000,
+        )
+        topo = spec.topology()
+        rng = stream(spec.seed, "baseline2-duty")
+        samples = 2500  # max(prob_samples // 10, 1000)
+        hits = 0
+        for _ in range(samples):
+            bits = sample_pu_activity(SPATIAL, topo, rng).bits
+            hits += bool(np.any(bits[:-1] & bits[1:]))
+        assert transmit_mass("baseline2", spec, {}, topo) == hits / samples
+
 
 
 class TestProposed:
