@@ -352,6 +352,7 @@ def _pair_artifact_path(out: Path, pair: tuple[int, int]) -> Path:
 
 
 def cmd_calibrate(cfg: ExperimentConfig, out: Path, threads: int = 1) -> int:
+    started = time.perf_counter()
     spec = cfg.spec
     topology = spec.topology()
     prob_table = spec.pair_probabilities(topology)
@@ -370,7 +371,6 @@ def cmd_calibrate(cfg: ExperimentConfig, out: Path, threads: int = 1) -> int:
             },
         )
         return 0
-    started = time.time()
     solution = solve_master(
         RateModel(topology, spec.seed, spec.solver, threads), eligible, spec.p0,
         topology.last_index, spec.solver.master,
@@ -415,7 +415,7 @@ def cmd_calibrate(cfg: ExperimentConfig, out: Path, threads: int = 1) -> int:
         },
     )
     print(
-        f"calibrated {len(solution.policies)} pairs in {time.time() - started:.1f}s; "
+        f"calibrated {len(solution.policies)} pairs in {time.perf_counter() - started:.1f}s; "
         f"offline tables hold {total_entries} values (bound {node_count ** 3}); "
         f"objective {cfg.scale(solution.best_objective):.6g}"
     )
@@ -444,11 +444,11 @@ def _load_policies(cfg: ExperimentConfig, artifacts: Path, topology) -> dict:
 
 
 def cmd_simulate(cfg: ExperimentConfig, out: Path, artifacts: Path) -> int:
+    started = time.perf_counter()
     spec = cfg.spec
     topology = spec.topology()
     prob_table = spec.pair_probabilities(topology)
     activity = spec.epoch_activity(topology)
-    started = time.time()
     rows = []
     policies = None
     for scheme in cfg.schemes:
@@ -469,7 +469,7 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path, artifacts: Path) -> int:
             "schemes": list(cfg.schemes),
             "rate_units": cfg.rate_units,
             "rows": len(rows),
-            "wall_seconds": time.time() - started,
+            "wall_seconds": time.perf_counter() - started,
         },
     )
     print(f"simulated {len(rows)} scheme rows -> {out / 'results.csv'}")

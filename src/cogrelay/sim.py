@@ -3,10 +3,12 @@
 Each sensing epoch draws one availability vector, shared by every scheme of
 the run, that splits the route into continuous segments; every transmitting
 segment runs independently (segments do not interfere by construction).
-Per-pair rates are aggregated by segment identity and combined with the
-model's occurrence probabilities into section rates and the end-to-end
-throughput, in both the weighted form over segments reaching the destination
-and the min-section form.
+A scheme delivers each transmitting pair's packets of all epochs in one
+batch, while every occurrence keeps its own fading stream.  Per-pair rates
+are aggregated by segment identity and combined with the model's occurrence
+probabilities into section rates and the end-to-end throughput, in both the
+weighted form over segments reaching the destination and the min-section
+form.
 
 Baseline conventions (the reference schemes use constant transmit power):
 
@@ -30,6 +32,7 @@ comparison power-fair.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -47,7 +50,6 @@ from .master import (
 from .model import (
     IID_MODE,
     PuActivityModel,
-    Segment,
     Topology,
     availability_chunks,
     make_linear_route,
@@ -136,19 +138,55 @@ class StudySpec:
         """Every epoch's availability, each drawn once from its own stream."""
         gens = (stream(self.seed, "activity", e) for e in range(self.epochs))
         bits = np.concatenate(list(availability_chunks(self.activity, topology, gens)))
-        return EpochActivity(bits, *segment_runs(bits))
+        return EpochActivity(bits, *segment_runs(bits), seed=self.seed)
 
 
 @dataclass(frozen=True)
 class EpochActivity:
     """The availability of every epoch, shared by all schemes of a run: the
     ``(epochs, n)`` bit matrix, and its continuous segments as parallel
-    ``(epoch, head, end)`` arrays in epoch order, then route order."""
+    ``(epoch, head, end)`` arrays in epoch order, then route order.
+
+    It also stores the baseline link fading of the run, so that each link
+    stream ``(seed, "epoch", e, "link", s, t)`` is drawn at most once: adjacent
+    links by ``(e, s)``, and each segment's direct link by ``(e, head)``, since
+    a node heads at most one segment per epoch.  NaN marks a link not yet
+    drawn.
+    """
 
     bits: np.ndarray
     epoch: np.ndarray
     head: np.ndarray
     end: np.ndarray
+    seed: int
+    _adjacent: np.ndarray = field(init=False, repr=False)
+    _direct: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        shape = (self.bits.shape[0], self.bits.shape[1] - 1)
+        object.__setattr__(self, "_adjacent", np.full(shape, np.nan))
+        object.__setattr__(self, "_direct", np.full(shape, np.nan))
+
+    @functools.cached_property
+    def pair_epochs(self) -> dict[Pair, np.ndarray]:
+        """The epochs in which each transmitting pair occurs, with the pairs
+        in order of first occurrence."""
+        acc: dict[Pair, list[int]] = {}
+        for e, head, end in zip(self.epoch.tolist(), self.head.tolist(), self.end.tolist()):
+            if end > head:
+                acc.setdefault((head, end), []).append(e)
+        return {pair: np.array(epochs) for pair, epochs in acc.items()}
+
+    def link_fading(self, epochs: Sequence[int], s: int, t: int) -> np.ndarray:
+        """Fading of link ``(s, t)`` in ``epochs``.  ``t`` is ``s + 1``, or the
+        end of the segment that ``s`` heads in each of those epochs."""
+        store = self._adjacent if t == s + 1 else self._direct
+        fading = store[epochs, s]
+        for i in np.flatnonzero(np.isnan(fading)).tolist():
+            e = int(epochs[i])
+            gen = stream(self.seed, "epoch", e, "link", s, t)
+            fading[i] = store[e, s] = gen.exponential(1.0)
+        return fading
 
 
 @dataclass(frozen=True)
@@ -169,52 +207,35 @@ class RunMetrics:
     balance_consistent: bool | None
 
 
-def _concat(batches: list[EpisodeBatch]) -> EpisodeBatch:
-    t_sum, e_sum, frames, evals, max_steps, hop_times = zip(*batches)
-    return EpisodeBatch(
-        np.concatenate(t_sum),
-        np.concatenate(e_sum),
-        np.concatenate(frames),
-        np.concatenate(evals),
-        max(max_steps),
-        np.concatenate(hop_times),
-    )
-
-
 def _run_segments(
     scheme: str,
     spec: StudySpec,
     topology: Topology,
     prob_table: dict[Pair, float],
-    run_segment: Callable[[int, Segment], EpisodeBatch | None],
+    run_pair: Callable[[Pair, np.ndarray], EpisodeBatch | None],
     activity: EpochActivity,
 ) -> RunMetrics:
-    """The epoch loop of every scheme with dynamic spatial reuse.
+    """The epoch/segment loop of every scheme with dynamic spatial reuse.
 
-    Each epoch has one availability vector; ``run_segment(epoch, segment)``
-    delivers the epoch's packets through one transmitting segment, or
-    returns ``None`` where the scheme leaves it idle.  A pair's episodes
-    pool over all epochs into its rate and power; the end-to-end rate
-    averages, per epoch, the episodes of the segment reaching the destination.
+    Each epoch has one availability vector; ``run_pair(pair, epochs)``
+    delivers the packets of every epoch in which the pair is a transmitting
+    segment, in one batch: the rows in epoch order, the same number per
+    epoch.  It returns ``None`` where the scheme leaves the pair idle.  A
+    pair's episodes pool over all epochs into its rate and power; the
+    end-to-end rate of an epoch averages the rows of its segment reaching
+    the destination.
     """
     last = topology.last_index
-    acc: dict[Pair, list[EpisodeBatch]] = {}
+    pair_stats: dict[Pair, SegmentMetrics] = {}
     end_rates = np.zeros(spec.epochs)
-    for e, head, end in zip(
-        activity.epoch.tolist(), activity.head.tolist(), activity.end.tolist()
-    ):
-        if end == head:
-            continue
-        batch = run_segment(e, Segment(head, end))
+    for pair, epochs in sorted(activity.pair_epochs.items()):
+        batch = run_pair(pair, epochs)
         if batch is None:
             continue
-        acc.setdefault((head, end), []).append(batch)
-        if end == last:  # the one segment of the epoch that reaches the destination
-            end_rates[e] = np.mean(1.0 / batch.t_sum)
+        pair_stats[pair] = _metrics_from_batch(batch)
+        if pair[1] == last:  # the one segment per epoch that reaches the destination
+            end_rates[epochs] = (1.0 / batch.t_sum).reshape(epochs.size, -1).mean(axis=1)
 
-    pair_stats = {
-        pair: _metrics_from_batch(_concat(batches)) for pair, batches in sorted(acc.items())
-    }
     u_table = {pair: st.rate for pair, st in pair_stats.items()}
     rates = section_rates(prob_table, u_table, last)
     u_weighted = float(rates[last - 1])
@@ -256,25 +277,29 @@ def run_proposed(
 
     Segments draw their fading from per-(epoch, segment) streams, so one
     segment's metrics are bit-identical under any change to the other
-    segments' streams.
+    segments' streams.  Each pair's occurrences run as one engine batch.
     """
     topology = topology or spec.topology()
     activity = activity or spec.epoch_activity(topology)
     cutoff = spec.solver.master.pair_prob_cutoff
-
-    def run_segment(e: int, seg: Segment) -> EpisodeBatch:
-        pair = (seg.head, seg.end)
-        policy = policies.get(pair)
-        if policy is None:
+    for pair, epochs in activity.pair_epochs.items():  # in order of first occurrence
+        if pair not in policies:
             raise CoverageError(
-                f"segment {pair} observed at epoch {e} has no calibrated policy; "
+                f"segment {pair} observed at epoch {epochs[0]} has no calibrated policy; "
                 f"pairs at or below pair_prob_cutoff {cutoff:g} are not calibrated"
             )
-        rng = stream(spec.seed, "epoch", e, "segment", seg.head, seg.end)
-        cube = draw_episode_cube(policy.problem, rng, spec.episodes_per_segment)
+    k = spec.episodes_per_segment
+
+    def run_pair(pair: Pair, epochs: np.ndarray) -> EpisodeBatch:
+        policy = policies[pair]
+        cube = {s: np.empty((epochs.size * k, pair[1] - s)) for s in range(*pair)}
+        for row, e in enumerate(epochs.tolist()):
+            rng = stream(spec.seed, "epoch", e, "segment", *pair)
+            for s, block in draw_episode_cube(policy.problem, rng, k).items():
+                cube[s][row * k : row * k + k] = block
         return _run_episode_batch(policy.problem, policy.lam, policy.table, cube)
 
-    return _run_segments("proposed", spec, topology, prob_table, run_segment, activity)
+    return _run_segments("proposed", spec, topology, prob_table, run_pair, activity)
 
 
 # ---------------------------------------------------------------------------
@@ -313,13 +338,6 @@ def transmit_mass(
         hits = sum(int((bits[:, :-1] & bits[:, 1:]).any(axis=1).sum()) for bits in chunks)
         return hits / samples
     raise ValueError(f"unknown baseline kind {kind!r}")
-
-
-def _link_gain(
-    spec: StudySpec, topology: Topology, epoch_key: tuple, s: int, t: int
-) -> float:
-    gen = stream(spec.seed, *epoch_key, "link", s, t)
-    return float(gen.exponential(1.0) * topology.pathloss[s, t])
 
 
 def run_baseline(
@@ -366,26 +384,27 @@ def _run_segmentwise_baseline(
 ) -> RunMetrics:
     last = topology.last_index
 
-    def run_segment(e: int, seg: Segment) -> EpisodeBatch | None:
-        if kind == "baseline1" and (seg.head, seg.end) != (0, last):
+    def run_pair(pair: Pair, epochs: np.ndarray) -> EpisodeBatch | None:
+        head, end = pair
+        if kind == "baseline1" and pair != (0, last):
             return None
         if kind == "baseline4":  # strict hop-by-hop inside the segment
-            hops = [(m, m + 1) for m in range(seg.head, seg.end)]
+            hops = [(m, m + 1) for m in range(head, end)]
         else:  # baselines 1 and 3: the head transmits straight to the end
-            hops = [(seg.head, seg.end)]
-        hop_times = np.zeros((1, seg.length))
-        t_total = 0.0
-        for src, dst in hops:
-            g = _link_gain(spec, topology, ("epoch", e), src, dst)
+            hops = [pair]
+        n = epochs.size
+        hop_times = np.zeros((n, end - head))
+        t_sum = np.zeros(n)
+        for src, dst in hops:  # summed hop by hop, as one delivery accrues its time
+            g = activity.link_fading(epochs, src, dst) * topology.pathloss[src, dst]
             dt = 1.0 / np.log1p(g * p_c)
-            hop_times[0, dst - seg.head - 1] = dt
-            t_total += dt
-        t_sum = np.array([t_total])
+            hop_times[:, dst - head - 1] = dt
+            t_sum += dt
         return EpisodeBatch(
-            t_sum, p_c * t_sum, np.array([len(hops)]), np.array([seg.length]), 1, hop_times
+            t_sum, p_c * t_sum, np.full(n, len(hops)), np.full(n, end - head), 1, hop_times
         )
 
-    return _run_segments(kind, spec, topology, prob_table, run_segment, activity)
+    return _run_segments(kind, spec, topology, prob_table, run_pair, activity)
 
 
 def _run_store_and_forward(
@@ -394,15 +413,13 @@ def _run_store_and_forward(
     last = topology.last_index
     buffers = np.zeros(last, dtype=bool)  # packet held at nodes 0..M-1
     epoch_rates: list[float] = []
+    warm = spec.baseline_warmup
     warmup = sample_availability(
         spec.activity,
         topology,
-        (stream(spec.seed, "activity", "warmup", k) for k in range(spec.baseline_warmup)),
+        (stream(spec.seed, "activity", "warmup", k) for k in range(warm)),
     )
-    warm_and_live = [
-        (False, ("epoch", "warmup", k), bits) for k, bits in enumerate(warmup.tolist())
-    ] + [(True, ("epoch", e), bits) for e, bits in enumerate(activity.bits.tolist())]
-    for live, epoch_key, bits in warm_and_live:
+    for k, bits in enumerate(warmup.tolist() + activity.bits.tolist()):
         buffers[0] = True  # the source always has traffic
         delivered = 0
         airtime = 0.0
@@ -411,14 +428,19 @@ def _run_store_and_forward(
                 continue
             if m + 1 < last and buffers[m + 1]:
                 continue  # downstream buffer still occupied
-            g = _link_gain(spec, topology, epoch_key, m, m + 1)
+            if k < warm:  # only this scheme draws the warm-up epochs' links
+                gen = stream(spec.seed, "epoch", "warmup", k, "link", m, m + 1)
+                fading = gen.exponential(1.0)
+            else:
+                fading = activity.link_fading([k - warm], m, m + 1)[0]
+            g = fading * topology.pathloss[m, m + 1]
             airtime += 1.0 / np.log1p(g * p_c)
             buffers[m] = False
             if m + 1 == last:
                 delivered += 1
             else:
                 buffers[m + 1] = True
-        if live:
+        if k >= warm:
             epoch_rates.append(delivered / airtime if delivered else 0.0)
     rates = np.asarray(epoch_rates)
     u = float(rates.mean())

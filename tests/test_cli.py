@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import time
 from pathlib import Path
 
 import jsonschema
@@ -23,6 +24,7 @@ from cogrelay.cli import (
     main,
     parse_config,
 )
+from cogrelay.sim import StudySpec
 from cogrelay.subpolicy import CalibrationError
 
 
@@ -297,6 +299,23 @@ class TestSimulateCommand:
         code = main(["simulate", "--config", str(cfg_path), "--out", str(out)])
         assert code == 2
         assert "(0, 2)" in capsys.readouterr().err
+
+    def test_wall_time_counts_the_pair_probabilities(self, tmp_path, capsys, monkeypatch):
+        real = StudySpec.pair_probabilities
+
+        def slow(self, topology):
+            time.sleep(0.2)
+            return real(self, topology)
+
+        monkeypatch.setattr(StudySpec, "pair_probabilities", slow)
+        cfg_path = write_config(tmp_path, base_config())
+        out = tmp_path / "out"
+        assert main(["calibrate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert float(printed.split(" in ", 1)[1].split("s;", 1)[0]) >= 0.2
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["wall_seconds"] >= 0.2
 
 
 class TestSweepCommand:

@@ -1,16 +1,19 @@
 import dataclasses
 import itertools
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import cogrelay.sim as sim
-from cogrelay.master import MasterOptions
+from cogrelay.master import MasterOptions, section_rates
 from cogrelay.model import SPATIAL_MODE, PuActivityModel, partition_segments, sample_pu_activity
 from cogrelay.seeding import stream
 from cogrelay.sim import (
     CoverageError,
     RouteSpec,
+    RunMetrics,
     SolverOptions,
     StudySpec,
     apply_grid_point,
@@ -21,7 +24,16 @@ from cogrelay.sim import (
     run_proposed,
     transmit_mass,
 )
-from cogrelay.subpolicy import RayleighGains, SegmentProblem, calibrate_lambda, estimate_segment_metrics
+from cogrelay.subpolicy import (
+    EpisodeBatch,
+    RayleighGains,
+    SegmentProblem,
+    _metrics_from_batch,
+    _run_episode_batch,
+    calibrate_lambda,
+    draw_episode_cube,
+    estimate_segment_metrics,
+)
 
 
 def small_spec(positions, p_avail, p0=100.0, epochs=400, seed=5, n=250, iters=6):
@@ -86,6 +98,198 @@ class TestEpochActivity:
             hits += bool(np.any(bits[:-1] & bits[1:]))
         assert transmit_mass("baseline2", spec, {}, topo) == hits / samples
 
+# A test-side reference: the per-(epoch, segment) loop that the per-pair
+# batches replaced, with one engine call per segment occurrence and one
+# stream derivation per baseline link use.
+
+
+def _reference_link_gain(spec, topo, epoch_key, s, t):
+    gen = stream(spec.seed, *epoch_key, "link", s, t)
+    return float(gen.exponential(1.0) * topo.pathloss[s, t])
+
+
+def _reference_segments(scheme, spec, topo, prob_table, run_segment, activity):
+    last = topo.last_index
+    acc = {}
+    end_rates = np.zeros(spec.epochs)
+    for e, head, end in zip(
+        activity.epoch.tolist(), activity.head.tolist(), activity.end.tolist()
+    ):
+        if end == head:
+            continue
+        batch = run_segment(e, head, end)
+        if batch is None:
+            continue
+        acc.setdefault((head, end), []).append(batch)
+        if end == last:
+            end_rates[e] = np.mean(1.0 / batch.t_sum)
+    pair_stats = {}
+    for pair, batches in sorted(acc.items()):
+        t_sum, e_sum, frames, evals, max_steps, hop_times = zip(*batches)
+        pair_stats[pair] = _metrics_from_batch(EpisodeBatch(
+            np.concatenate(t_sum), np.concatenate(e_sum), np.concatenate(frames),
+            np.concatenate(evals), max(max_steps), np.concatenate(hop_times),
+        ))
+    rates = section_rates(prob_table, {p: st.rate for p, st in pair_stats.items()}, last)
+    u_weighted, u_min = float(rates[last - 1]), float(rates.min())
+    return RunMetrics(
+        scheme=scheme,
+        pair_stats=pair_stats,
+        u_weighted=u_weighted,
+        u_min=u_min,
+        u_empirical=float(end_rates.mean()),
+        u_empirical_se=float(end_rates.std(ddof=1) / np.sqrt(end_rates.size)),
+        total_power=float(
+            sum(prob_table[p] * st.power_time_avg for p, st in pair_stats.items())
+        ),
+        total_power_se=float(math.sqrt(
+            sum((prob_table[p] * st.power_time_se) ** 2 for p, st in pair_stats.items())
+        )),
+        p0=spec.p0,
+        epochs=spec.epochs,
+        seed=spec.seed,
+        balance_consistent=u_weighted <= u_min * 1.01 + 1e-300,
+    )
+
+
+def _reference_store_and_forward(spec, topo, p_c, mass, activity):
+    last = topo.last_index
+    buffers = np.zeros(last, dtype=bool)
+    warmup = [
+        sample_pu_activity(spec.activity, topo, stream(spec.seed, "activity", "warmup", k)).bits
+        for k in range(spec.baseline_warmup)
+    ]
+    steps = [(False, ("epoch", "warmup", k), bits) for k, bits in enumerate(warmup)]
+    steps += [(True, ("epoch", e), bits) for e, bits in enumerate(activity.bits)]
+    rates = []
+    for live, epoch_key, bits in steps:
+        buffers[0] = True
+        delivered, airtime = 0, 0.0
+        for m in range(last - 1, -1, -1):
+            if not buffers[m] or not (bits[m] and bits[m + 1]):
+                continue
+            if m + 1 < last and buffers[m + 1]:
+                continue
+            g = _reference_link_gain(spec, topo, epoch_key, m, m + 1)
+            airtime += 1.0 / np.log1p(g * p_c)
+            buffers[m] = False
+            if m + 1 == last:
+                delivered += 1
+            else:
+                buffers[m + 1] = True
+        if live:
+            rates.append(delivered / airtime if delivered else 0.0)
+    rates = np.asarray(rates)
+    u = float(rates.mean())
+    return RunMetrics(
+        scheme="baseline2", pair_stats={}, u_weighted=u, u_min=u, u_empirical=u,
+        u_empirical_se=float(rates.std(ddof=1) / np.sqrt(rates.size)),
+        total_power=mass * p_c, total_power_se=0.0, p0=spec.p0, epochs=spec.epochs,
+        seed=spec.seed, balance_consistent=None,
+    )
+
+
+def reference_run(scheme, spec, topo, prob_table, policies, activity):
+    if scheme == "proposed":
+        def run_segment(e, head, end):
+            policy = policies[(head, end)]
+            rng = stream(spec.seed, "epoch", e, "segment", head, end)
+            cube = draw_episode_cube(policy.problem, rng, spec.episodes_per_segment)
+            return _run_episode_batch(policy.problem, policy.lam, policy.table, cube)
+
+        return _reference_segments(scheme, spec, topo, prob_table, run_segment, activity)
+    mass = transmit_mass(scheme, spec, prob_table, topo)
+    p_c = spec.p0 / mass
+    if scheme == "baseline2":
+        return _reference_store_and_forward(spec, topo, p_c, mass, activity)
+    last = topo.last_index
+
+    def run_segment(e, head, end):
+        if scheme == "baseline1" and (head, end) != (0, last):
+            return None
+        hops = [(m, m + 1) for m in range(head, end)] if scheme == "baseline4" else [(head, end)]
+        hop_times = np.zeros((1, end - head))
+        t_total = 0.0
+        for src, dst in hops:
+            dt = 1.0 / np.log1p(_reference_link_gain(spec, topo, ("epoch", e), src, dst) * p_c)
+            hop_times[0, dst - head - 1] = dt
+            t_total += dt
+        t_sum = np.array([t_total])
+        return EpisodeBatch(
+            t_sum, p_c * t_sum, np.array([len(hops)]), np.array([end - head]), 1, hop_times
+        )
+
+    return _reference_segments(scheme, spec, topo, prob_table, run_segment, activity)
+
+
+class TestPairBatches:
+    @pytest.mark.parametrize("activity", [SPATIAL, PuActivityModel(p_avail=0.7)],
+                             ids=["spatial", "iid"])
+    @pytest.mark.parametrize("positions", [
+        (0.0, 1.5, 3.2, 5.0),
+        (0.0, 0.8, 1.9, 2.6, 3.5, 4.1, 5.0),
+    ], ids=["4-node", "7-node"])
+    def test_equal_to_the_per_segment_loop(self, activity, positions):
+        spec = dataclasses.replace(
+            small_spec(positions, p_avail=1.0, epochs=150, seed=13, n=80, iters=2),
+            activity=activity, prob_samples=20_000,
+        )
+        policies = run_point(spec, ("baseline4",)).master.policies
+        topo = spec.topology()
+        prob_table = spec.pair_probabilities(topo)
+        for k in (1, 3):
+            spec_k = dataclasses.replace(spec, episodes_per_segment=k)
+            activity_draw = spec_k.epoch_activity(topo)
+            assert len(activity_draw.pair_epochs) > 2
+            expected = reference_run("proposed", spec_k, topo, prob_table, policies, activity_draw)
+            assert run_proposed(spec_k, policies, prob_table, topo, activity_draw) == expected
+            assert expected.pair_stats[(0, topo.last_index)].episodes % k == 0
+            for kind in BASELINES:
+                expected = reference_run(kind, spec_k, topo, prob_table, policies, activity_draw)
+                assert run_baseline(kind, spec_k, prob_table, topo, activity_draw) == expected
+
+    def test_coverage_error_names_the_earliest_uncovered_epoch(self):
+        spec = small_spec((0.0, 1.5, 3.2, 5.0), p_avail=0.7, epochs=300, seed=4)
+        topo = spec.topology()
+        first = {}
+        for e in range(spec.epochs):
+            state = sample_pu_activity(spec.activity, topo, stream(spec.seed, "activity", e))
+            for seg in partition_segments(state):
+                if seg.end > seg.head:
+                    first.setdefault((seg.head, seg.end), e)
+        by_first = sorted(first, key=lambda pair: (first[pair], pair[0]))
+        # Two uncovered pairs, the later-occurring one first in route order.
+        missing, later = next(
+            (a, b) for a, b in itertools.combinations(by_first, 2) if b < a and first[a] > 0
+        )
+        # Placeholders: the coverage check must fail before any pair runs.
+        policies = {pair: None for pair in by_first if pair not in (missing, later)}
+        match = rf"^segment \({missing[0]}, {missing[1]}\) observed at epoch {first[missing]} "
+        with pytest.raises(CoverageError, match=match):
+            run_proposed(spec, policies, spec.pair_probabilities(topo), topo)
+
+    def test_each_baseline_link_is_drawn_once_per_run(self, monkeypatch):
+        spec = dataclasses.replace(
+            small_spec((0.0, 1.0, 2.2, 3.1, 4.0, 5.0), p_avail=1.0, epochs=300),
+            activity=SPATIAL, prob_samples=4000,
+        )
+        topo = spec.topology()
+        prob_table = spec.pair_probabilities(topo)
+        activity = spec.epoch_activity(topo)
+        drawn = Counter()
+        real_stream = sim.stream
+
+        def counting(root, *path):
+            if "link" in path:
+                drawn[path] += 1
+            return real_stream(root, *path)
+
+        monkeypatch.setattr(sim, "stream", counting)
+        for kind in BASELINES:
+            run_baseline(kind, spec, prob_table, topo, activity)
+        live = {path for path in drawn if path[1] != "warmup"}
+        assert len(live) > spec.epochs
+        assert max(drawn.values()) == 1
 
 
 class TestProposed:
