@@ -61,7 +61,6 @@ class TinyInstance:
             mc_samples=1,
             episodes=1,
             power_levels=self.power_levels,
-            exact=True,
         )
 
     def pair_probabilities(self) -> dict[tuple[int, int], float]:

@@ -211,10 +211,10 @@ class DiscreteGains:
         for key, (values, probs) in self.links.items():
             if len(values) != len(probs) or not values:
                 raise ValueError(f"bad level table for link {key}")
-            if any(v <= 0.0 for v in values):
-                raise ValueError(f"gains must be positive on link {key}")
-            if abs(sum(probs) - 1.0) > 1e-12:
-                raise ValueError(f"probabilities on link {key} must sum to 1")
+            if not all(0.0 < v < np.inf for v in values):
+                raise ValueError(f"gains must be positive and finite on link {key}")
+            if not all(p >= 0.0 for p in probs) or not abs(sum(probs) - 1.0) <= 1e-12:
+                raise ValueError(f"probabilities on link {key} must be a distribution")
 
     def draw_block(
         self, rng: np.random.Generator, source: int, end: int, n: int
@@ -268,9 +268,10 @@ class SegmentProblem:
     """One segment's control problem: who may hop where, at what prices.
 
     ``pbar`` is the average transmit-power budget; ``p_max``/``p_floor`` keep
-    the per-frame power well-posed at the multiplier extremes.  ``exact``
-    instances (enumerable gains) replace Monte-Carlo expectations with exact
-    sums, which is what the brute-force oracles compare against.
+    the per-frame power well-posed at the multiplier extremes.  Exactness
+    comes from the gains: on enumerable gains every expectation is an exact
+    probability-weighted sum over joint CSI states, as the brute-force
+    oracles need, and ``mc_samples`` and ``episodes`` go unused.
     """
 
     head: int
@@ -282,7 +283,6 @@ class SegmentProblem:
     mc_samples: int = 2000
     episodes: int = 2000
     power_levels: tuple[float, ...] | None = None
-    exact: bool = False
 
     def __post_init__(self) -> None:
         if not 0 <= self.head < self.end:
@@ -293,8 +293,6 @@ class SegmentProblem:
             raise ValueError("need 0 < p_floor <= p_max")
         if self.mc_samples < 1 or self.episodes < 1:
             raise ValueError("mc_samples and episodes must be at least 1")
-        if self.exact and not self.gains.enumerable:
-            raise ValueError("exact mode requires enumerable gains")
         if self.power_levels is not None:
             if not self.power_levels or any(p <= 0.0 for p in self.power_levels):
                 raise ValueError("power levels must be positive")
@@ -315,7 +313,7 @@ class SegmentProblem:
             "power_levels": None
             if self.power_levels is None
             else [repr(p) for p in self.power_levels],
-            "exact": self.exact,
+            "exact": self.gains.enumerable,
             "gains": repr(self.gains.fingerprint()),
         }
         blob = json.dumps(payload, sort_keys=True).encode()
@@ -372,37 +370,49 @@ def _best_actions(
     return total[rows, pick], pick, powers[rows, pick]
 
 
+def _mean(x: np.ndarray, weights: np.ndarray | None) -> float:
+    """Sample mean of ``x``, or its expectation under row probabilities."""
+    return float(np.mean(x) if weights is None else weights @ x)
+
+
+def _expectation_block(
+    problem: SegmentProblem, s: int, rng: np.random.Generator | None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Node ``s``'s local CSI rows and their weights for an expectation.
+
+    On enumerable gains: every joint state of positive probability, weighted
+    by it (``rng`` unused).  Otherwise ``mc_samples`` draws, weights None.
+    """
+    if problem.gains.enumerable:
+        probs, states = zip(*problem.gains.joint_states(s, problem.end))
+        return np.stack(states), np.asarray(probs)
+    if rng is None:
+        raise ValueError("Monte-Carlo recursion needs a generator or streams")
+    return problem.gains.draw_block(rng, s, problem.end, problem.mc_samples), None
+
+
 def offline_recursion(
     problem: SegmentProblem,
     lam: float,
     rng: np.random.Generator | None = None,
-    streams: dict[int, np.ndarray] | None = None,
+    streams: dict[int, tuple[np.ndarray, np.ndarray | None]] | None = None,
 ) -> ValueTable:
     """Backward recursion for the expected cost-to-go under multiplier ``lam``.
 
-    The expectation over local CSI is an exact sum for exact instances and a
-    Monte-Carlo average otherwise; pass ``streams`` (node -> gain block) to
-    reuse one frozen sample set across multiplier iterates.
+    Each node's expectation over local CSI is a mean over one block of CSI
+    rows: every joint state weighted by its probability on enumerable gains
+    (exact), else a Monte-Carlo sample drawn from ``rng``, node by node from
+    the end backwards.  Pass ``streams`` (node -> (block, weights or None))
+    to reuse one frozen block set across multiplier iterates.
     """
-    size = problem.length + 1
-    values = np.zeros(size)
+    values = np.zeros(problem.length + 1)
     for s in range(problem.end - 1, problem.head - 1, -1):
         tail = values[s - problem.head + 1 :]
-        if problem.exact:
-            acc = 0.0
-            for prob, gains in problem.gains.joint_states(s, problem.end):
-                best, _, _ = _best_actions(problem, lam, gains[None, :], tail)
-                acc += prob * float(best[0])
-            values[s - problem.head] = acc
-        else:
-            if streams is not None:
-                gains = streams[s]
-            else:
-                if rng is None:
-                    raise ValueError("Monte-Carlo recursion needs a generator or streams")
-                gains = problem.gains.draw_block(rng, s, problem.end, problem.mc_samples)
-            best, _, _ = _best_actions(problem, lam, gains, tail)
-            values[s - problem.head] = float(np.mean(best))
+        gains, weights = (
+            streams[s] if streams is not None else _expectation_block(problem, s, rng)
+        )
+        best, _, _ = _best_actions(problem, lam, gains, tail)
+        values[s - problem.head] = _mean(best, weights)
     return ValueTable(problem.head, problem.end, values)
 
 
@@ -427,10 +437,8 @@ class SegmentMetrics:
     power_time_se: float
     episodes: int
     frames: int
-    candidate_evals: int
     max_step_evals: int
     max_episode_evals: int
-    exact: bool = False
 
 
 @dataclass(frozen=True)
@@ -521,25 +529,30 @@ def _run_episode_batch(
     return EpisodeBatch(t_sum, e_sum, frames, evals, max_step, hop_times)
 
 
-def _metrics_from_batch(batch: EpisodeBatch) -> SegmentMetrics:
-    """Rate and ratio-of-means power of a batch, with delta-method errors."""
+def _metrics_from_batch(
+    batch: EpisodeBatch, weights: np.ndarray | None = None
+) -> SegmentMetrics:
+    """Rate and ratio-of-means power of a batch, with delta-method errors.
+
+    ``weights`` (the row probabilities of an enumerated cube) make the means
+    exact expectations, with zero errors.
+    """
     t_sum, e_sum = batch.t_sum, batch.e_sum
     n = t_sum.size
     inv = 1.0 / t_sum
-    rate = float(np.mean(inv))
-    rate_se = float(np.std(inv, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    tbar = float(np.mean(t_sum))
-    ebar = float(np.mean(e_sum))
+    rate = _mean(inv, weights)
+    tbar = _mean(t_sum, weights)
+    ebar = _mean(e_sum, weights)
     ratio = ebar / tbar
-    if n > 1:
+    rate_se = ratio_se = 0.0
+    if n > 1 and weights is None:
+        rate_se = float(np.std(inv, ddof=1) / np.sqrt(n))
         var_e = np.var(e_sum, ddof=1)
         var_t = np.var(t_sum, ddof=1)
         cov = np.cov(e_sum, t_sum, ddof=1)[0, 1]
         ratio_se = float(
             np.sqrt(max(var_e - 2 * ratio * cov + ratio**2 * var_t, 0.0) / n) / tbar
         )
-    else:
-        ratio_se = 0.0
     return SegmentMetrics(
         rate=rate,
         rate_se=rate_se,
@@ -547,44 +560,8 @@ def _metrics_from_batch(batch: EpisodeBatch) -> SegmentMetrics:
         power_time_se=ratio_se,
         episodes=n,
         frames=int(batch.frames.sum()),
-        candidate_evals=int(batch.evals.sum()),
         max_step_evals=batch.max_step,
         max_episode_evals=int(batch.evals.max()),
-    )
-
-
-def _exact_policy_metrics(
-    problem: SegmentProblem, lam: float, table: ValueTable
-) -> SegmentMetrics:
-    """Exact policy value by full trajectory enumeration (tiny instances)."""
-    sums = {"inv": 0.0, "t": 0.0, "e": 0.0}
-
-    def walk(s: int, prob: float, t_acc: float, e_acc: float) -> None:
-        if s == problem.end:
-            sums["inv"] += prob / t_acc
-            sums["t"] += prob * t_acc
-            sums["e"] += prob * e_acc
-            return
-        tail = table.values[s - problem.head + 1 :]
-        for pg, gains in problem.gains.joint_states(s, problem.end):
-            _, pick, power = _best_actions(problem, lam, gains[None, :], tail)
-            m = s + 1 + int(pick[0])
-            g = float(gains[int(pick[0])])
-            t = 1.0 / np.log1p(g * float(power[0]))
-            walk(m, prob * pg, t_acc + t, e_acc + float(power[0]) * t)
-
-    walk(problem.head, 1.0, 0.0, 0.0)
-    return SegmentMetrics(
-        rate=sums["inv"],
-        rate_se=0.0,
-        power_time_avg=sums["e"] / sums["t"],
-        power_time_se=0.0,
-        episodes=0,
-        frames=0,
-        candidate_evals=0,
-        max_step_evals=0,
-        max_episode_evals=0,
-        exact=True,
     )
 
 
@@ -598,16 +575,38 @@ def draw_episode_cube(
     }
 
 
+def _episode_cube(
+    problem: SegmentProblem, rng: np.random.Generator | None, episodes: int
+) -> tuple[dict[int, np.ndarray], np.ndarray | None]:
+    """A CSI cube for the episode engine and its row weights.
+
+    On enumerable gains: the Cartesian product of every node's joint states,
+    each row weighted by the product of their probabilities (``rng`` and
+    ``episodes`` unused).  This is exact, because an episode visits each node
+    at most once and CSI is independent across nodes.  Otherwise
+    ``draw_episode_cube``'s ``episodes`` draws, weights None.
+    """
+    if not problem.gains.enumerable:
+        return draw_episode_cube(problem, rng, episodes), None
+    nodes = range(problem.head, problem.end)
+    blocks = [_expectation_block(problem, s, None) for s in nodes]
+    rows = np.indices([probs.size for _, probs in blocks]).reshape(len(blocks), -1)
+    cube = {s: states[r] for s, (states, _), r in zip(nodes, blocks, rows)}
+    weights = np.prod([probs[r] for (_, probs), r in zip(blocks, rows)], axis=0)
+    return cube, weights
+
+
 def estimate_segment_metrics(
     policy: CalibratedPolicy, episodes: int, rng: np.random.Generator
 ) -> SegmentMetrics:
-    """Fresh Monte-Carlo measurement of a calibrated policy's rate and power."""
+    """Fresh measurement of a calibrated policy's rate and power: Monte Carlo
+    over ``episodes`` deliveries drawn from ``rng``, or, on enumerable gains,
+    the exact expectation (``episodes`` and ``rng`` are then unused)."""
     if episodes < 1:
         raise ValueError("episodes must be positive")
-    if policy.problem.exact:
-        return _exact_policy_metrics(policy.problem, policy.lam, policy.table)
-    cube = draw_episode_cube(policy.problem, rng, episodes)
-    return _metrics_from_batch(_run_episode_batch(policy.problem, policy.lam, policy.table, cube))
+    cube, weights = _episode_cube(policy.problem, rng, episodes)
+    batch = _run_episode_batch(policy.problem, policy.lam, policy.table, cube)
+    return _metrics_from_batch(batch, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +631,8 @@ def calibrate_lambda(
 
     Exploits monotonicity (achieved power falls as the multiplier rises) to
     replace a fixed-step walk with bracketed bisection, evaluating every
-    iterate on one frozen set of fading samples.  Returns the zero-multiplier
+    iterate on one frozen set of fading samples (on enumerable gains, the
+    enumerated states and their probabilities).  Returns the zero-multiplier
     policy when it already fits the budget.  For discrete power grids the
     achieved power is a step function of the multiplier; the best feasible
     policy seen is returned when no iterate lands inside the tolerance band.
@@ -645,15 +645,10 @@ def calibrate_lambda(
     where the priced numerator ``1 + lam (p - pbar)`` can go negative.
     """
     pbar = problem.pbar
-    if problem.exact:
-        rec_streams = None
-        cube = None
-    else:
-        rec_streams = {
-            s: problem.gains.draw_block(rng, s, problem.end, problem.mc_samples)
-            for s in range(problem.head, problem.end)
-        }
-        cube = draw_episode_cube(problem, rng, problem.episodes)
+    rec_streams = {
+        s: _expectation_block(problem, s, rng) for s in range(problem.head, problem.end)
+    }
+    cube, weights = _episode_cube(problem, rng, problem.episodes)
 
     evaluations = 0
     seen: dict[float, tuple[ValueTable, SegmentMetrics]] = {}
@@ -664,10 +659,7 @@ def calibrate_lambda(
             return seen[lam]
         evaluations += 1
         table = offline_recursion(problem, lam, streams=rec_streams)
-        if problem.exact:
-            metrics = _exact_policy_metrics(problem, lam, table)
-        else:
-            metrics = _metrics_from_batch(_run_episode_batch(problem, lam, table, cube))
+        metrics = _metrics_from_batch(_run_episode_batch(problem, lam, table, cube), weights)
         seen[lam] = (table, metrics)
         return table, metrics
 
@@ -789,7 +781,6 @@ def policy_from_payload(payload: dict, problem: SegmentProblem) -> CalibratedPol
         power_time_se=0.0,
         episodes=0,
         frames=0,
-        candidate_evals=0,
         max_step_evals=0,
         max_episode_evals=0,
     )

@@ -227,7 +227,7 @@ class TestCovariance:
         topology = Topology.from_positions((0.0, 1.0, 2.0, 3.0), alpha=2.0)
         problem = SegmentProblem(
             head=0, end=3, gains=deterministic_gains(topology), pbar=2.0,
-            p_max=200.0, p_floor=2e-6, mc_samples=1, episodes=1, exact=True,
+            p_max=200.0, p_floor=2e-6, mc_samples=1, episodes=1,
         )
         policy = calibrate_lambda(problem, stream(5, "cov"))
         report = verify_covariance_property(policy, episodes=200, cluster_size=1,

@@ -29,8 +29,12 @@ from cogrelay.subpolicy import (
     power_foc,
     priced_hop_cost,
     solve_optimal_power,
+    _best_actions,
+    _episode_cube,
+    _metrics_from_batch,
     _run_episode_batch,
 )
+from cogrelay.oracle import TinyInstance, _frozen_tiny_instance, reference_cost_to_go
 
 E = math.e
 
@@ -175,7 +179,7 @@ class TestOptimalPower:
         assert np.all(np.abs(w * np.exp(w) - z) <= 1e-14 * np.maximum(1.0, np.abs(z)))
 
 
-def two_hop_problem(g01, g02, g12, pbar=2.0, levels=None, exact=True):
+def two_hop_problem(g01, g02, g12, pbar=2.0, levels=None):
     gains = DiscreteGains(
         {
             (0, 1): ((g01,), (1.0,)),
@@ -193,7 +197,6 @@ def two_hop_problem(g01, g02, g12, pbar=2.0, levels=None, exact=True):
         mc_samples=1,
         episodes=1,
         power_levels=levels,
-        exact=exact,
     )
 
 
@@ -219,7 +222,7 @@ class TestOfflineRecursion:
         gains = DiscreteGains({(0, 1): ((g,), (1.0,))})
         problem = SegmentProblem(
             head=0, end=1, gains=gains, pbar=2.0, p_max=200.0, p_floor=2e-6,
-            mc_samples=1, episodes=1, exact=True,
+            mc_samples=1, episodes=1,
         )
         table = offline_recursion(problem, lam)
         p_star = solve_optimal_power(g, 2.0, lam, 200.0, 2e-6)
@@ -487,7 +490,6 @@ class TestEpisodes:
             p_floor=4e-6,
             mc_samples=1,
             episodes=1,
-            exact=True,
         )
         lam = 0.1
         table = offline_recursion(problem, lam)
@@ -511,6 +513,82 @@ class TestEpisodes:
             assert batch.evals[e] == sum(problem.end - s for s in hops[:-1])
 
 
+def walk_metrics(problem, lam, table):
+    """Exact (rate, time-averaged power) of the table's policy, by recursion
+    over every trajectory and the joint CSI states it meets."""
+    sums = {"inv": 0.0, "t": 0.0, "e": 0.0}
+
+    def walk(s, prob, t_acc, e_acc):
+        if s == problem.end:
+            sums["inv"] += prob / t_acc
+            sums["t"] += prob * t_acc
+            sums["e"] += prob * e_acc
+            return
+        tail = table.values[s - problem.head + 1 :]
+        for pg, gains in problem.gains.joint_states(s, problem.end):
+            _, pick, power = _best_actions(problem, lam, gains[None, :], tail)
+            m = s + 1 + int(pick[0])
+            g = float(gains[int(pick[0])])
+            t = 1.0 / np.log1p(g * float(power[0]))
+            walk(m, prob * pg, t_acc + t, e_acc + float(power[0]) * t)
+
+    walk(problem.head, 1.0, 0.0, 0.0)
+    return sums["inv"], sums["e"] / sums["t"]
+
+
+def three_level_instance():
+    topology = line_topology(0.0, 1.0, 2.1, 3.3)
+    links = {}
+    for s in range(3):
+        for m in range(s + 1, 4):
+            base = float(topology.pathloss[s, m])
+            links[(s, m)] = ((0.5 * base, 1.0 * base, 1.8 * base), (0.2, 0.5, 0.3))
+    return TinyInstance(
+        topology=topology,
+        gains=DiscreteGains(links),
+        power_levels=(0.4, 0.8, 1.6, 3.2, 6.4),
+        p_avail=0.8,
+    )
+
+
+class TestWeightedCube:
+    """An enumerated cube, weighted by state probabilities and run through
+    the episode engine, equals the exact trajectory walk."""
+
+    @staticmethod
+    def assert_matches_walk(metrics, problem, lam, table):
+        rate, power = walk_metrics(problem, lam, table)
+        assert metrics.rate == pytest.approx(rate, rel=1e-12, abs=0.0)
+        assert metrics.power_time_avg == pytest.approx(power, rel=1e-12, abs=0.0)
+        assert metrics.rate_se == metrics.power_time_se == 0.0
+
+    @pytest.mark.parametrize("head,end", [(0, 1), (0, 2), (1, 3), (0, 3)])
+    @pytest.mark.parametrize("lam", [0.0, 0.2, 0.7])
+    def test_faded_tiny_instance(self, head, end, lam):
+        problem = _frozen_tiny_instance().problem(head, end, pbar=1.5)
+        table = offline_recursion(problem, lam)
+        cube, weights = _episode_cube(problem, None, 1)
+        assert abs(weights.sum() - 1.0) <= 1e-12
+        metrics = _metrics_from_batch(_run_episode_batch(problem, lam, table, cube), weights)
+        self.assert_matches_walk(metrics, problem, lam, table)
+
+    def test_three_level_instance(self):
+        problem = three_level_instance().problem(0, 3, pbar=1.4)
+        cube, weights = _episode_cube(problem, None, 1)
+        assert weights.size == 729
+        assert all(block.shape[0] == 729 for block in cube.values())
+        assert abs(weights.sum() - 1.0) <= 1e-12
+        policy = calibrate_lambda(problem, stream(23, "cal"))
+        # Unequal level probabilities: the recursion's weights matter.
+        for node in range(problem.head, problem.end):
+            ref = reference_cost_to_go(problem, policy.lam, node)
+            assert policy.table.cost_to_go(node) == pytest.approx(ref, rel=1e-12, abs=0.0)
+        self.assert_matches_walk(policy.metrics, problem, policy.lam, policy.table)
+        # Fresh measurement on enumerable gains is the same exact expectation.
+        fresh = estimate_segment_metrics(policy, 5, stream(23, "m"))
+        self.assert_matches_walk(fresh, problem, policy.lam, policy.table)
+
+
 class TestSegmentMetrics:
     def test_deterministic_single_hop_closed_form(self):
         g = 1.4
@@ -518,7 +596,7 @@ class TestSegmentMetrics:
         pbar = 2.0
         problem = SegmentProblem(
             head=0, end=1, gains=gains, pbar=pbar, p_max=200.0, p_floor=2e-6,
-            mc_samples=1, episodes=1, exact=True,
+            mc_samples=1, episodes=1,
         )
         policy = calibrate_lambda(problem, stream(18, "cal"))
         metrics = estimate_segment_metrics(policy, 10, stream(18, "m"))
@@ -545,6 +623,20 @@ class TestSegmentMetrics:
             policy = calibrate_lambda(problem, stream(20, "cal"))
             rates.append(policy.metrics.rate)
         assert all(b >= a * (1.0 - 1e-6) for a, b in zip(rates, rates[1:]))
+
+
+class TestDiscreteGains:
+    @pytest.mark.parametrize(
+        "table",
+        [
+            ((1.0, 2.0), (1.5, -0.5)),
+            ((1.0, float("nan")), (0.5, 0.5)),
+            ((1.0, float("inf")), (0.5, 0.5)),
+        ],
+    )
+    def test_invalid_tables_rejected(self, table):
+        with pytest.raises(ValueError):
+            DiscreteGains({(0, 1): table})
 
 
 class TestArtifacts:
