@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -28,6 +28,10 @@ from .model import Topology
 
 DEFAULT_P_MAX_FACTOR = 100.0
 DEFAULT_P_FLOOR_FACTOR = 1e-6
+# Gains per power-solve call in the pricing pass.  The solve's per-gain cost
+# is lowest near this size: smaller calls pay numpy's fixed cost per call,
+# larger ones spill the Lambert W step's temporaries out of cache.
+PRICE_CHUNK = 4096
 
 
 class CalibrationError(RuntimeError):
@@ -132,42 +136,41 @@ def solve_optimal_power(gain, pbar, lam, p_max, p_floor=None):
     multiplier is zero or below the condition's value at ``p_max``, the cap
     is returned.
     """
-    if p_floor is None:
-        p_floor = DEFAULT_P_FLOOR_FACTOR * np.asarray(pbar, dtype=float)
-    g, pb, lm, pm, pf = np.broadcast_arrays(
-        np.asarray(gain, dtype=float),
-        np.asarray(pbar, dtype=float),
-        np.asarray(lam, dtype=float),
-        np.asarray(p_max, dtype=float),
-        np.asarray(p_floor, dtype=float),
-    )
-    scalar = g.ndim == 0
-    g, pb, lm, pm, pf = (np.atleast_1d(a).copy() for a in (g, pb, lm, pm, pf))
-    if np.any(~np.isfinite(g)) or np.any(g <= 0.0):
+    g = np.asarray(gain, dtype=float)
+    pb = np.asarray(pbar, dtype=float)
+    lm = np.asarray(lam, dtype=float)
+    pm = np.asarray(p_max, dtype=float)
+    pf = DEFAULT_P_FLOOR_FACTOR * pb if p_floor is None else np.asarray(p_floor, dtype=float)
+    # NaN fails both comparisons, so each check also rejects it.
+    if not ((g > 0.0) & (g < np.inf)).all():
         raise ValueError("gains must be positive and finite")
-    if np.any(~np.isfinite(pb)) or np.any(pb <= 0.0):
+    if not ((pb > 0.0) & (pb < np.inf)).all():
         raise ValueError("pbar must be positive and finite")
-    if np.any(~np.isfinite(lm)) or np.any(lm < 0.0):
+    if not ((lm >= 0.0) & (lm < np.inf)).all():
         raise ValueError("multiplier must be non-negative and finite")
-    if np.any(~np.isfinite(pm)) or np.any(pm <= 0.0):
+    if not ((pm > 0.0) & (pm < np.inf)).all():
         raise ValueError("p_max must be positive and finite")
 
-    out = pf.copy()
+    shape = np.broadcast_shapes(g.shape, pb.shape, lm.shape, pm.shape, pf.shape)
     active = lm < 1.0 / pb
-    cap = active & (power_foc(g, pm, pb) >= lm)
-    out[cap] = pm[cap]
+    cap = np.broadcast_to(active & (power_foc(g, pm, pb) >= lm), shape)
+    out = np.where(cap, pm, pf)
     todo = active & ~cap
-    if np.any(todo):
-        gi, lmi = g[todo], lm[todo]
-        c = gi * (1.0 - lmi * pb[todo]) / lmi
+    if todo.any():
+
+        def sub(a):  # ``a``'s entries at ``todo``; scalars broadcast as they are
+            return a if a.ndim == 0 else np.broadcast_to(a, shape)[todo]
+
+        gi, lmi = sub(g), sub(lm)
+        c = gi * (1.0 - lmi * sub(pb)) / lmi
         x = np.expm1(1.0 + lambert_w0((c - 1.0) / np.e, c))
         lx = np.log1p(x)
         # x is 0 when c is below about 1e-32, as when 1 - lam * pbar rounds
         # to 0; the floor then applies.
         with np.errstate(divide="ignore", invalid="ignore"):
             x = np.where(lx > 0.0, x - ((1.0 + x) * lx - x - c) / lx, 0.0)
-        out[todo] = np.clip(x / gi, pf[todo], pm[todo])
-    return float(out[0]) if scalar else out
+        out[todo] = np.clip(x / gi, sub(pf), sub(pm))
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -345,29 +348,78 @@ class ValueTable:
         return int(self.values.size)
 
 
-def _best_actions(
-    problem: SegmentProblem, lam: float, gains: np.ndarray, tail: np.ndarray
+def _price(
+    problem: SegmentProblem, lam: float, gains: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pricing pass: priced hop cost and its minimizing power for every
+    entry of a flat gain vector.
+
+    Both depend only on the gain and ``lam``, never on a cost-to-go, so a
+    caller can price every frozen gain before it knows any table value.  The
+    solver calls ``solve_optimal_power`` and ``priced_hop_cost`` nowhere else.
+    The vector is priced in slices of ``PRICE_CHUNK`` gains: every step is
+    elementwise, so slicing changes no bit, and the power solve's temporaries
+    stay cache-sized.
+    """
+    cost = np.empty(gains.size)
+    power = np.empty(gains.size)
+    levels = None if problem.power_levels is None else np.asarray(problem.power_levels)
+    for i in range(0, gains.size, PRICE_CHUNK):
+        g = gains[i : i + PRICE_CHUNK]
+        if levels is None:
+            p = solve_optimal_power(g, problem.pbar, lam, problem.p_max, problem.p_floor)
+            cost[i : i + g.size] = priced_hop_cost(g, p, lam, problem.pbar)
+            power[i : i + g.size] = p
+        else:
+            all_costs = priced_hop_cost(g[:, None], levels, lam, problem.pbar)
+            k = np.argmin(all_costs, axis=1)
+            cost[i : i + g.size] = all_costs[np.arange(g.size), k]
+            power[i : i + g.size] = levels[k]
+    return cost, power
+
+
+def _pricer(
+    problem: SegmentProblem, blocks: list[np.ndarray]
+) -> Callable[[float], list[tuple[np.ndarray, np.ndarray]]]:
+    """Price a fixed list of gain blocks at any multiplier in one pass.
+
+    The blocks are flattened into one vector once; the returned function
+    maps ``lam`` to each block's (cost, power), shaped like the block.
+    """
+    flat = np.concatenate([b.ravel() for b in blocks])
+    bounds = np.cumsum([b.size for b in blocks])[:-1]
+
+    def price(lam: float) -> list[tuple[np.ndarray, np.ndarray]]:
+        cost, power = _price(problem, lam, flat)
+        return [
+            (c.reshape(b.shape), p.reshape(b.shape))
+            for b, c, p in zip(blocks, np.split(cost, bounds), np.split(power, bounds))
+        ]
+
+    return price
+
+
+def _decide(
+    costs: np.ndarray, powers: np.ndarray, tail: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-row best (cost+tail, next-hop index, power) over candidate links.
 
-    ``gains`` is ``(n, c)`` for the current node's ``c`` candidates, ``tail``
-    the candidates' cost-to-go.  Ties pick the nearest hop.
+    ``costs`` and ``powers`` are ``(n, c)``, priced for the current node's
+    ``c`` candidates; ``tail`` is the candidates' cost-to-go.  Ties pick the
+    nearest hop.
     """
-    if problem.power_levels is None:
-        powers = solve_optimal_power(
-            gains, problem.pbar, lam, problem.p_max, problem.p_floor
-        )
-        costs = priced_hop_cost(gains, powers, lam, problem.pbar)
-    else:
-        levels = np.asarray(problem.power_levels)
-        all_costs = priced_hop_cost(gains[..., None], levels, lam, problem.pbar)
-        k = np.argmin(all_costs, axis=-1)
-        costs = np.take_along_axis(all_costs, k[..., None], axis=-1)[..., 0]
-        powers = levels[k]
     total = costs + tail
     pick = np.argmin(total, axis=-1)
-    rows = np.arange(gains.shape[0])
+    rows = np.arange(total.shape[0])
     return total[rows, pick], pick, powers[rows, pick]
+
+
+def _best_actions(
+    problem: SegmentProblem, lam: float, gains: np.ndarray, tail: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_decide`` on an ``(n, c)`` gain block priced at ``lam``."""
+    ((costs, powers),) = _pricer(problem, [gains])(lam)
+    return _decide(costs, powers, tail)
 
 
 def _mean(x: np.ndarray, weights: np.ndarray | None) -> float:
@@ -395,23 +447,26 @@ def offline_recursion(
     problem: SegmentProblem,
     lam: float,
     rng: np.random.Generator | None = None,
-    streams: dict[int, tuple[np.ndarray, np.ndarray | None]] | None = None,
+    priced: dict[int, tuple[np.ndarray, np.ndarray | None]] | None = None,
 ) -> ValueTable:
     """Backward recursion for the expected cost-to-go under multiplier ``lam``.
 
     Each node's expectation over local CSI is a mean over one block of CSI
     rows: every joint state weighted by its probability on enumerable gains
     (exact), else a Monte-Carlo sample drawn from ``rng``, node by node from
-    the end backwards.  Pass ``streams`` (node -> (block, weights or None))
-    to reuse one frozen block set across multiplier iterates.
+    the end backwards.  Pass ``priced`` (node -> (its block's priced hop
+    costs at ``lam``, weights or None)) to reuse one frozen block set across
+    multiplier iterates.
     """
+    nodes = range(problem.end - 1, problem.head - 1, -1)
+    if priced is None:
+        blocks = [_expectation_block(problem, s, rng) for s in nodes]
+        costs = _pricer(problem, [gains for gains, _ in blocks])(lam)
+        priced = {s: (c, w) for s, (c, _), (_, w) in zip(nodes, costs, blocks)}
     values = np.zeros(problem.length + 1)
-    for s in range(problem.end - 1, problem.head - 1, -1):
-        tail = values[s - problem.head + 1 :]
-        gains, weights = (
-            streams[s] if streams is not None else _expectation_block(problem, s, rng)
-        )
-        best, _, _ = _best_actions(problem, lam, gains, tail)
+    for s in nodes:
+        costs, weights = priced[s]
+        best = np.min(costs + values[s - problem.head + 1 :], axis=1)
         values[s - problem.head] = _mean(best, weights)
     return ValueTable(problem.head, problem.end, values)
 
@@ -492,40 +547,54 @@ def _run_episode_batch(
     lam: float,
     table: ValueTable,
     cube: dict[int, np.ndarray],
+    priced: dict[int, tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> EpisodeBatch:
     """The episode engine: vectorized deliveries over a pre-drawn CSI cube
     (node -> gains block), each hop the online argmin at the current node.
 
     Forward hopping visits each node at most once, so indexing CSI by node is
-    exact common-random-numbers reuse across multiplier iterates.
+    exact common-random-numbers reuse across multiplier iterates.  The engine
+    takes every node's decision for every cube row first, then walks the
+    episodes by gathering from those decisions.  ``priced`` (node -> the
+    (cost, power) of ``cube[node]`` at ``lam``) spares pricing the cube here.
     """
+    nodes = range(problem.head, problem.end)
+    if priced is None:
+        priced = dict(zip(nodes, _pricer(problem, [cube[s] for s in nodes])(lam)))
     n = next(iter(cube.values())).shape[0]
-    cur = np.full(n, problem.head, dtype=int)
+    # pick[k, e], hop_t[k, e], hop_e[k, e]: node head + k's next-hop index and
+    # the hop's airtime and energy in episode e, were the packet there.
+    pick = np.empty((problem.length, n), dtype=int)
+    hop_t = np.empty((problem.length, n))
+    hop_e = np.empty((problem.length, n))
+    for k, s in enumerate(nodes):
+        costs, powers = priced[s]
+        _, pick[k], power = _decide(costs, powers, table.values[k + 1 :])
+        t = 1.0 / np.log1p(cube[s][np.arange(n), pick[k]] * power)
+        hop_t[k] = t
+        hop_e[k] = power * t
+
     t_sum = np.zeros(n)
     e_sum = np.zeros(n)
     frames = np.zeros(n, dtype=int)
     evals = np.zeros(n, dtype=int)
     hop_times = np.zeros((n, problem.length))
+    cur = np.zeros(n, dtype=int)  # current node minus head
+    rows = np.arange(n)
     max_step = 0
-    while True:
-        alive = cur < problem.end
-        if not np.any(alive):
-            break
-        for s in np.unique(cur[alive]):
-            rows = np.flatnonzero(alive & (cur == s))
-            gains = cube[int(s)][rows]
-            tail = table.values[int(s) - problem.head + 1 :]
-            _, pick, power = _best_actions(problem, lam, gains, tail)
-            chosen_g = gains[np.arange(rows.size), pick]
-            t = 1.0 / np.log1p(chosen_g * power)
-            t_sum[rows] += t
-            e_sum[rows] += power * t
-            hop_times[rows, int(s) - problem.head + pick] = t
-            frames[rows] += 1
-            n_cands = gains.shape[1]
-            evals[rows] += n_cands
-            max_step = max(max_step, n_cands)
-            cur[rows] = int(s) + 1 + pick
+    while rows.size:
+        k = cur[rows]
+        hop = pick[k, rows]
+        t = hop_t[k, rows]
+        t_sum[rows] += t
+        e_sum[rows] += hop_e[k, rows]
+        hop_times[rows, k + hop] = t
+        frames[rows] += 1
+        n_cands = problem.length - k
+        evals[rows] += n_cands
+        max_step = max(max_step, int(n_cands.max()))
+        cur[rows] = k + 1 + hop
+        rows = rows[cur[rows] < problem.length]
     return EpisodeBatch(t_sum, e_sum, frames, evals, max_step, hop_times)
 
 
@@ -645,10 +714,10 @@ def calibrate_lambda(
     where the priced numerator ``1 + lam (p - pbar)`` can go negative.
     """
     pbar = problem.pbar
-    rec_streams = {
-        s: _expectation_block(problem, s, rng) for s in range(problem.head, problem.end)
-    }
+    nodes = range(problem.head, problem.end)
+    rec_blocks = [_expectation_block(problem, s, rng) for s in nodes]
     cube, weights = _episode_cube(problem, rng, problem.episodes)
+    price = _pricer(problem, [gains for gains, _ in rec_blocks] + [cube[s] for s in nodes])
 
     evaluations = 0
     seen: dict[float, tuple[ValueTable, SegmentMetrics]] = {}
@@ -658,8 +727,11 @@ def calibrate_lambda(
         if lam in seen:
             return seen[lam]
         evaluations += 1
-        table = offline_recursion(problem, lam, streams=rec_streams)
-        metrics = _metrics_from_batch(_run_episode_batch(problem, lam, table, cube), weights)
+        priced = price(lam)
+        rec = {s: (c, w) for s, (c, _), (_, w) in zip(nodes, priced, rec_blocks)}
+        table = offline_recursion(problem, lam, priced=rec)
+        ep = dict(zip(nodes, priced[len(nodes) :]))
+        metrics = _metrics_from_batch(_run_episode_batch(problem, lam, table, cube, ep), weights)
         seen[lam] = (table, metrics)
         return table, metrics
 

@@ -13,6 +13,7 @@ from cogrelay.subpolicy import (
     CalibratedPolicy,
     CalibrationError,
     DiscreteGains,
+    EpisodeBatch,
     RayleighGains,
     SegmentProblem,
     ValueTable,
@@ -29,9 +30,11 @@ from cogrelay.subpolicy import (
     power_foc,
     priced_hop_cost,
     solve_optimal_power,
+    PRICE_CHUNK,
     _best_actions,
     _episode_cube,
     _metrics_from_batch,
+    _price,
     _run_episode_batch,
 )
 from cogrelay.oracle import TinyInstance, _frozen_tiny_instance, reference_cost_to_go
@@ -177,6 +180,41 @@ class TestOptimalPower:
         z = np.concatenate([[-1.0 / E + 1e-15, 0.0, 1e12], np.linspace(2.0, 3.0, 1001)])
         w = lambert_w0(z)
         assert np.all(np.abs(w * np.exp(w) - z) <= 1e-14 * np.maximum(1.0, np.abs(z)))
+
+
+def direct_price(problem, lam, gains):
+    """(cost, power) of a gain block of any shape by one direct call of the
+    power solve (or one scan of the power levels) on the whole block."""
+    if problem.power_levels is None:
+        powers = solve_optimal_power(gains, problem.pbar, lam, problem.p_max, problem.p_floor)
+        return priced_hop_cost(gains, powers, lam, problem.pbar), powers
+    levels = np.asarray(problem.power_levels)
+    all_costs = priced_hop_cost(gains[..., None], levels, lam, problem.pbar)
+    k = np.argmin(all_costs, axis=-1)
+    return np.take_along_axis(all_costs, k[..., None], axis=-1)[..., 0], levels[k]
+
+
+class TestPricingPass:
+    """The chunked pricing pass equals one direct solve over the whole vector,
+    bit for bit, on either side of every chunk boundary."""
+
+    @pytest.mark.parametrize(
+        "size", [1, PRICE_CHUNK - 1, PRICE_CHUNK, PRICE_CHUNK + 1, 3 * PRICE_CHUNK + 7]
+    )
+    @pytest.mark.parametrize("levels", [None, (0.5, 2.0, 8.0, 32.0)])
+    @pytest.mark.parametrize("price", [0.0, 0.4, 0.97, 1.0])
+    def test_bitwise_equal_to_direct_solve(self, bench_topology, size, levels, price):
+        problem = dataclasses.replace(
+            rayleigh_problem(bench_topology, 0, 5, pbar=4.0), power_levels=levels
+        )
+        lam = price / problem.pbar
+        # Log-uniform gains over eight decades reach the cap, the interior
+        # root and, at the top price, the floor.
+        gains = 10.0 ** stream(30, "price", size).uniform(-4.0, 4.0, size)
+        cost, power = _price(problem, lam, gains)
+        ref_cost, ref_power = direct_price(problem, lam, gains)
+        assert np.array_equal(cost, ref_cost)
+        assert np.array_equal(power, ref_power)
 
 
 def two_hop_problem(g01, g02, g12, pbar=2.0, levels=None):
@@ -351,6 +389,26 @@ class TestCalibration:
         assert 0.45 / problem.pbar in tried
         assert max(tried) <= 1.0 / problem.pbar
 
+    def test_one_pricing_pass_per_evaluation(self, bench_topology, monkeypatch):
+        # Every frozen gain of the recursion blocks and the episode cube is
+        # priced in one chunked pass per multiplier evaluation, and nowhere else.
+        problem = dataclasses.replace(
+            rayleigh_problem(bench_topology, 0, 5, pbar=6.0, n=300), episodes=250
+        )
+        frozen = (problem.mc_samples + problem.episodes) * sum(range(1, problem.length + 1))
+        calls = []
+        real = subpolicy.solve_optimal_power
+
+        def counting(gain, *args, **kwargs):
+            calls.append(np.size(gain))
+            return real(gain, *args, **kwargs)
+
+        monkeypatch.setattr(subpolicy, "solve_optimal_power", counting)
+        policy = calibrate_lambda(problem, stream(6, "cal"))
+        assert policy.report.iterations > 1
+        assert len(calls) == policy.report.iterations * math.ceil(frozen / PRICE_CHUNK)
+        assert sum(calls) == policy.report.iterations * frozen
+
     def test_deterministic_given_seed(self, bench_topology):
         problem = rayleigh_problem(bench_topology, 0, 3, pbar=6.0, n=300)
         a = calibrate_lambda(problem, stream(4, "cal"))
@@ -511,6 +569,81 @@ class TestEpisodes:
             assert batch.hop_times[e].sum() == pytest.approx(t, rel=1e-12)
             assert batch.frames[e] == len(hops) - 1
             assert batch.evals[e] == sum(problem.end - s for s in hops[:-1])
+
+
+def reference_episode_batch(problem, lam, table, cube):
+    """The episode engine as a per-node loop: at every step, group the live
+    episodes by current node and price and decide each group directly."""
+    n = next(iter(cube.values())).shape[0]
+    cur = np.full(n, problem.head, dtype=int)
+    t_sum = np.zeros(n)
+    e_sum = np.zeros(n)
+    frames = np.zeros(n, dtype=int)
+    evals = np.zeros(n, dtype=int)
+    hop_times = np.zeros((n, problem.length))
+    max_step = 0
+    while True:
+        alive = cur < problem.end
+        if not np.any(alive):
+            break
+        for s in np.unique(cur[alive]):
+            rows = np.flatnonzero(alive & (cur == s))
+            gains = cube[int(s)][rows]
+            costs, powers = direct_price(problem, lam, gains)
+            total = costs + table.values[int(s) - problem.head + 1 :]
+            pick = np.argmin(total, axis=-1)
+            power = powers[np.arange(rows.size), pick]
+            chosen_g = gains[np.arange(rows.size), pick]
+            t = 1.0 / np.log1p(chosen_g * power)
+            t_sum[rows] += t
+            e_sum[rows] += power * t
+            hop_times[rows, int(s) - problem.head + pick] = t
+            frames[rows] += 1
+            n_cands = gains.shape[1]
+            evals[rows] += n_cands
+            max_step = max(max_step, n_cands)
+            cur[rows] = int(s) + 1 + pick
+    return EpisodeBatch(t_sum, e_sum, frames, evals, max_step, hop_times)
+
+
+class TestEngineMatchesReferenceWalk:
+    """Deciding every (row, node) first and then walking by gathering gives
+    the per-node loop's batch, bit for bit."""
+
+    @staticmethod
+    def assert_same_batch(problem, lam, table, cube):
+        batch = _run_episode_batch(problem, lam, table, cube)
+        ref = reference_episode_batch(problem, lam, table, cube)
+        for field in EpisodeBatch._fields:
+            assert np.array_equal(getattr(batch, field), getattr(ref, field)), field
+
+    def test_rayleigh_cube(self, online_policy):
+        problem = online_policy.problem
+        assert (problem.head, problem.end) == (0, 4)
+        cube = draw_episode_cube(problem, stream(31, "ep"), 500)
+        self.assert_same_batch(problem, online_policy.lam, online_policy.table, cube)
+
+    def test_discrete_product_cube(self):
+        problem = three_level_instance().problem(0, 3, pbar=1.4)
+        cube, weights = _episode_cube(problem, None, 1)
+        assert weights.size == 729
+        for lam in (0.0, 0.3, 1.0 / problem.pbar):
+            table = offline_recursion(problem, lam)
+            self.assert_same_batch(problem, lam, table, cube)
+
+    def test_power_levels(self, bench_topology):
+        problem = dataclasses.replace(
+            rayleigh_problem(bench_topology, 0, 5, pbar=6.0, n=300),
+            power_levels=(0.5, 2.0, 6.0, 18.0, 54.0),
+        )
+        policy = calibrate_lambda(problem, stream(32, "cal"))
+        cube = draw_episode_cube(problem, stream(32, "ep"), 300)
+        self.assert_same_batch(problem, policy.lam, policy.table, cube)
+
+    def test_one_row_cube(self, episode_policy):
+        problem = episode_policy.problem
+        cube = draw_episode_cube(problem, stream(33, "ep"), 1)
+        self.assert_same_batch(problem, episode_policy.lam, episode_policy.table, cube)
 
 
 def walk_metrics(problem, lam, table):
