@@ -11,16 +11,12 @@ force.  `cli` wires everything to configuration files and CSV/JSON outputs.
 
 from .model import (
     PuActivityModel,
-    PuActivityState,
-    Segment,
     Topology,
     make_linear_route,
     min_safe_distance,
     partition_segments,
-    path_loss,
     sample_pu_activity,
     segment_probabilities,
-    segment_probability,
 )
 from .subpolicy import (
     CalibratedPolicy,
@@ -33,8 +29,6 @@ from .subpolicy import (
     calibrate_lambda,
     estimate_segment_metrics,
     offline_recursion,
-    per_hop_cost,
-    per_hop_time,
     power_foc,
     priced_hop_cost,
     solve_optimal_power,
@@ -58,7 +52,6 @@ from .sim import (
     run_baseline,
     run_point,
     run_proposed,
-    sweep,
 )
 from .oracle import (
     OracleGuardError,

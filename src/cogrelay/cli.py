@@ -43,7 +43,6 @@ from .sim import (
     RunMetrics,
     StudySpec,
     grid_points,
-    metrics_row,
     point_spec,
     run_baseline,
     run_point,
@@ -102,12 +101,6 @@ class ArtifactMismatchError(RuntimeError):
 
 def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
-
-
-def linear_to_db(x: float) -> float:
-    if x <= 0.0:
-        raise ValueError("only positive powers have a dB value")
-    return 10.0 * math.log10(x)
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -182,9 +175,24 @@ class ExperimentConfig:
         """Rates are computed in nats; optionally reported in bits."""
         return value / LN2 if self.rate_units == "bits" else value
 
-    def row(self, point: dict, metrics: RunMetrics, master: MasterSolution | None) -> dict:
-        """``metrics_row`` with its rate columns in the configured units."""
-        row = metrics_row(point, metrics, master)
+    def row(self, point: dict, m: RunMetrics, master: MasterSolution | None) -> dict:
+        """One output row: the grid point's keys, then the scheme's results,
+        rates in the configured units.  The master columns stay blank for
+        runs against stored tables."""
+        row = {
+            **{k: point[k] for k in sorted(point)},
+            "scheme": m.scheme,
+            "u_min": m.u_min,
+            "u_weighted": m.u_weighted,
+            "u_empirical": m.u_empirical,
+            "u_empirical_se": m.u_empirical_se,
+            "total_power": m.total_power,
+            "p0": m.p0,
+            "epochs": m.epochs,
+            "seed": m.seed,
+            "master_objective": "" if master is None else master.best_objective,
+            "master_iterations": "" if master is None else master.iterations,
+        }
         for key in RATE_COLUMNS:
             if row[key] != "":
                 row[key] = self.scale(row[key])
@@ -422,11 +430,20 @@ def cmd_calibrate(cfg: ExperimentConfig, out: Path, threads: int = 1) -> int:
     return 0
 
 
+def _read_artifact(path: Path) -> dict:
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ArtifactMismatchError(f"{path} is not valid JSON ({exc}); re-run calibrate") from exc
+
+
 def _load_policies(cfg: ExperimentConfig, artifacts: Path, topology) -> dict:
+    """Every calibrated pair's policy; an artifact that is missing, cannot
+    be read, or does not match the configuration is an ArtifactMismatchError."""
     manifest_path = artifacts / "calibration_manifest.json"
     if not manifest_path.exists():
         raise ArtifactMismatchError(f"no calibration manifest under {artifacts}")
-    manifest = json.loads(manifest_path.read_text())
+    manifest = _read_artifact(manifest_path)
     if manifest["config_hash"] != config_hash(cfg):
         raise ArtifactMismatchError(
             "artifacts were calibrated for a different configuration; re-run calibrate"
@@ -437,9 +454,12 @@ def _load_policies(cfg: ExperimentConfig, artifacts: Path, topology) -> dict:
         path = _pair_artifact_path(artifacts, pair)
         if not path.exists():
             raise ArtifactMismatchError(f"missing policy artifact for pair {pair}: {path}")
-        payload = json.loads(path.read_text())
+        payload = _read_artifact(path)
         problem = pair_problem(topology, pair, float(payload["pbar"]), cfg.spec.solver)
-        policies[pair] = policy_from_payload(payload, problem)
+        try:
+            policies[pair] = policy_from_payload(payload, problem)
+        except ValueError as exc:
+            raise ArtifactMismatchError(f"{path}: {exc}; re-run calibrate") from exc
     return policies
 
 

@@ -187,8 +187,9 @@ class RateModel:
 
     Evaluations are seeded by pair identity only, so the same fading sample
     streams are reused across budget values and ascent iterations (common
-    random numbers), and cached results are bitwise reproducible.  Budgets
-    are quantized to four significant digits for cache identity.
+    random numbers), and cached results are bitwise reproducible.  The
+    cache is keyed on the exact budget, so every pair is calibrated at
+    exactly the share it is allocated.
     """
 
     def __init__(
@@ -207,19 +208,15 @@ class RateModel:
         self._cache: dict[tuple[int, int, float], CalibratedPolicy] = {}
         self._lam_hints: dict[Pair, float] = {}
 
-    @staticmethod
-    def quantize(pbar: float) -> float:
-        return float(np.format_float_scientific(pbar, precision=3))
-
     def build_problem(self, pair: Pair, pbar: float) -> SegmentProblem:
         if self._factory is not None:
             return self._factory(pair, pbar)
         return pair_problem(self.topology, pair, pbar, self.solver)
 
-    def _job(self, pair: Pair, q: float) -> tuple:
-        """Payload of ``_calibration_job`` for the pair at quantized budget ``q``."""
+    def _job(self, pair: Pair, pbar: float) -> tuple:
+        """Payload of ``_calibration_job`` for the pair at budget ``pbar``."""
         return (
-            self.build_problem(pair, q),
+            self.build_problem(pair, pbar),
             self.root_seed,
             pair,
             self.solver.power_tolerance,
@@ -227,10 +224,9 @@ class RateModel:
         )
 
     def evaluate(self, pair: Pair, pbar: float) -> CalibratedPolicy:
-        q = self.quantize(pbar)
-        key = (pair[0], pair[1], q)
+        key = (pair[0], pair[1], pbar)
         if key not in self._cache:
-            self._store(pair, q, _calibration_job(self._job(pair, q)))
+            self._store(pair, pbar, _calibration_job(self._job(pair, pbar)))
         return self._cache[key]
 
     def evaluate_many(self, allocation: dict[Pair, float]) -> dict[Pair, CalibratedPolicy]:
@@ -240,29 +236,31 @@ class RateModel:
         Each calibration is seeded by its pair alone, so parallel and serial
         execution produce bitwise-identical results.
         """
-        jobs = []
-        for pair, pbar in sorted(allocation.items()):
-            q = self.quantize(pbar)
-            if (pair[0], pair[1], q) not in self._cache:
-                jobs.append((pair, q))
+        jobs = [
+            (pair, pbar)
+            for pair, pbar in sorted(allocation.items())
+            if (pair[0], pair[1], pbar) not in self._cache
+        ]
         if self.threads > 1 and len(jobs) > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            payloads = [self._job(pair, q) for pair, q in jobs]
+            payloads = [self._job(pair, pbar) for pair, pbar in jobs]
             with ProcessPoolExecutor(max_workers=self.threads) as pool:
-                for (pair, q), policy in zip(jobs, pool.map(_calibration_job, payloads)):
-                    self._store(pair, q, policy)
+                for (pair, pbar), policy in zip(jobs, pool.map(_calibration_job, payloads)):
+                    self._store(pair, pbar, policy)
         return {pair: self.evaluate(pair, pbar) for pair, pbar in allocation.items()}
 
-    def _store(self, pair: Pair, q: float, policy: CalibratedPolicy) -> None:
-        self._cache[(pair[0], pair[1], q)] = policy
+    def _store(self, pair: Pair, pbar: float, policy: CalibratedPolicy) -> None:
+        self._cache[(pair[0], pair[1], pbar)] = policy
         self._lam_hints[pair] = policy.lam
 
     def budget_floor(self, pair: Pair) -> float:
         """Smallest calibratable budget for the pair.
 
-        Discrete power grids cannot operate below their cheapest level; the
-        margin absorbs the cache's budget quantization.
+        Discrete power grids cannot operate below their cheapest level.  At
+        a budget equal to it, the all-cheapest policy's achieved power, a
+        ratio of means, can round above the budget; the margin keeps that
+        policy feasible.
         """
         probe = self.build_problem(pair, 1.0)
         if probe.power_levels is None:
@@ -340,7 +338,7 @@ def _exchange_polish(
     def value_of(alloc):
         policies = rate_model.evaluate_many(alloc)
         u = {p: policy.metrics.rate for p, policy in policies.items()}
-        return float(np.min(section_rates(weights, u, last))), policies
+        return objective(alloc, u, weights, p0, last), policies
 
     best_alloc = dict(allocation)
     best_value, best_policies = value_of(best_alloc)
@@ -421,7 +419,7 @@ def solve_master(
     for t in range(options.max_iterations):
         policies = rate_model.evaluate_many(allocation)
         u_table = {p: policy.metrics.rate for p, policy in policies.items()}
-        obj = float(np.min(section_rates(weights, u_table, last)))
+        obj = objective(allocation, u_table, weights, p0, last)
         trace.append(obj)
         if obj > best_obj:
             best_obj = obj

@@ -27,15 +27,6 @@ SPATIAL_MODE = "spatial-field"
 CHUNK_ROWS = 256
 
 
-def path_loss(distance: float, alpha: float) -> float:
-    """Flat-earth linear power gain ``d**-alpha`` of a link of length ``d``."""
-    if not distance > 0.0:
-        raise ValueError(f"distance must be positive, got {distance}")
-    if alpha < 0.0:
-        raise ValueError(f"path-loss exponent must be non-negative, got {alpha}")
-    return float(distance) ** (-float(alpha))
-
-
 def min_safe_distance(p0: float, p_int: float, alpha: float) -> float:
     """Exclusion radius ``(P0 / P_int)**(1/alpha)`` keeping mean interference
     at primary receivers below ``p_int`` for mean transmit power ``p0``."""
@@ -159,53 +150,6 @@ class PuActivityModel:
             raise ValueError("strip_width must be non-negative")
 
 
-@dataclass(frozen=True)
-class PuActivityState:
-    """Availability bit per node.  The virtual bits beyond both route ends
-    are zero by convention and never stored."""
-
-    bits: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(self.bits, dtype=np.uint8)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("availability must be a non-empty 1-d bit vector")
-        if np.any(arr > 1):
-            raise ValueError("availability bits must be 0 or 1")
-        arr.setflags(write=False)
-        object.__setattr__(self, "bits", arr)
-
-    def __len__(self) -> int:
-        return int(self.bits.size)
-
-
-@dataclass(frozen=True)
-class Segment:
-    """Maximal run of available nodes, named by its head and end node index.
-
-    ``head == end`` is a degenerate isolated node that carries no traffic but
-    keeps segment bookkeeping total.  ``prob`` is the occurrence probability
-    under an activity model when known, else ``None``.
-    """
-
-    head: int
-    end: int
-    prob: float | None = None
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.head <= self.end:
-            raise ValueError(f"invalid segment ({self.head}, {self.end})")
-
-    @property
-    def length(self) -> int:
-        """Number of hops available inside the segment."""
-        return self.end - self.head
-
-    @property
-    def transmits(self) -> bool:
-        return self.end > self.head
-
-
 def sample_availability(
     model: PuActivityModel, topology: Topology, rngs: Iterable[np.random.Generator]
 ) -> np.ndarray:
@@ -264,9 +208,9 @@ def availability_chunks(
 
 def sample_pu_activity(
     model: PuActivityModel, topology: Topology, rng: np.random.Generator
-) -> PuActivityState:
-    """Draw one availability vector for all nodes of the route."""
-    return PuActivityState(sample_availability(model, topology, [rng])[0])
+) -> np.ndarray:
+    """Draw one availability bit row for all nodes of the route."""
+    return sample_availability(model, topology, [rng])[0]
 
 
 def segment_runs(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -280,46 +224,15 @@ def segment_runs(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return row, head, end
 
 
-def partition_segments(state: PuActivityState) -> list[Segment]:
-    """Maximal runs of consecutive available nodes, in route order.
+def partition_segments(bits: np.ndarray) -> list[tuple[int, int]]:
+    """Maximal runs of consecutive available nodes of one bit row, as
+    ``(head, end)`` pairs in route order.
 
     Segments are disjoint, cover exactly the available nodes, and distinct
     segments may transmit simultaneously (dynamic spatial reuse).
     """
-    _, heads, ends = segment_runs(state.bits[None, :])
-    return [Segment(h, e) for h, e in zip(heads.tolist(), ends.tolist())]
-
-
-def _iid_segment_probability(i: int, j: int, p: float, last: int) -> float:
-    inner = p ** (j - i + 1)
-    boundaries = int(i >= 1) + int(j <= last - 1)
-    return inner * (1.0 - p) ** boundaries
-
-
-def segment_probability(
-    i: int,
-    j: int,
-    model: PuActivityModel,
-    node_count: int,
-    topology: Topology | None = None,
-    rng: np.random.Generator | None = None,
-    samples: int = 100_000,
-) -> float:
-    """Probability that nodes ``i..j`` form one continuous segment of a route
-    with ``node_count`` nodes.
-
-    Closed form in iid mode; Monte-Carlo in spatial mode (see
-    :func:`segment_probabilities_mc` for the standard error).
-    """
-    last = node_count - 1
-    if not 0 <= i <= j <= last:
-        raise ValueError(f"segment indices ({i}, {j}) out of range for M={last}")
-    if model.mode == IID_MODE:
-        return _iid_segment_probability(i, j, model.p_avail, last)
-    if topology is None or rng is None:
-        raise ValueError("spatial mode needs a topology and a generator")
-    probs, _ = segment_probabilities_mc(model, topology, rng, samples)
-    return probs.get((i, j), 0.0)
+    _, heads, ends = segment_runs(np.asarray(bits)[None, :])
+    return list(zip(heads.tolist(), ends.tolist()))
 
 
 def segment_probabilities(
@@ -328,28 +241,21 @@ def segment_probabilities(
     rng: np.random.Generator | None = None,
     samples: int = 100_000,
 ) -> dict[tuple[int, int], float]:
-    """Occurrence probability of every potential segment ``0 <= i <= j <= M``."""
+    """Occurrence probability of every potential segment ``0 <= i <= j <= M``:
+    closed form in iid mode, else Monte-Carlo frequencies over ``samples``
+    availability draws from ``rng`` (only the segments seen, whose binomial
+    standard error is ``sqrt(p (1 - p) / samples)``)."""
     last = topology.last_index
     if model.mode == IID_MODE:
         p = model.p_avail
+        # Nodes i..j available, and each neighbour inside the route blocked.
         return {
-            (i, j): _iid_segment_probability(i, j, p, last)
+            (i, j): p ** (j - i + 1) * (1.0 - p) ** (int(i >= 1) + int(j <= last - 1))
             for i in range(last + 1)
             for j in range(i, last + 1)
         }
     if rng is None:
         raise ValueError("spatial mode needs a generator")
-    probs, _ = segment_probabilities_mc(model, topology, rng, samples)
-    return probs
-
-
-def segment_probabilities_mc(
-    model: PuActivityModel,
-    topology: Topology,
-    rng: np.random.Generator,
-    samples: int = 100_000,
-) -> tuple[dict[tuple[int, int], float], dict[tuple[int, int], float]]:
-    """Monte-Carlo segment frequencies and their binomial standard errors."""
     if samples < 1:
         raise ValueError("samples must be positive")
     # A Counter keeps first-occurrence order, the order of one draw at a time,
@@ -358,6 +264,4 @@ def segment_probabilities_mc(
     for bits in availability_chunks(model, topology, itertools.repeat(rng, samples)):
         _, heads, ends = segment_runs(bits)
         counts.update(zip(heads.tolist(), ends.tolist()))
-    probs = {k: c / samples for k, c in counts.items()}
-    errors = {k: float(np.sqrt(p * (1.0 - p) / samples)) for k, p in probs.items()}
-    return probs, errors
+    return {k: c / samples for k, c in counts.items()}

@@ -481,10 +481,9 @@ def run_point(spec: StudySpec, schemes: Sequence[str]) -> StudyResult:
             raise ValueError(f"unknown scheme {s!r}")
     topology = spec.topology()
     prob_table = spec.pair_probabilities(topology)
-    cutoff = spec.solver.master.pair_prob_cutoff
     master = solve_master(
         RateModel(topology, spec.seed, spec.solver),
-        {p: v for p, v in prob_table.items() if v > cutoff},
+        prob_table,
         spec.p0,
         topology.last_index,
         spec.solver.master,
@@ -537,40 +536,3 @@ def point_spec(spec: StudySpec, point: dict[str, float]) -> StudySpec:
     tag = ",".join(f"{k}={point[k]:.10g}" for k in sorted(point))
     seed = int(stream(spec.seed, "sweep-point", tag).integers(0, 2**63 - 1))
     return replace(apply_grid_point(spec, point), seed=seed)
-
-
-def metrics_row(
-    point: dict[str, float], m: RunMetrics, master: MasterSolution | None
-) -> dict:
-    """One output row: the grid point's keys, then the scheme's results.
-    The master columns stay blank for runs against stored tables."""
-    return {
-        **{k: point[k] for k in sorted(point)},
-        "scheme": m.scheme,
-        "u_min": m.u_min,
-        "u_weighted": m.u_weighted,
-        "u_empirical": m.u_empirical,
-        "u_empirical_se": m.u_empirical_se,
-        "total_power": m.total_power,
-        "p0": m.p0,
-        "epochs": m.epochs,
-        "seed": m.seed,
-        "master_objective": "" if master is None else master.best_objective,
-        "master_iterations": "" if master is None else master.iterations,
-    }
-
-
-def sweep(
-    spec: StudySpec, grid: dict[str, Sequence[float]], schemes: Sequence[str]
-) -> list[dict]:
-    """Recalibrate and rerun every scheme at each grid point.
-
-    Each point gets a content-derived seed so rows are reproducible in
-    isolation.  Rows come out in deterministic grid order.
-    """
-    rows: list[dict] = []
-    for point in grid_points(grid):
-        result = run_point(point_spec(spec, point), schemes)
-        for scheme in schemes:
-            rows.append(metrics_row(point, result.metrics[scheme], result.master))
-    return rows

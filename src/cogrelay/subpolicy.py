@@ -42,34 +42,10 @@ class CalibrationError(RuntimeError):
         self.diagnostics = diagnostics or {}
 
 
-def per_hop_time(gain, power, at_end: bool = False):
-    """Time to push one bit across a link: ``1 / ln(1 + gain * power)``.
-
-    A source that already sits at the segment end spends no time (``at_end``).
-    """
-    if at_end:
-        return 0.0
-    g = np.asarray(gain, dtype=float)
-    p = np.asarray(power, dtype=float)
-    if np.any(g <= 0.0) or np.any(p <= 0.0):
-        raise ValueError("gain and power must be positive")
-    out = 1.0 / np.log1p(g * p)
-    return float(out) if out.ndim == 0 else out
-
-
-def per_hop_cost(gain, power, at_end: bool = False):
-    """Energy to push one bit across a link: ``power * per_hop_time``."""
-    if at_end:
-        return 0.0
-    t = per_hop_time(gain, power)
-    p = np.asarray(power, dtype=float)
-    out = p * t
-    return float(out) if out.ndim == 0 else out
-
-
 def priced_hop_cost(gain, power, lam: float, pbar: float):
     """Per-hop time plus the priced energy overshoot:
-    ``(1 + lam * (power - pbar)) / ln(1 + gain * power)``."""
+    ``(1 + lam * (power - pbar)) / ln(1 + gain * power)``.  At ``lam = 0``
+    it is the plain time to push one bit across the link."""
     g = np.asarray(gain, dtype=float)
     p = np.asarray(power, dtype=float)
     if np.any(g <= 0.0) or np.any(p <= 0.0):
@@ -412,14 +388,6 @@ def _decide(
     pick = np.argmin(total, axis=-1)
     rows = np.arange(total.shape[0])
     return total[rows, pick], pick, powers[rows, pick]
-
-
-def _best_actions(
-    problem: SegmentProblem, lam: float, gains: np.ndarray, tail: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_decide`` on an ``(n, c)`` gain block priced at ``lam``."""
-    ((costs, powers),) = _pricer(problem, [gains])(lam)
-    return _decide(costs, powers, tail)
 
 
 def _mean(x: np.ndarray, weights: np.ndarray | None) -> float:

@@ -19,7 +19,6 @@ from cogrelay.cli import (
     config_hash,
     config_to_payload,
     db_to_linear,
-    linear_to_db,
     load_config,
     main,
     parse_config,
@@ -58,9 +57,6 @@ class TestConfig:
         assert db_to_linear(30.0) == pytest.approx(1000.0)
         assert db_to_linear(0.0) == pytest.approx(1.0)
         assert db_to_linear(10.0) == pytest.approx(10.0)
-        assert linear_to_db(1000.0) == pytest.approx(30.0)
-        with pytest.raises(ValueError):
-            linear_to_db(0.0)
 
     def test_round_trip_is_identity(self, tmp_path):
         cfg = load_config(write_config(tmp_path, base_config()))
@@ -68,6 +64,20 @@ class TestConfig:
         again = config_to_payload(parse_config(payload))
         assert payload == again
         assert config_hash(cfg) == config_hash(parse_config(payload))
+
+    def test_readme_configuration_block_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = readme.split("```json\n")[1:]
+        assert len(blocks) == 1
+        raw = json.loads(blocks[0].split("```", 1)[0])
+        payload = config_to_payload(parse_config(raw))
+        assert config_to_payload(parse_config(payload)) == payload
+        # The block shows every default, except the seed and the sweep grid.
+        required = {"version": 1, "model": {"nodes": raw["model"]["nodes"]},
+                    "activity": {"p_avail": raw["activity"]["p_avail"]},
+                    "budget": raw["budget"]}
+        defaults = config_to_payload(parse_config(required))
+        assert defaults == {**payload, "seed": 0, "sweep": {"grid": {}}}
 
     def test_budget_forms_equivalent(self, tmp_path):
         a = load_config(write_config(tmp_path, base_config(), "a.json"))
@@ -155,6 +165,18 @@ class TestCalibrateCommand:
         out = tmp_path / "solver"
         assert main(["calibrate", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+
+    def test_pairs_are_calibrated_at_their_allocated_budgets(self, tmp_path):
+        cfg_path = write_config(tmp_path, base_config())
+        out = tmp_path / "out"
+        assert main(["calibrate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        master = json.loads((out / "master.json").read_text())
+        spent = 0.0
+        for entry in master["allocation"]:
+            artifact = json.loads(_pair_artifact_path(out, entry["pair"]).read_text())
+            assert artifact["pbar"] == entry["pbar"]
+            spent += entry["prob"] * artifact["pbar"]
+        assert spent <= master["p0"] * (1.0 + 1e-9)
 
     def test_reruns_are_byte_identical(self, tmp_path):
         cfg_path = write_config(tmp_path, base_config())
@@ -299,6 +321,41 @@ class TestSimulateCommand:
         code = main(["simulate", "--config", str(cfg_path), "--out", str(out)])
         assert code == 2
         assert "(0, 2)" in capsys.readouterr().err
+
+    @staticmethod
+    def simulate_error(cfg_path, out, capsys):
+        """stderr of a ``simulate`` that must fail with exit status 2."""
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        return err
+
+    def test_artifact_of_another_problem_is_an_exit_2_error(self, calibrated, capsys):
+        cfg_path, out = calibrated
+        path = out / "policies" / "pair_00_02.json"
+        payload = json.loads(path.read_text())
+        payload["pbar"] *= 2.0  # its problem hash no longer matches
+        path.write_text(json.dumps(payload))
+        err = self.simulate_error(cfg_path, out, capsys)
+        assert "artifact for pair (0, 2) does not match the current configuration" in err
+
+    def test_artifact_of_another_format_version_is_an_exit_2_error(self, calibrated, capsys):
+        cfg_path, out = calibrated
+        path = out / "policies" / "pair_00_02.json"
+        payload = json.loads(path.read_text())
+        payload["format_version"] = 2
+        path.write_text(json.dumps(payload))
+        err = self.simulate_error(cfg_path, out, capsys)
+        assert "pair_00_02.json" in err and "unsupported artifact version 2" in err
+
+    @pytest.mark.parametrize("name", ["policies/pair_00_02.json", "calibration_manifest.json"])
+    def test_truncated_artifact_is_an_exit_2_error(self, calibrated, capsys, name):
+        cfg_path, out = calibrated
+        path = out / name
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])
+        err = self.simulate_error(cfg_path, out, capsys)
+        assert path.name in err and "not valid JSON" in err
 
     def test_wall_time_counts_the_pair_probabilities(self, tmp_path, capsys, monkeypatch):
         real = StudySpec.pair_probabilities

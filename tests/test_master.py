@@ -284,13 +284,6 @@ class TestRateModelCache:
         assert other.metrics.rate == first.metrics.rate
         assert other.lam == first.lam
 
-    def test_quantization_groups_nearby_budgets(self, bench_topology):
-        model = RateModel(bench_topology, root_seed=78,
-                          solver=SolverOptions(mc_samples=100, episodes=100))
-        a = model.evaluate((0, 1), 5.0)
-        b = model.evaluate((0, 1), 5.0001)
-        assert a is b
-
     def test_parallel_matches_serial(self, bench_topology):
         alloc = {(0, 1): 4.0, (1, 3): 6.0, (2, 5): 8.0}
         serial = RateModel(bench_topology, root_seed=79,

@@ -10,37 +10,44 @@ from cogrelay.model import (
     IID_MODE,
     SPATIAL_MODE,
     PuActivityModel,
-    PuActivityState,
     Topology,
     make_linear_route,
     min_safe_distance,
     partition_segments,
-    path_loss,
     sample_availability,
     sample_pu_activity,
     segment_probabilities,
-    segment_probabilities_mc,
-    segment_probability,
     segment_runs,
 )
 from cogrelay.seeding import stream
 from cogrelay.subpolicy import RayleighGains
 
 
+def link_gain(distance, alpha):
+    """``Topology.pathloss`` of a two-node route ``distance`` long."""
+    return Topology.from_positions((0.0, distance), alpha=alpha).pathloss[0, 1]
+
+
+def iid_probability(i, j, p, nodes):
+    """``segment_probabilities`` entry ``(i, j)`` of an iid route of ``nodes`` nodes."""
+    topo = Topology.from_positions(range(nodes), alpha=2.0)
+    return segment_probabilities(PuActivityModel(p_avail=p), topo)[(i, j)]
+
+
 class TestPathLoss:
     def test_unit_distance(self):
-        assert path_loss(1.0, 2.0) == 1.0
+        assert link_gain(1.0, 2.0) == 1.0
 
     def test_decade(self):
-        assert path_loss(10.0, 2.0) == pytest.approx(0.01, rel=1e-12)
+        assert link_gain(10.0, 2.0) == pytest.approx(0.01, rel=1e-12)
 
     def test_cubic(self):
-        assert path_loss(5.0, 3.0) == pytest.approx(0.008, rel=1e-12)
+        assert link_gain(5.0, 3.0) == pytest.approx(0.008, rel=1e-12)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0])
     def test_nonpositive_distance(self, bad):
         with pytest.raises(ValueError):
-            path_loss(bad, 2.0)
+            link_gain(bad, 2.0)
 
 
 class TestMinSafeDistance:
@@ -104,28 +111,26 @@ class TestTopology:
 
 class TestPartition:
     def test_full_run(self):
-        state = PuActivityState(np.array([1, 1, 1, 1, 1, 1]))
-        assert [(s.head, s.end) for s in partition_segments(state)] == [(0, 5)]
+        assert partition_segments(np.array([1, 1, 1, 1, 1, 1])) == [(0, 5)]
 
     def test_split_run(self):
-        state = PuActivityState(np.array([1, 1, 0, 1, 1]))
-        assert [(s.head, s.end) for s in partition_segments(state)] == [(0, 1), (3, 4)]
+        assert partition_segments(np.array([1, 1, 0, 1, 1])) == [(0, 1), (3, 4)]
 
     def test_all_blocked(self):
-        assert partition_segments(PuActivityState(np.array([0, 0, 0]))) == []
+        assert partition_segments(np.array([0, 0, 0])) == []
 
     def test_exhaustive_reconstruction(self):
         # Segments must be disjoint, cover exactly the available nodes, and
         # rebuild the vector; checked for every activity vector up to M=10.
         for n in range(2, 12):
             for bits in itertools.product((0, 1), repeat=n):
-                segs = partition_segments(PuActivityState(np.array(bits)))
+                segs = partition_segments(np.array(bits))
                 rebuilt = np.zeros(n, dtype=int)
                 prev_end = -2
-                for seg in segs:
-                    assert seg.head > prev_end + 1  # maximality of runs
-                    rebuilt[seg.head : seg.end + 1] += 1
-                    prev_end = seg.end
+                for head, end in segs:
+                    assert head > prev_end + 1  # maximality of runs
+                    rebuilt[head : end + 1] += 1
+                    prev_end = end
                 assert np.all(rebuilt <= 1)
                 assert np.array_equal(rebuilt, np.array(bits))
 
@@ -137,24 +142,22 @@ class TestSegmentProbability:
         for i in range(m + 1):
             for j in range(i, m + 1):
                 expected = 1.0 if (i, j) == (0, m) else 0.0
-                assert segment_probability(i, j, model, m + 1) == expected
+                assert iid_probability(i, j, model.p_avail, m + 1) == expected
 
     def test_closed_form_three_nodes(self):
-        model = PuActivityModel(p_avail=0.5)
-        assert segment_probability(0, 1, model, 3) == pytest.approx(0.125)
+        assert iid_probability(0, 1, 0.5, 3) == pytest.approx(0.125)
 
     def test_closed_form_matches_enumeration(self):
         p = 0.3
-        model = PuActivityModel(p_avail=p)
         n = 3
         counts = {}
         for bits in itertools.product((0, 1), repeat=n):
             weight = np.prod([p if b else 1.0 - p for b in bits])
-            for seg in partition_segments(PuActivityState(np.array(bits))):
-                counts[(seg.head, seg.end)] = counts.get((seg.head, seg.end), 0.0) + weight
+            for seg in partition_segments(np.array(bits)):
+                counts[seg] = counts.get(seg, 0.0) + weight
         for i in range(n):
             for j in range(i, n):
-                assert segment_probability(i, j, model, n) == pytest.approx(
+                assert iid_probability(i, j, p, n) == pytest.approx(
                     counts.get((i, j), 0.0), abs=1e-12
                 )
 
@@ -163,30 +166,23 @@ class TestSegmentProbability:
     def test_node_membership_identity(self, m, p):
         # Every available node belongs to exactly one segment, so the
         # size-weighted probabilities sum to the expected available count.
-        model = PuActivityModel(p_avail=p)
-        total = sum(
-            segment_probability(i, j, model, m + 1) * (j - i + 1)
-            for i in range(m + 1)
-            for j in range(i, m + 1)
-        )
+        topo = Topology.from_positions(range(m + 1), alpha=2.0)
+        probs = segment_probabilities(PuActivityModel(p_avail=p), topo)
+        total = sum(v * (j - i + 1) for (i, j), v in probs.items())
         assert total == pytest.approx((m + 1) * p, rel=1e-10)
 
-    def test_out_of_range(self):
-        model = PuActivityModel(p_avail=0.5)
-        with pytest.raises(ValueError):
-            segment_probability(2, 1, model, 5)
-        with pytest.raises(ValueError):
-            segment_probability(0, 5, model, 5)
-
     def test_monte_carlo_matches_closed_form(self, bench_topology):
+        # The iid draws counted as a spatial model would count them, against
+        # the closed form, within three binomial standard errors.
         model = PuActivityModel(p_avail=0.7)
-        rng = stream(3, "mc-freq")
-        probs, errors = segment_probabilities_mc(model, bench_topology, rng, samples=100_000)
-        n = bench_topology.node_count
-        for pair, freq in probs.items():
-            exact = segment_probability(pair[0], pair[1], model, n)
-            se = max(errors[pair], 1e-4)
-            assert abs(freq - exact) <= 3.0 * se
+        samples = 100_000
+        bits = sample_availability(model, bench_topology, [stream(3, "mc-freq")] * samples)
+        _, heads, ends = segment_runs(bits)
+        exact = segment_probabilities(model, bench_topology)
+        for pair in set(zip(heads.tolist(), ends.tolist())):
+            freq = np.sum((heads == pair[0]) & (ends == pair[1])) / samples
+            se = max(np.sqrt(freq * (1.0 - freq) / samples), 1e-4)
+            assert abs(freq - exact[pair]) <= 3.0 * se
 
 
 class TestFading:
@@ -221,21 +217,21 @@ class TestPuActivity:
     def test_certain_and_impossible(self, bench_topology):
         ones = sample_pu_activity(PuActivityModel(p_avail=1.0), bench_topology, stream(0, "a"))
         zeros = sample_pu_activity(PuActivityModel(p_avail=0.0), bench_topology, stream(0, "a"))
-        assert np.all(ones.bits == 1)
-        assert np.all(zeros.bits == 0)
+        assert np.all(ones == 1)
+        assert np.all(zeros == 0)
 
     def test_sparse_spatial_field_is_mostly_available(self, bench_topology):
         model = PuActivityModel(
             mode=SPATIAL_MODE, rho_p=1e-4, p_active=0.5, d0=1.0
         )
         rng = stream(5, "spatial")
-        bits = [sample_pu_activity(model, bench_topology, rng).bits for _ in range(2000)]
+        bits = [sample_pu_activity(model, bench_topology, rng) for _ in range(2000)]
         assert np.mean(bits) > 0.995
 
     def test_spatial_field_blocks_under_dense_actives(self, bench_topology):
         model = PuActivityModel(mode=SPATIAL_MODE, rho_p=50.0, p_active=1.0, d0=1.0)
         rng = stream(6, "spatial")
-        bits = sample_pu_activity(model, bench_topology, rng).bits
+        bits = sample_pu_activity(model, bench_topology, rng)
         assert np.all(bits == 0)
 
     def test_spatial_probabilities_sane(self, bench_topology):
@@ -280,8 +276,8 @@ def mc_reference(model, topology, rng, samples):
     counts = {}
     for _ in range(samples):
         bits = one_vector_reference(model, topology, rng)
-        for seg in partition_segments(PuActivityState(bits)):
-            counts[(seg.head, seg.end)] = counts.get((seg.head, seg.end), 0) + 1
+        for seg in partition_segments(bits):
+            counts[seg] = counts.get(seg, 0) + 1
     return {k: c / samples for k, c in counts.items()}
 
 
@@ -308,9 +304,16 @@ class TestBatchedSampler:
         samples = 2500  # spans a chunk boundary
         ref_rng, rng = stream(seed, "mc"), stream(seed, "mc")
         expected = mc_reference(model, topo, ref_rng, samples)
-        probs, errors = segment_probabilities_mc(model, topo, rng, samples)
+        probs = segment_probabilities(model, topo, rng, samples)
+        if model.mode == IID_MODE:
+            # The closed form draws nothing, and the one-draw frequencies
+            # agree with it within four binomial standard errors.
+            assert rng.bit_generator.state == stream(seed, "mc").bit_generator.state
+            for pair, freq in expected.items():
+                se = max(np.sqrt(freq * (1.0 - freq) / samples), 1e-3)
+                assert abs(freq - probs[pair]) <= 4.0 * se
+            return
         assert list(probs.items()) == list(expected.items())
-        assert list(errors) == list(expected)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("case", sorted(ACTIVITY_CASES))
@@ -329,5 +332,5 @@ class TestBatchedSampler:
         bits = np.array(list(itertools.product((0, 1), repeat=5)), dtype=np.uint8)
         row, head, end = segment_runs(bits)
         for r, vector in enumerate(bits):
-            expected = [(s.head, s.end) for s in partition_segments(PuActivityState(vector))]
+            expected = partition_segments(vector)
             assert list(zip(head[row == r].tolist(), end[row == r].tolist())) == expected

@@ -1,11 +1,14 @@
+import csv
 import dataclasses
 import itertools
+import json
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import cogrelay.cli as cli
 import cogrelay.sim as sim
 from cogrelay.master import MasterOptions, section_rates
 from cogrelay.model import SPATIAL_MODE, PuActivityModel, partition_segments, sample_pu_activity
@@ -64,11 +67,11 @@ class TestEpochActivity:
         drawn = spec.epoch_activity(topo)
         assert drawn.bits.shape == (spec.epochs, topo.node_count)
         for e in range(spec.epochs):
-            state = sample_pu_activity(activity, topo, stream(spec.seed, "activity", e))
-            assert np.array_equal(drawn.bits[e], state.bits)
+            bits = sample_pu_activity(activity, topo, stream(spec.seed, "activity", e))
+            assert np.array_equal(drawn.bits[e], bits)
             mine = drawn.epoch == e
             runs = list(zip(drawn.head[mine].tolist(), drawn.end[mine].tolist()))
-            assert runs == [(s.head, s.end) for s in partition_segments(state)]
+            assert runs == partition_segments(bits)
 
     def test_shared_draw_gives_the_same_metrics(self):
         spec = dataclasses.replace(
@@ -94,7 +97,7 @@ class TestEpochActivity:
         samples = 2500  # max(prob_samples // 10, 1000)
         hits = 0
         for _ in range(samples):
-            bits = sample_pu_activity(SPATIAL, topo, rng).bits
+            bits = sample_pu_activity(SPATIAL, topo, rng)
             hits += bool(np.any(bits[:-1] & bits[1:]))
         assert transmit_mass("baseline2", spec, {}, topo) == hits / samples
 
@@ -156,7 +159,7 @@ def _reference_store_and_forward(spec, topo, p_c, mass, activity):
     last = topo.last_index
     buffers = np.zeros(last, dtype=bool)
     warmup = [
-        sample_pu_activity(spec.activity, topo, stream(spec.seed, "activity", "warmup", k)).bits
+        sample_pu_activity(spec.activity, topo, stream(spec.seed, "activity", "warmup", k))
         for k in range(spec.baseline_warmup)
     ]
     steps = [(False, ("epoch", "warmup", k), bits) for k, bits in enumerate(warmup)]
@@ -253,10 +256,10 @@ class TestPairBatches:
         topo = spec.topology()
         first = {}
         for e in range(spec.epochs):
-            state = sample_pu_activity(spec.activity, topo, stream(spec.seed, "activity", e))
-            for seg in partition_segments(state):
-                if seg.end > seg.head:
-                    first.setdefault((seg.head, seg.end), e)
+            bits = sample_pu_activity(spec.activity, topo, stream(spec.seed, "activity", e))
+            for head, end in partition_segments(bits):
+                if end > head:
+                    first.setdefault((head, end), e)
         by_first = sorted(first, key=lambda pair: (first[pair], pair[0]))
         # Two uncovered pairs, the later-occurring one first in route order.
         missing, later = next(
@@ -491,10 +494,24 @@ class TestStudyPoints:
         assert a.seed == b.seed
         assert a.seed != c.seed
 
-    def test_sweep_rows_deterministic_order(self):
-        spec = small_spec((0.0, 5.0), p_avail=0.8, epochs=80, n=120, iters=3)
-        rows = sim.sweep(spec, {"p0_db": (10.0, 20.0)}, ("proposed", "baseline3"))
-        assert [r["p0_db"] for r in rows] == [10.0, 10.0, 20.0, 20.0]
+    def test_sweep_rows_deterministic_order(self, tmp_path):
+        config = {
+            "version": 1,
+            "seed": 5,
+            "model": {"positions": [0.0, 5.0], "alpha": 2.0},
+            "activity": {"mode": "iid-bernoulli", "p_avail": 0.8},
+            "budget": {"P0": 100.0},
+            "schemes": ["proposed", "baseline3"],
+            "solver": {"mc_samples": 120, "episodes": 120, "master": {"max_iterations": 3}},
+            "sim": {"epochs": 80},
+            "sweep": {"grid": {"p0_db": [10.0, 20.0]}},
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "sweep.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [r["p0_db"] for r in rows] == ["10.0", "10.0", "20.0", "20.0"]
         assert [r["scheme"] for r in rows] == ["proposed", "baseline3"] * 2
         for row in rows:
-            assert set(row) >= {"u_min", "u_weighted", "total_power", "seed"}
+            assert all(row[key] != "" for key in ("u_min", "u_weighted", "total_power", "seed"))

@@ -23,18 +23,17 @@ from cogrelay.subpolicy import (
     estimate_segment_metrics,
     lambert_w0,
     offline_recursion,
-    per_hop_cost,
-    per_hop_time,
     policy_from_payload,
     policy_to_payload,
     power_foc,
     priced_hop_cost,
     solve_optimal_power,
     PRICE_CHUNK,
-    _best_actions,
+    _decide,
     _episode_cube,
     _metrics_from_batch,
     _price,
+    _pricer,
     _run_episode_batch,
 )
 from cogrelay.oracle import TinyInstance, _frozen_tiny_instance, reference_cost_to_go
@@ -46,45 +45,49 @@ def line_topology(*positions, alpha=2.0):
     return Topology.from_positions(positions, alpha=alpha)
 
 
+def hop_time(gain, power, pbar=1.0):
+    """Time to push one bit across a link: the priced hop cost at ``lam = 0``."""
+    return priced_hop_cost(gain, power, 0.0, pbar)
+
+
 class TestPerHopPrimitives:
     def test_unit_time(self):
-        assert per_hop_time(1.0, E - 1.0) == pytest.approx(1.0, rel=1e-12)
-
-    def test_end_node_spends_nothing(self):
-        assert per_hop_time(1.0, 1.0, at_end=True) == 0.0
-        assert per_hop_cost(1.0, 1.0, at_end=True) == 0.0
+        assert hop_time(1.0, E - 1.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_time_diverges_monotonically_at_weak_gain(self):
         xs = [1e-2, 1e-4, 1e-6, 1e-8]
-        times = [per_hop_time(x, 1.0) for x in xs]
+        times = [hop_time(x, 1.0) for x in xs]
         assert all(b > a for a, b in zip(times, times[1:]))
         assert times[-1] > 1e7
 
     def test_cost_example(self):
-        assert per_hop_cost((E - 1.0) / 2.0, 2.0) == pytest.approx(2.0, rel=1e-12)
+        # Energy per bit is power times time: 2 / ln(1 + (e - 1)) = 2.
+        assert 2.0 * hop_time((E - 1.0) / 2.0, 2.0) == pytest.approx(2.0, rel=1e-12)
 
     @given(
         g=st.floats(min_value=1e-3, max_value=1e3),
         p=st.floats(min_value=1e-3, max_value=1e3),
     )
     def test_cost_time_ratio_is_power(self, g, p):
-        assert per_hop_cost(g, p) / per_hop_time(g, p) == pytest.approx(p, rel=1e-9)
+        # At unit price and zero budget the priced cost is the time plus the
+        # energy per bit, so the energy over the time is the power.
+        t = hop_time(g, p)
+        energy = priced_hop_cost(g, p, 1.0, 0.0) - t
+        assert energy / t == pytest.approx(p, rel=1e-9)
 
     @pytest.mark.parametrize("g,p", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
     def test_domain_errors(self, g, p):
         with pytest.raises(ValueError):
-            per_hop_time(g, p)
-        with pytest.raises(ValueError):
-            per_hop_cost(g, p)
+            hop_time(g, p)
 
 
 class TestPricedCost:
     def test_zero_multiplier_is_plain_time(self):
-        assert priced_hop_cost(2.0, 3.0, 0.0, 5.0) == per_hop_time(2.0, 3.0)
+        assert priced_hop_cost(2.0, 3.0, 0.0, 5.0) == 1.0 / math.log1p(6.0)
 
     def test_budget_power_cancels_price(self):
         pbar = 2.5
-        assert priced_hop_cost(1.3, pbar, 4.0, pbar) == per_hop_time(1.3, pbar)
+        assert priced_hop_cost(1.3, pbar, 4.0, pbar) == hop_time(1.3, pbar)
 
     def test_worked_example(self):
         assert priced_hop_cost(1.0, E - 1.0, 1.0, E - 1.0) == pytest.approx(1.0)
@@ -451,7 +454,7 @@ def greedy_unroll(problem, lam, table, csi):
             p = solve_optimal_power(g, problem.pbar, lam, problem.p_max, problem.p_floor)
             cost = priced_hop_cost(g, p, lam, problem.pbar) + table.cost_to_go(m)
             if best is None or cost < best[0]:
-                best = (cost, m, p, per_hop_time(g, p))
+                best = (cost, m, p, hop_time(g, p))
         _, s, p, t = best
         t_total += t
         e_total += p * t
@@ -659,7 +662,8 @@ def walk_metrics(problem, lam, table):
             return
         tail = table.values[s - problem.head + 1 :]
         for pg, gains in problem.gains.joint_states(s, problem.end):
-            _, pick, power = _best_actions(problem, lam, gains[None, :], tail)
+            ((costs, powers),) = _pricer(problem, [gains[None, :]])(lam)
+            _, pick, power = _decide(costs, powers, tail)
             m = s + 1 + int(pick[0])
             g = float(gains[int(pick[0])])
             t = 1.0 / np.log1p(g * float(power[0]))
