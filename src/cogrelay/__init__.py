@@ -13,7 +13,6 @@ from .model import (
     PuActivityModel,
     Topology,
     make_linear_route,
-    min_safe_distance,
     partition_segments,
     sample_pu_activity,
     segment_probabilities,

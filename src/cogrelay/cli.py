@@ -30,6 +30,7 @@ from .master import (
     RateModel,
     SolverOptions,
     pair_problem,
+    pair_seed_path,
     solution_to_payload,
     solve_master,
 )
@@ -395,7 +396,7 @@ def cmd_calibrate(cfg: ExperimentConfig, out: Path, threads: int = 1) -> int:
             )
         total_entries += entries
         payload = policy_to_payload(
-            policy, seed_path=path_fingerprint(spec.seed, "pair", pair[0], pair[1])
+            policy, seed_path=path_fingerprint(*pair_seed_path(spec.seed, pair))
         )
         atomic_write_json(_pair_artifact_path(out, pair), payload)
         if not policy.report.converged:
@@ -432,9 +433,17 @@ def cmd_calibrate(cfg: ExperimentConfig, out: Path, threads: int = 1) -> int:
 
 def _read_artifact(path: Path) -> dict:
     try:
-        return json.loads(path.read_text())
+        document = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ArtifactMismatchError(f"{path} is not valid JSON ({exc}); re-run calibrate") from exc
+    if not isinstance(document, dict):
+        raise ArtifactMismatchError(f"{path} is not a JSON object; re-run calibrate")
+    return document
+
+
+def _malformed(path: Path, exc: Exception) -> ArtifactMismatchError:
+    reason = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+    return ArtifactMismatchError(f"{path}: {reason}; re-run calibrate")
 
 
 def _load_policies(cfg: ExperimentConfig, artifacts: Path, topology) -> dict:
@@ -444,22 +453,26 @@ def _load_policies(cfg: ExperimentConfig, artifacts: Path, topology) -> dict:
     if not manifest_path.exists():
         raise ArtifactMismatchError(f"no calibration manifest under {artifacts}")
     manifest = _read_artifact(manifest_path)
-    if manifest["config_hash"] != config_hash(cfg):
+    try:
+        stale = manifest["config_hash"] != config_hash(cfg)
+        pairs = [(int(i), int(j)) for i, j in manifest["pairs"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _malformed(manifest_path, exc) from exc
+    if stale:
         raise ArtifactMismatchError(
             "artifacts were calibrated for a different configuration; re-run calibrate"
         )
     policies = {}
-    for raw_pair in manifest["pairs"]:
-        pair = (int(raw_pair[0]), int(raw_pair[1]))
+    for pair in pairs:
         path = _pair_artifact_path(artifacts, pair)
         if not path.exists():
             raise ArtifactMismatchError(f"missing policy artifact for pair {pair}: {path}")
         payload = _read_artifact(path)
-        problem = pair_problem(topology, pair, float(payload["pbar"]), cfg.spec.solver)
         try:
+            problem = pair_problem(topology, pair, float(payload["pbar"]), cfg.spec.solver)
             policies[pair] = policy_from_payload(payload, problem)
-        except ValueError as exc:
-            raise ArtifactMismatchError(f"{path}: {exc}; re-run calibrate") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _malformed(path, exc) from exc
     return policies
 
 

@@ -11,6 +11,7 @@ reported rather than the last.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -157,13 +158,18 @@ class SolverOptions:
             raise ValueError("power_tolerance must be positive")
 
 
-def _calibration_job(payload) -> CalibratedPolicy:
+def pair_seed_path(root_seed: int, pair: Pair) -> tuple[int | str, ...]:
+    """Root seed and path of the pair's calibration stream.  The budget is
+    not part of it, so every budget of a pair sees the same samples."""
+    return (root_seed, "pair", pair[0], pair[1])
+
+
+def _calibration_job(
+    problem: SegmentProblem, root_seed: int, power_tolerance: float
+) -> CalibratedPolicy:
     """Top-level calibration task so process pools can pickle it."""
-    problem, root_seed, pair, power_tolerance, lam_hint = payload
-    rng = stream(root_seed, "pair", pair[0], pair[1])
-    return calibrate_lambda(
-        problem, rng, power_tolerance=power_tolerance, lam_hint=lam_hint
-    )
+    rng = stream(*pair_seed_path(root_seed, (problem.head, problem.end)))
+    return calibrate_lambda(problem, rng, power_tolerance=power_tolerance)
 
 
 def pair_problem(
@@ -187,9 +193,10 @@ class RateModel:
 
     Evaluations are seeded by pair identity only, so the same fading sample
     streams are reused across budget values and ascent iterations (common
-    random numbers), and cached results are bitwise reproducible.  The
-    cache is keyed on the exact budget, so every pair is calibrated at
-    exactly the share it is allocated.
+    random numbers), and a calibration depends on (seed, pair, budget)
+    alone, never on which budgets were evaluated before.  The cache is keyed
+    on the exact budget, so every pair is calibrated at exactly the share it
+    is allocated.
     """
 
     def __init__(
@@ -205,54 +212,43 @@ class RateModel:
         self.solver = solver
         self._factory = problem_factory
         self.threads = max(int(threads), 1)
-        self._cache: dict[tuple[int, int, float], CalibratedPolicy] = {}
-        self._lam_hints: dict[Pair, float] = {}
+        self._cache: dict[tuple[Pair, float], CalibratedPolicy] = {}
 
     def build_problem(self, pair: Pair, pbar: float) -> SegmentProblem:
         if self._factory is not None:
             return self._factory(pair, pbar)
         return pair_problem(self.topology, pair, pbar, self.solver)
 
-    def _job(self, pair: Pair, pbar: float) -> tuple:
-        """Payload of ``_calibration_job`` for the pair at budget ``pbar``."""
-        return (
-            self.build_problem(pair, pbar),
-            self.root_seed,
-            pair,
-            self.solver.power_tolerance,
-            self._lam_hints.get(pair),
-        )
-
     def evaluate(self, pair: Pair, pbar: float) -> CalibratedPolicy:
-        key = (pair[0], pair[1], pbar)
-        if key not in self._cache:
-            self._store(pair, pbar, _calibration_job(self._job(pair, pbar)))
-        return self._cache[key]
+        """The pair's policy calibrated at budget ``pbar``, from the cache if
+        it has been calibrated there before."""
+        if (pair, pbar) not in self._cache:
+            self._cache[(pair, pbar)] = _calibration_job(
+                self.build_problem(pair, pbar), self.root_seed, self.solver.power_tolerance
+            )
+        return self._cache[(pair, pbar)]
 
     def evaluate_many(self, allocation: dict[Pair, float]) -> dict[Pair, CalibratedPolicy]:
         """Evaluate a whole allocation; missing pairs run in parallel when the
         model was built with ``threads > 1``.
 
-        Each calibration is seeded by its pair alone, so parallel and serial
-        execution produce bitwise-identical results.
+        Each calibration is a function of its problem and seed alone, so
+        parallel and serial execution produce bitwise-identical results.
         """
-        jobs = [
-            (pair, pbar)
-            for pair, pbar in sorted(allocation.items())
-            if (pair[0], pair[1], pbar) not in self._cache
-        ]
-        if self.threads > 1 and len(jobs) > 1:
+        missing = sorted(key for key in allocation.items() if key not in self._cache)
+        if self.threads > 1 and len(missing) > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            payloads = [self._job(pair, pbar) for pair, pbar in jobs]
+            problems = [self.build_problem(pair, pbar) for pair, pbar in missing]
             with ProcessPoolExecutor(max_workers=self.threads) as pool:
-                for (pair, pbar), policy in zip(jobs, pool.map(_calibration_job, payloads)):
-                    self._store(pair, pbar, policy)
+                policies = pool.map(
+                    _calibration_job,
+                    problems,
+                    repeat(self.root_seed),
+                    repeat(self.solver.power_tolerance),
+                )
+                self._cache.update(zip(missing, policies))
         return {pair: self.evaluate(pair, pbar) for pair, pbar in allocation.items()}
-
-    def _store(self, pair: Pair, pbar: float, policy: CalibratedPolicy) -> None:
-        self._cache[(pair[0], pair[1], pbar)] = policy
-        self._lam_hints[pair] = policy.lam
 
     def budget_floor(self, pair: Pair) -> float:
         """Smallest calibratable budget for the pair.
@@ -438,8 +434,9 @@ def solve_master(
         allocation = project_budget(moved, weights, p0, floors)
 
     policies = rate_model.evaluate_many(best_alloc)
-    # Polish only noise-free (exact) rate models; see _exchange_polish.
-    if all(policy.metrics.rate_se == 0.0 for policy in policies.values()):
+    # Polish only exact rate models; see _exchange_polish.  A zero rate_se
+    # does not show exactness: a single Monte-Carlo episode has it too.
+    if all(policy.problem.gains.enumerable for policy in policies.values()):
         best_alloc, polished, policies = _exchange_polish(
             rate_model, best_alloc, weights, last, p0, floors
         )

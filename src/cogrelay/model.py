@@ -27,14 +27,6 @@ SPATIAL_MODE = "spatial-field"
 CHUNK_ROWS = 256
 
 
-def min_safe_distance(p0: float, p_int: float, alpha: float) -> float:
-    """Exclusion radius ``(P0 / P_int)**(1/alpha)`` keeping mean interference
-    at primary receivers below ``p_int`` for mean transmit power ``p0``."""
-    if not (p0 > 0.0 and p_int > 0.0 and alpha > 0.0):
-        raise ValueError("p0, p_int and alpha must all be positive")
-    return (p0 / p_int) ** (1.0 / alpha)
-
-
 @dataclass(frozen=True)
 class Topology:
     """Ordered node coordinates on a line and the pairwise gain matrix.
@@ -73,26 +65,6 @@ class Topology:
     def last_index(self) -> int:
         """Index of the destination node (``M``)."""
         return len(self.positions) - 1
-
-    def has_monotone_gains(self) -> bool:
-        """Whether gains dominate with proximity: ``D[s,t] >= D[s,t']`` and
-        ``D[s,t] >= D[s',t]`` for all ``t' >= t > s >= s'``.
-
-        Holds automatically for any ordered line under the power-law model;
-        exposed so adversarial gain tables can be screened before relying on
-        near-optimality of the calibrated segment policies.
-        """
-        d = self.pathloss
-        n = self.node_count
-        for s in range(n - 1):
-            row = d[s, s + 1 :]
-            if np.any(np.diff(row) > 1e-15):
-                return False
-        for t in range(1, n):
-            col = d[: t, t]
-            if np.any(np.diff(col) < -1e-15):
-                return False
-        return True
 
 
 def make_linear_route(

@@ -32,6 +32,8 @@ DEFAULT_P_FLOOR_FACTOR = 1e-6
 # is lowest near this size: smaller calls pay numpy's fixed cost per call,
 # larger ones spill the Lambert W step's temporaries out of cache.
 PRICE_CHUNK = 4096
+# Most bisection steps of one multiplier calibration.
+MAX_BISECTIONS = 60
 
 
 class CalibrationError(RuntimeError):
@@ -522,48 +524,34 @@ def _run_episode_batch(
 
     Forward hopping visits each node at most once, so indexing CSI by node is
     exact common-random-numbers reuse across multiplier iterates.  The engine
-    takes every node's decision for every cube row first, then walks the
-    episodes by gathering from those decisions.  ``priced`` (node -> the
-    (cost, power) of ``cube[node]`` at ``lam``) spares pricing the cube here.
+    passes over the nodes in order: at each it decides only the rows whose
+    packet is there, adds the hop's airtime and energy, and moves those rows
+    on.  ``priced`` (node -> the (cost, power) of ``cube[node]`` at ``lam``)
+    spares pricing the cube here.
     """
     nodes = range(problem.head, problem.end)
     if priced is None:
         priced = dict(zip(nodes, _pricer(problem, [cube[s] for s in nodes])(lam)))
     n = next(iter(cube.values())).shape[0]
-    # pick[k, e], hop_t[k, e], hop_e[k, e]: node head + k's next-hop index and
-    # the hop's airtime and energy in episode e, were the packet there.
-    pick = np.empty((problem.length, n), dtype=int)
-    hop_t = np.empty((problem.length, n))
-    hop_e = np.empty((problem.length, n))
-    for k, s in enumerate(nodes):
-        costs, powers = priced[s]
-        _, pick[k], power = _decide(costs, powers, table.values[k + 1 :])
-        t = 1.0 / np.log1p(cube[s][np.arange(n), pick[k]] * power)
-        hop_t[k] = t
-        hop_e[k] = power * t
-
     t_sum = np.zeros(n)
     e_sum = np.zeros(n)
     frames = np.zeros(n, dtype=int)
     evals = np.zeros(n, dtype=int)
     hop_times = np.zeros((n, problem.length))
-    cur = np.zeros(n, dtype=int)  # current node minus head
-    rows = np.arange(n)
-    max_step = 0
-    while rows.size:
-        k = cur[rows]
-        hop = pick[k, rows]
-        t = hop_t[k, rows]
+    at = np.zeros(n, dtype=int)  # each episode's current node minus head
+    for k, s in enumerate(nodes):
+        rows = np.flatnonzero(at == k)
+        costs, powers = priced[s]
+        _, pick, power = _decide(costs[rows], powers[rows], table.values[k + 1 :])
+        t = 1.0 / np.log1p(cube[s][rows, pick] * power)
         t_sum[rows] += t
-        e_sum[rows] += hop_e[k, rows]
-        hop_times[rows, k + hop] = t
+        e_sum[rows] += power * t
+        hop_times[rows, k + pick] = t
         frames[rows] += 1
-        n_cands = problem.length - k
-        evals[rows] += n_cands
-        max_step = max(max_step, int(n_cands.max()))
-        cur[rows] = k + 1 + hop
-        rows = rows[cur[rows] < problem.length]
-    return EpisodeBatch(t_sum, e_sum, frames, evals, max_step, hop_times)
+        evals[rows] += problem.length - k
+        at[rows] = k + 1 + pick
+    # Every episode decides at the head, among all ``length`` candidates.
+    return EpisodeBatch(t_sum, e_sum, frames, evals, problem.length, hop_times)
 
 
 def _metrics_from_batch(
@@ -661,8 +649,6 @@ def calibrate_lambda(
     problem: SegmentProblem,
     rng: np.random.Generator,
     power_tolerance: float = 1e-2,
-    max_iterations: int = 60,
-    lam_hint: float | None = None,
 ) -> CalibratedPolicy:
     """Find the multiplier whose policy meets the average-power budget.
 
@@ -672,14 +658,17 @@ def calibrate_lambda(
     enumerated states and their probabilities).  Returns the zero-multiplier
     policy when it already fits the budget.  For discrete power grids the
     achieved power is a step function of the multiplier; the best feasible
-    policy seen is returned when no iterate lands inside the tolerance band.
+    policy seen is returned when no iterate lands inside the tolerance band,
+    after at most ``MAX_BISECTIONS`` steps or once the bracket has collapsed
+    to adjacent floats.  The result depends on the problem and the stream
+    alone.
 
     The bracket's top is ``1/pbar``.  There every hop runs at the power floor
     (continuous power) or at the cheapest level (a discrete grid, since
     ``p / ln(1 + g p)`` increases with ``p``), so a policy that overspends at
     ``1/pbar`` overspends at every multiplier and calibration fails at once.
-    ``lam_hint`` narrows the bracket but never lifts its top above ``1/pbar``,
-    where the priced numerator ``1 + lam (p - pbar)`` can go negative.
+    No multiplier above it is tried: there the priced numerator
+    ``1 + lam (p - pbar)`` can go negative.
     """
     pbar = problem.pbar
     nodes = range(problem.head, problem.end)
@@ -688,19 +677,15 @@ def calibrate_lambda(
     price = _pricer(problem, [gains for gains, _ in rec_blocks] + [cube[s] for s in nodes])
 
     evaluations = 0
-    seen: dict[float, tuple[ValueTable, SegmentMetrics]] = {}
 
     def evaluate(lam: float) -> tuple[ValueTable, SegmentMetrics]:
         nonlocal evaluations
-        if lam in seen:
-            return seen[lam]
         evaluations += 1
         priced = price(lam)
         rec = {s: (c, w) for s, (c, _), (_, w) in zip(nodes, priced, rec_blocks)}
         table = offline_recursion(problem, lam, priced=rec)
         ep = dict(zip(nodes, priced[len(nodes) :]))
         metrics = _metrics_from_batch(_run_episode_batch(problem, lam, table, cube, ep), weights)
-        seen[lam] = (table, metrics)
         return table, metrics
 
     def finish(lam, table, metrics, converged, slack):
@@ -722,15 +707,6 @@ def calibrate_lambda(
         return finish(0.0, table, metrics, True, True)
 
     lo, hi = 0.0, 1.0 / pbar
-    if lam_hint is not None and 0.0 < lam_hint < hi:
-        # Try a tight bracket around the caller's guess before the full one.
-        cand_lo, cand_hi = lam_hint * 0.5, min(lam_hint * 2.0, hi)
-        _, m_lo = evaluate(cand_lo)
-        if m_lo.power_time_avg > pbar:
-            _, m_hi = evaluate(cand_hi)
-            if m_hi.power_time_avg <= pbar:
-                lo, hi = cand_lo, cand_hi
-
     table_hi, metrics_hi = evaluate(hi)
     if metrics_hi.power_time_avg > pbar:
         raise CalibrationError(
@@ -745,8 +721,10 @@ def calibrate_lambda(
         )
 
     best_feasible = (hi, table_hi, metrics_hi)
-    for _ in range(max_iterations):
+    for _ in range(MAX_BISECTIONS):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         table, metrics = evaluate(mid)
         if abs(metrics.power_time_avg - pbar) <= power_tolerance * pbar:
             return finish(mid, table, metrics, True, False)

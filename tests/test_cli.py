@@ -357,6 +357,39 @@ class TestSimulateCommand:
         err = self.simulate_error(cfg_path, out, capsys)
         assert path.name in err and "not valid JSON" in err
 
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda payload: payload.pop("pbar"), "missing field 'pbar'"),
+            (lambda payload: payload.update(pbar=-1.0), "pbar must be positive"),
+        ],
+        ids=["without-pbar", "negative-pbar"],
+    )
+    def test_malformed_pair_artifact_is_an_exit_2_error(self, calibrated, capsys, edit, reason):
+        cfg_path, out = calibrated
+        path = out / "policies" / "pair_00_02.json"
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        err = self.simulate_error(cfg_path, out, capsys)
+        assert "pair_00_02.json" in err and reason in err
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda manifest: [], "not a JSON object"),
+            (lambda manifest: {k: v for k, v in manifest.items() if k != "pairs"},
+             "missing field 'pairs'"),
+        ],
+        ids=["list", "without-pairs"],
+    )
+    def test_malformed_manifest_is_an_exit_2_error(self, calibrated, capsys, edit, reason):
+        cfg_path, out = calibrated
+        path = out / "calibration_manifest.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        err = self.simulate_error(cfg_path, out, capsys)
+        assert "calibration_manifest.json" in err and reason in err
+
     def test_wall_time_counts_the_pair_probabilities(self, tmp_path, capsys, monkeypatch):
         real = StudySpec.pair_probabilities
 

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import cogrelay.master
 from cogrelay.master import (
     MasterOptions,
     RateModel,
@@ -125,7 +126,8 @@ class TestProjection:
 def stub_policy(pbar, rate, lam, shadow_price, achieved_power):
     """Stand-in for a calibrated policy: the fields the master reads and reports."""
     return SimpleNamespace(
-        problem=SimpleNamespace(pbar=pbar),
+        # The curves are exact, as on enumerable gains.
+        problem=SimpleNamespace(pbar=pbar, gains=SimpleNamespace(enumerable=True)),
         metrics=SimpleNamespace(rate=rate, rate_se=0.0),
         lam=lam,
         shadow_price=shadow_price,
@@ -270,6 +272,20 @@ class TestSolveMaster:
         with pytest.raises(ValueError):
             solve_master(model, {(0, 1): 0.0}, p0=1.0, last=1)
 
+    def test_one_episode_monte_carlo_master_is_not_polished(self, monkeypatch):
+        # With one episode per calibration every rate_se is zero, yet the
+        # rates are Monte-Carlo estimates: the exact-only polish must not run.
+        def polish(*args, **kwargs):
+            raise AssertionError("exchange polish ran on Monte-Carlo rates")
+
+        monkeypatch.setattr(cogrelay.master, "_exchange_polish", polish)
+        topo = Topology.from_positions((0.0, 1.0, 2.5), alpha=2.0)
+        model = RateModel(topo, root_seed=5, solver=SolverOptions(mc_samples=50, episodes=1))
+        prob = {(0, 1): 0.5, (1, 2): 0.5, (0, 2): 0.4}
+        solution = solve_master(model, prob, p0=10.0, last=2,
+                                options=MasterOptions(max_iterations=2))
+        assert all(p.metrics.rate_se == 0.0 for p in solution.policies.values())
+
 
 class TestRateModelCache:
     def test_cache_and_determinism(self, bench_topology):
@@ -283,6 +299,18 @@ class TestRateModelCache:
         other = fresh.evaluate((0, 2), 5.0)
         assert other.metrics.rate == first.metrics.rate
         assert other.lam == first.lam
+
+    def test_calibration_does_not_depend_on_earlier_budgets(self, bench_topology):
+        solver = SolverOptions(mc_samples=200, episodes=200)
+        fresh = RateModel(bench_topology, root_seed=77, solver=solver).evaluate((0, 2), 5.0)
+        model = RateModel(bench_topology, root_seed=77, solver=solver)
+        for pbar in (3.0, 8.0):
+            model.evaluate((0, 2), pbar)
+        after = model.evaluate((0, 2), 5.0)
+        assert after.lam == fresh.lam
+        assert np.array_equal(after.table.values, fresh.table.values)
+        assert after.metrics == fresh.metrics
+        assert after.report == fresh.report
 
     def test_parallel_matches_serial(self, bench_topology):
         alloc = {(0, 1): 4.0, (1, 3): 6.0, (2, 5): 8.0}

@@ -375,10 +375,15 @@ class TestCalibration:
             calibrate_lambda(problem, stream(22, "cal"))
         assert tried == [1.0 / problem.pbar]
 
-    def test_hint_bracket_stays_at_or_below_inverse_budget(self, bench_topology, monkeypatch):
-        # This pair calibrates near 0.89/pbar, so the hint's lower end (0.45/pbar)
-        # overspends and the bracket's top, twice the hint, would pass 1/pbar.
-        problem = rayleigh_problem(bench_topology, 0, 1, pbar=10.0, n=100)
+    def test_bisection_stops_when_the_bracket_collapses(self, monkeypatch):
+        # On a power grid the achieved power is a step function of the
+        # multiplier, so no iterate lands in the tolerance band here.  The
+        # bracket then shrinks to adjacent floats, and bisection stops there
+        # rather than evaluating an end of the bracket again.
+        topology = line_topology(0.0, 1.0, 2.2, 3.5)
+        levels = tuple(0.2 * 1.9**k for k in range(8))
+        instance = TinyInstance(topology, deterministic_gains(topology), levels, 0.75)
+        problem = instance.problem(0, 2, pbar=1.0)
         tried = []
         real = subpolicy.offline_recursion
 
@@ -387,10 +392,10 @@ class TestCalibration:
             return real(problem, lam, **kwargs)
 
         monkeypatch.setattr(subpolicy, "offline_recursion", recording)
-        policy = calibrate_lambda(problem, stream(5, "cal"), lam_hint=0.9 / problem.pbar)
-        assert policy.report.converged
-        assert 0.45 / problem.pbar in tried
-        assert max(tried) <= 1.0 / problem.pbar
+        policy = calibrate_lambda(problem, stream(23, "cal"))
+        assert not policy.report.converged
+        assert len(set(tried)) == len(tried) == policy.report.iterations
+        assert policy.report.iterations <= subpolicy.MAX_BISECTIONS
 
     def test_one_pricing_pass_per_evaluation(self, bench_topology, monkeypatch):
         # Every frozen gain of the recursion blocks and the episode cube is
@@ -610,8 +615,8 @@ def reference_episode_batch(problem, lam, table, cube):
 
 
 class TestEngineMatchesReferenceWalk:
-    """Deciding every (row, node) first and then walking by gathering gives
-    the per-node loop's batch, bit for bit."""
+    """One pass over the nodes in order, deciding only the rows present at
+    each, gives the per-node loop's batch, bit for bit."""
 
     @staticmethod
     def assert_same_batch(problem, lam, table, cube):
