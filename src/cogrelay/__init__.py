@@ -39,7 +39,6 @@ from .master import (
     SolverOptions,
     flow_balance_identity,
     project_budget,
-    section_rate,
     section_rates,
     solve_master,
     subgradient,

@@ -588,6 +588,12 @@ def _parse_grid_flag(text: str) -> tuple[str, tuple[float, ...]]:
     return key, tuple(values)
 
 
+def non_negative_int(text: str) -> int:
+    if (value := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, not {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cogrelay",
@@ -599,7 +605,9 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_config:
             p.add_argument("--config", type=Path, required=True, help="experiment JSON")
         p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.add_argument(
+            "--seed", type=non_negative_int, default=None, help="override the config seed"
+        )
 
     cal = sub.add_parser("calibrate", help="solve the master problem and persist offline tables")
     common(cal)

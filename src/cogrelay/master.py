@@ -30,20 +30,6 @@ from .subpolicy import (
 Pair = tuple[int, int]
 
 
-def section_rate(
-    m: int, prob_table: dict[Pair, float], u_table: dict[Pair, float], last: int
-) -> float:
-    """Probability-weighted rate crossing the boundary between nodes ``m-1``
-    and ``m``: the sum of ``Pr(i,j) * U_ij`` over pairs straddling it."""
-    if not 1 <= m <= last:
-        raise ValueError(f"section index {m} out of range 1..{last}")
-    total = 0.0
-    for (i, j), u in u_table.items():
-        if i < m <= j:
-            total += prob_table.get((i, j), 0.0) * u
-    return total
-
-
 def section_rates(
     prob_table: dict[Pair, float], u_table: dict[Pair, float], last: int
 ) -> np.ndarray:
@@ -65,9 +51,8 @@ def flow_balance_identity(
     infeasible instance."""
     if not 1 <= m <= last - 1:
         raise ValueError(f"interior section index {m} out of range 1..{last - 1}")
-    lhs = section_rate(m, prob_table, u_table, last) - section_rate(
-        m + 1, prob_table, u_table, last
-    )
+    rates = section_rates(prob_table, u_table, last)
+    lhs = float(rates[m - 1] - rates[m])
     inflow = sum(
         prob_table.get((i, m), 0.0) * u_table.get((i, m), 0.0) for i in range(m)
     )

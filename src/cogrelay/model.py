@@ -25,6 +25,8 @@ SPATIAL_MODE = "spatial-field"
 # Rows per batch of the chunked availability consumers: enough to amortise
 # numpy dispatch, few enough to keep peak memory flat.
 CHUNK_ROWS = 256
+# Least acceptance rate of route placement; below it sampling runs for hours.
+MIN_PLACEMENT_ACCEPTANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -79,6 +81,12 @@ def make_linear_route(
         raise ValueError("span must be positive")
     if (nodes - 1) * min_gap >= span:
         raise ValueError("min_gap too large for the requested span")
+    acceptance = (1.0 - (nodes - 1) * min_gap / span) ** (nodes - 2)  # of one draw
+    if acceptance < MIN_PLACEMENT_ACCEPTANCE:
+        raise ValueError(
+            f"route too dense to place: {nodes} nodes over span {span:g} with min_gap "
+            f"{min_gap:g} (one placement draw in {1.0 / acceptance:.2g} succeeds)"
+        )
     gen = stream(placement_seed, "route-placement")
     while True:
         interior = np.sort(gen.uniform(0.0, span, size=nodes - 2))

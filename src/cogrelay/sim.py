@@ -53,7 +53,6 @@ from .model import (
     Topology,
     availability_chunks,
     make_linear_route,
-    sample_availability,
     segment_probabilities,
     segment_runs,
 )
@@ -122,6 +121,8 @@ class StudySpec:
             raise ValueError("the power budget must be positive")
         if self.episodes_per_segment < 1:
             raise ValueError("episodes_per_segment must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, not {self.seed}")
 
     def topology(self) -> Topology:
         return self.route.build()
@@ -136,22 +137,19 @@ class StudySpec:
 
     def epoch_activity(self, topology: Topology) -> EpochActivity:
         """Every epoch's availability, each drawn once from its own stream."""
-        gens = (stream(self.seed, "activity", e) for e in range(self.epochs))
-        bits = np.concatenate(list(availability_chunks(self.activity, topology, gens)))
-        return EpochActivity(bits, *segment_runs(bits), seed=self.seed)
+        return EpochActivity.draw(self, topology, self.epochs)
 
 
 @dataclass(frozen=True)
 class EpochActivity:
-    """The availability of every epoch, shared by all schemes of a run: the
+    """The availability of a run's epochs, shared by all its schemes: the
     ``(epochs, n)`` bit matrix, and its continuous segments as parallel
     ``(epoch, head, end)`` arrays in epoch order, then route order.
 
-    It also stores the baseline link fading of the run, so that each link
-    stream ``(seed, "epoch", e, "link", s, t)`` is drawn at most once: adjacent
-    links by ``(e, s)``, and each segment's direct link by ``(e, head)``, since
-    a node heads at most one segment per epoch.  NaN marks a link not yet
-    drawn.
+    It also holds the baseline link fading of those epochs, each link from
+    its own stream ``(seed, "epoch", *tag, e, "link", s, t)``, each kind drawn
+    whole on first use.  Store-and-forward's warm-up epochs are tagged
+    ``("warmup",)``, the live epochs not at all.
     """
 
     bits: np.ndarray
@@ -159,13 +157,15 @@ class EpochActivity:
     head: np.ndarray
     end: np.ndarray
     seed: int
-    _adjacent: np.ndarray = field(init=False, repr=False)
-    _direct: np.ndarray = field(init=False, repr=False)
+    tag: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        shape = (self.bits.shape[0], self.bits.shape[1] - 1)
-        object.__setattr__(self, "_adjacent", np.full(shape, np.nan))
-        object.__setattr__(self, "_direct", np.full(shape, np.nan))
+    @classmethod
+    def draw(cls, spec: StudySpec, topology: Topology, count: int, *tag: str) -> EpochActivity:
+        """``count`` epochs, epoch ``e`` from stream ``(seed, "activity", *tag, e)``."""
+        gens = (stream(spec.seed, "activity", *tag, e) for e in range(count))
+        empty = np.zeros((0, topology.node_count), dtype=np.uint8)
+        bits = np.concatenate([empty, *availability_chunks(spec.activity, topology, gens)])
+        return cls(bits, *segment_runs(bits), seed=spec.seed, tag=tag)
 
     @functools.cached_property
     def pair_epochs(self) -> dict[Pair, np.ndarray]:
@@ -177,16 +177,28 @@ class EpochActivity:
                 acc.setdefault((head, end), []).append(e)
         return {pair: np.array(epochs) for pair, epochs in acc.items()}
 
-    def link_fading(self, epochs: Sequence[int], s: int, t: int) -> np.ndarray:
-        """Fading of link ``(s, t)`` in ``epochs``.  ``t`` is ``s + 1``, or the
-        end of the segment that ``s`` heads in each of those epochs."""
-        store = self._adjacent if t == s + 1 else self._direct
-        fading = store[epochs, s]
-        for i in np.flatnonzero(np.isnan(fading)).tolist():
-            e = int(epochs[i])
-            gen = stream(self.seed, "epoch", e, "link", s, t)
-            fading[i] = store[e, s] = gen.exponential(1.0)
-        return fading
+    @functools.cached_property
+    def adjacent(self) -> np.ndarray:
+        """``adjacent[e, s]``: fading of link ``s -> s + 1`` in epoch ``e``
+        wherever both its ends are available, NaN elsewhere."""
+        e, s = np.nonzero(self.bits[:, :-1] & self.bits[:, 1:])
+        return _link_fading(self, e, s, s + 1)
+
+    @functools.cached_property
+    def direct(self) -> np.ndarray:
+        """``direct[e, head]``: fading of each segment's head-to-end link if it
+        spans two or more hops (else it is ``adjacent``), NaN elsewhere."""
+        long = self.end - self.head >= 2
+        return _link_fading(self, self.epoch[long], self.head[long], self.end[long])
+
+
+def _link_fading(activity: EpochActivity, epochs, heads, ends) -> np.ndarray:
+    """The fading of link ``s -> t`` at ``[e, s]`` for each ``(e, s, t)``, else NaN."""
+    fading = np.full((activity.bits.shape[0], activity.bits.shape[1] - 1), np.nan)
+    for e, s, t in zip(epochs.tolist(), heads.tolist(), ends.tolist()):
+        gen = stream(activity.seed, "epoch", *activity.tag, e, "link", s, t)
+        fading[e, s] = gen.exponential(1.0)
+    return fading
 
 
 @dataclass(frozen=True)
@@ -270,17 +282,15 @@ def run_proposed(
     spec: StudySpec,
     policies: dict[Pair, CalibratedPolicy],
     prob_table: dict[Pair, float],
-    topology: Topology | None = None,
-    activity: EpochActivity | None = None,
+    topology: Topology,
+    activity: EpochActivity,
 ) -> RunMetrics:
-    """Simulate the calibrated scheme over fresh epochs.
+    """Simulate the calibrated scheme over the run's epochs.
 
     Segments draw their fading from per-(epoch, segment) streams, so one
     segment's metrics are bit-identical under any change to the other
     segments' streams.  Each pair's occurrences run as one engine batch.
     """
-    topology = topology or spec.topology()
-    activity = activity or spec.epoch_activity(topology)
     cutoff = spec.solver.master.pair_prob_cutoff
     for pair, epochs in activity.pair_epochs.items():  # in order of first occurrence
         if pair not in policies:
@@ -344,13 +354,12 @@ def run_baseline(
     kind: str,
     spec: StudySpec,
     prob_table: dict[Pair, float],
-    topology: Topology | None = None,
-    activity: EpochActivity | None = None,
+    topology: Topology,
+    activity: EpochActivity,
 ) -> RunMetrics:
     """Simulate one reference scheme at a power-fair constant transmit power."""
     if kind not in SCHEMES or kind == "proposed":
         raise ValueError(f"unknown baseline kind {kind!r}")
-    topology = topology or spec.topology()
     mass = transmit_mass(kind, spec, prob_table, topology)
     if mass <= 0.0:
         return RunMetrics(
@@ -368,7 +377,6 @@ def run_baseline(
             balance_consistent=None,
         )
     p_c = spec.p0 / mass  # the expected radiated power mass * p_c meets the budget
-    activity = activity or spec.epoch_activity(topology)
     if kind == "baseline2":
         return _run_store_and_forward(spec, topology, p_c, mass, activity)
     return _run_segmentwise_baseline(kind, spec, topology, prob_table, p_c, activity)
@@ -396,7 +404,8 @@ def _run_segmentwise_baseline(
         hop_times = np.zeros((n, end - head))
         t_sum = np.zeros(n)
         for src, dst in hops:  # summed hop by hop, as one delivery accrues its time
-            g = activity.link_fading(epochs, src, dst) * topology.pathloss[src, dst]
+            links = activity.adjacent if dst == src + 1 else activity.direct
+            g = links[epochs, src] * topology.pathloss[src, dst]
             dt = 1.0 / np.log1p(g * p_c)
             hop_times[:, dst - head - 1] = dt
             t_sum += dt
@@ -412,37 +421,27 @@ def _run_store_and_forward(
 ) -> RunMetrics:
     last = topology.last_index
     buffers = np.zeros(last, dtype=bool)  # packet held at nodes 0..M-1
+    warmup = EpochActivity.draw(spec, topology, spec.baseline_warmup, "warmup")
+    bits = np.concatenate([warmup.bits, activity.bits])
+    gains = np.concatenate([warmup.adjacent, activity.adjacent]) * np.diag(topology.pathloss, 1)
     epoch_rates: list[float] = []
-    warm = spec.baseline_warmup
-    warmup = sample_availability(
-        spec.activity,
-        topology,
-        (stream(spec.seed, "activity", "warmup", k) for k in range(warm)),
-    )
-    for k, bits in enumerate(warmup.tolist() + activity.bits.tolist()):
+    for row, gain in zip(bits.tolist(), gains):
         buffers[0] = True  # the source always has traffic
         delivered = 0
         airtime = 0.0
         for m in range(last - 1, -1, -1):
-            if not buffers[m] or not (bits[m] and bits[m + 1]):
+            if not buffers[m] or not (row[m] and row[m + 1]):
                 continue
             if m + 1 < last and buffers[m + 1]:
                 continue  # downstream buffer still occupied
-            if k < warm:  # only this scheme draws the warm-up epochs' links
-                gen = stream(spec.seed, "epoch", "warmup", k, "link", m, m + 1)
-                fading = gen.exponential(1.0)
-            else:
-                fading = activity.link_fading([k - warm], m, m + 1)[0]
-            g = fading * topology.pathloss[m, m + 1]
-            airtime += 1.0 / np.log1p(g * p_c)
+            airtime += 1.0 / np.log1p(gain[m] * p_c)
             buffers[m] = False
             if m + 1 == last:
                 delivered += 1
             else:
                 buffers[m + 1] = True
-        if k >= warm:
-            epoch_rates.append(delivered / airtime if delivered else 0.0)
-    rates = np.asarray(epoch_rates)
+        epoch_rates.append(delivered / airtime if delivered else 0.0)
+    rates = np.asarray(epoch_rates[warmup.bits.shape[0]:])  # the live epochs
     u = float(rates.mean())
     u_se = float(rates.std(ddof=1) / np.sqrt(rates.size)) if rates.size > 1 else 0.0
     return RunMetrics(

@@ -452,6 +452,20 @@ class TestSweepCommand:
         assert len(rows) == 1
         assert rows[0]["p_block"] == "0.2"
 
+    def test_route_too_dense_to_place_is_a_failed_point(self, tmp_path):
+        raw = base_config()
+        raw["schemes"] = ["baseline3"]
+        cfg_path = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                     "--grid", "nodes=3:16:13"])
+        assert code == 1
+        report = json.loads((out / "sweep_report.json").read_text())
+        assert report["completed"] == 1
+        [failure] = report["failures"]
+        assert failure["point"] == {"nodes": 16.0}
+        assert failure["error"].startswith("ValueError: route too dense to place: 16 nodes")
+
     def test_unknown_grid_flag_key_is_an_exit_2_error(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config())
         code = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
@@ -510,6 +524,34 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("error: key 'p_avail' in config section 'activity'")
         assert "Traceback" not in err
+
+    def test_route_too_dense_to_place_is_an_exit_2_error(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, base_config(model={"nodes": 16, "alpha": 2.0}))
+        started = time.perf_counter()
+        code = main(["calibrate", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert time.perf_counter() - started < 1.0
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "route too dense to place: 16 nodes over span 5 with min_gap 0.25" in err
+
+    def test_negative_config_seed_is_an_exit_2_error(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, base_config(seed=-1))
+        code = main(["calibrate", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "error: seed must be non-negative, not -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, seed", [
+        ("calibrate", "-1"), ("simulate", "-3"), ("verify", "-1"),
+    ])
+    def test_negative_seed_flag_is_an_exit_2_error(self, tmp_path, capsys, command, seed):
+        config = [] if command == "verify" else [
+            "--config", str(write_config(tmp_path, base_config()))
+        ]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *config, "--out", str(tmp_path / "o"), "--seed", seed])
+        assert exc.value.code == 2
+        assert f"must be non-negative, not {seed}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_bad_config_path(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"

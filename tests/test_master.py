@@ -12,7 +12,6 @@ from cogrelay.master import (
     flow_balance_identity,
     objective,
     project_budget,
-    section_rate,
     section_rates,
     solve_master,
     subgradient,
@@ -34,32 +33,18 @@ class TestSectionRate:
     def test_zero_rates(self, rng):
         prob, u = random_tables(rng, 4)
         zeros = {k: 0.0 for k in u}
-        assert section_rate(2, prob, zeros, 4) == 0.0
+        assert section_rates(prob, zeros, 4).tolist() == [0.0] * 4
 
     def test_end_section_is_destination_weighted_sum(self, rng):
         last = 5
         prob, u = random_tables(rng, last)
         expected = sum(prob[(i, last)] * u[(i, last)] for i in range(last))
-        assert section_rate(last, prob, u, last) == pytest.approx(expected, rel=1e-12)
+        assert section_rates(prob, u, last)[last - 1] == pytest.approx(expected, rel=1e-12)
 
     def test_hand_example(self):
         prob = {(0, 2): 0.25, (0, 1): 0.25, (1, 2): 0.25}
         u = {(0, 2): 1.0, (0, 1): 2.0, (1, 2): 2.0}
-        assert section_rate(1, prob, u, 2) == pytest.approx(0.75)
-        assert section_rate(2, prob, u, 2) == pytest.approx(0.75)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            section_rate(0, {}, {}, 3)
-        with pytest.raises(ValueError):
-            section_rate(4, {}, {}, 3)
-
-    def test_vectorized_matches_scalar(self, rng):
-        last = 6
-        prob, u = random_tables(rng, last)
-        rates = section_rates(prob, u, last)
-        for m in range(1, last + 1):
-            assert rates[m - 1] == pytest.approx(section_rate(m, prob, u, last), rel=1e-12)
+        assert section_rates(prob, u, 2) == pytest.approx([0.75, 0.75])
 
 
 class TestFlowBalance:
@@ -78,7 +63,8 @@ class TestFlowBalance:
         u = {k: 2.0 for k in prob}
         m = 2
         assert flow_balance_identity(m, prob, u, last) == pytest.approx(0.0, abs=1e-12)
-        diff = section_rate(m, prob, u, last) - section_rate(m + 1, prob, u, last)
+        rates = section_rates(prob, u, last)
+        diff = rates[m - 1] - rates[m]
         prob_flow = 2.0 * (
             sum(prob[(i, m)] for i in range(m))
             - sum(prob[(m, j)] for j in range(m + 1, last + 1))

@@ -88,6 +88,22 @@ class TestTopology:
         assert a[0] == 0.0 and a[-1] == 5.0
         assert min(np.diff(a)) >= 0.25
 
+    @pytest.mark.parametrize("nodes, span, positions", [
+        (6, 5.0, (0.0, 2.2838478670997726, 2.7404976284675797, 3.945009202062486,
+                  4.528172535054712, 5.0)),
+        (12, 10.0, (0.0, 0.3158099649335788, 2.4738734201938453, 2.925057596101708,
+                    3.6539630496234077, 4.5728134213450335, 5.217032760146276,
+                    6.168931628161122, 7.521059878807433, 8.29605753855701,
+                    9.013075267728839, 10.0)),
+    ], ids=["readme", "long12"])
+    def test_seed_7_routes_are_pinned(self, nodes, span, positions):
+        assert make_linear_route(nodes, span, placement_seed=7) == positions
+
+    def test_route_too_dense_to_place_is_refused(self):
+        # One draw in about 2.7e8 would place these relays 0.25 apart.
+        with pytest.raises(ValueError, match=r"16 nodes over span 5 with min_gap 0\.25"):
+            make_linear_route(16, 5.0, placement_seed=7)
+
 
 class TestPartition:
     def test_full_run(self):

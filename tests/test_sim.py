@@ -15,6 +15,7 @@ from cogrelay.model import SPATIAL_MODE, PuActivityModel, partition_segments, sa
 from cogrelay.seeding import stream
 from cogrelay.sim import (
     CoverageError,
+    EpochActivity,
     RouteSpec,
     RunMetrics,
     SolverOptions,
@@ -73,6 +74,72 @@ class TestEpochActivity:
             runs = list(zip(drawn.head[mine].tolist(), drawn.end[mine].tolist()))
             assert runs == partition_segments(bits)
 
+    @pytest.mark.parametrize("activity", [SPATIAL, PuActivityModel(p_avail=0.6)],
+                             ids=["spatial", "iid"])
+    def test_warmup_epochs_are_their_own_streams(self, activity):
+        spec = dataclasses.replace(
+            small_spec((0.0, 1.0, 2.2, 3.1, 4.0, 5.0), p_avail=0.6, seed=11),
+            activity=activity, baseline_warmup=40,
+        )
+        topo = spec.topology()
+        warmup = EpochActivity.draw(spec, topo, spec.baseline_warmup, "warmup")
+        assert warmup.bits.shape == (40, topo.node_count)
+        for k in range(40):
+            key = ("activity", "warmup", k)
+            bits = sample_pu_activity(activity, topo, stream(spec.seed, *key))
+            assert np.array_equal(warmup.bits[k], bits)
+        none = EpochActivity.draw(spec, topo, 0, "warmup")  # baseline_warmup 0
+        assert none.bits.shape == (0, topo.node_count)
+        assert none.adjacent.shape == none.direct.shape == (0, topo.last_index)
+
+    @pytest.mark.parametrize("tag", [(), ("warmup",)], ids=["live", "warmup"])
+    def test_link_arrays_hold_each_used_link_stream(self, tag):
+        spec = dataclasses.replace(
+            small_spec((0.0, 1.0, 2.2, 3.1, 4.0, 5.0), p_avail=1.0, epochs=300),
+            activity=SPATIAL,
+        )
+        topo = spec.topology()
+        drawn = EpochActivity.draw(spec, topo, spec.epochs, *tag)
+        adjacent = np.full((spec.epochs, topo.last_index), np.nan)
+        direct = adjacent.copy()
+
+        def link(e, s, t):
+            return stream(spec.seed, "epoch", *tag, e, "link", s, t).exponential(1.0)
+
+        for e, bits in enumerate(drawn.bits):
+            for head, end in partition_segments(bits):
+                for s in range(head, end):
+                    adjacent[e, s] = link(e, s, s + 1)
+                if end - head >= 2:
+                    direct[e, head] = link(e, head, end)
+        for got, expected in ((drawn.adjacent, adjacent), (drawn.direct, direct)):
+            assert 0 < np.isnan(expected).sum() < expected.size
+            np.testing.assert_array_equal(got, expected)  # NaN where expected is NaN
+
+    def test_one_hop_segment_reads_its_adjacent_link(self, monkeypatch):
+        spec = small_spec((0.0, 1.0, 2.2, 3.1, 4.0, 5.0), p_avail=0.7, epochs=300)
+        topo = spec.topology()
+        prob_table = spec.pair_probabilities(topo)
+        activity = spec.epoch_activity(topo)
+        runs = list(zip(activity.epoch.tolist(), activity.head.tolist(), activity.end.tolist()))
+        one_hop = [(e, head) for e, head, end in runs if end == head + 1]
+        assert one_hop
+        drawn = Counter()
+        real_stream = sim.stream
+
+        def counting(root, *path):
+            if "link" in path:
+                drawn[path] += 1
+            return real_stream(root, *path)
+
+        monkeypatch.setattr(sim, "stream", counting)
+        run_baseline("baseline3", spec, prob_table, topo, activity)
+        assert np.isnan(activity.direct[tuple(np.transpose(one_hop))]).all()
+        assert max(drawn.values()) == 1
+        used = {("epoch", e, "link", head, end) for e, head, end in runs if end - head >= 2}
+        used |= {("epoch", e, "link", s, s + 1) for e, head, end in runs for s in range(head, end)}
+        assert set(drawn) == used
+
     def test_shared_draw_gives_the_same_metrics(self):
         spec = dataclasses.replace(
             small_spec((0.0, 1.5, 3.2, 5.0), p_avail=1.0, epochs=120, n=120, iters=3),
@@ -80,12 +147,13 @@ class TestEpochActivity:
         )
         result = run_point(spec, sim.SCHEMES)
         topo = spec.topology()
+        activity = spec.epoch_activity(topo)
         prob_table = spec.pair_probabilities(topo)
-        assert run_proposed(spec, result.master.policies, prob_table, topo) == (
+        assert run_proposed(spec, result.master.policies, prob_table, topo, activity) == (
             result.metrics["proposed"]
         )
         for kind in BASELINES:
-            assert run_baseline(kind, spec, prob_table, topo) == result.metrics[kind]
+            assert run_baseline(kind, spec, prob_table, topo, activity) == result.metrics[kind]
 
     def test_store_and_forward_duty_mass_is_one_draw_per_sample(self):
         spec = dataclasses.replace(
@@ -254,6 +322,7 @@ class TestPairBatches:
     def test_coverage_error_names_the_earliest_uncovered_epoch(self):
         spec = small_spec((0.0, 1.5, 3.2, 5.0), p_avail=0.7, epochs=300, seed=4)
         topo = spec.topology()
+        activity = spec.epoch_activity(topo)
         first = {}
         for e in range(spec.epochs):
             bits = sample_pu_activity(spec.activity, topo, stream(spec.seed, "activity", e))
@@ -269,7 +338,7 @@ class TestPairBatches:
         policies = {pair: None for pair in by_first if pair not in (missing, later)}
         match = rf"^segment \({missing[0]}, {missing[1]}\) observed at epoch {first[missing]} "
         with pytest.raises(CoverageError, match=match):
-            run_proposed(spec, policies, spec.pair_probabilities(topo), topo)
+            run_proposed(spec, policies, spec.pair_probabilities(topo), topo, activity)
 
     def test_each_baseline_link_is_drawn_once_per_run(self, monkeypatch):
         spec = dataclasses.replace(
@@ -299,7 +368,8 @@ class TestProposed:
     def test_no_spectrum_no_throughput(self):
         spec = small_spec((0.0, 2.0, 5.0), p_avail=0.0, epochs=100)
         topo = spec.topology()
-        metrics = run_proposed(spec, {}, spec.pair_probabilities(topo), topo)
+        activity = spec.epoch_activity(topo)
+        metrics = run_proposed(spec, {}, spec.pair_probabilities(topo), topo, activity)
         assert metrics.u_min == 0.0
         assert metrics.u_weighted == 0.0
         assert metrics.u_empirical == 0.0
@@ -308,13 +378,15 @@ class TestProposed:
     def test_single_hop_full_availability_matches_segment_estimate(self):
         spec = small_spec((0.0, 5.0), p_avail=1.0, epochs=3000, seed=9)
         topo = spec.topology()
+        activity = spec.epoch_activity(topo)
         problem = SegmentProblem(
             head=0, end=1, gains=RayleighGains(topo), pbar=spec.p0,
             p_max=100.0 * spec.p0, p_floor=1e-6 * spec.p0,
             mc_samples=400, episodes=400,
         )
         policy = calibrate_lambda(problem, stream(9, "cal"))
-        metrics = run_proposed(spec, {(0, 1): policy}, spec.pair_probabilities(topo), topo)
+        prob_table = spec.pair_probabilities(topo)
+        metrics = run_proposed(spec, {(0, 1): policy}, prob_table, topo, activity)
         reference = estimate_segment_metrics(policy, 3000, stream(10, "ref"))
         scale = np.hypot(metrics.u_empirical_se, reference.rate_se)
         assert abs(metrics.u_weighted - reference.rate) <= 4.0 * scale
@@ -329,6 +401,7 @@ class TestProposed:
     def test_missing_policy_is_a_hard_error(self):
         spec = small_spec((0.0, 2.0, 5.0), p_avail=0.7, epochs=200)
         topo = spec.topology()
+        activity = spec.epoch_activity(topo)
         prob_table = spec.pair_probabilities(topo)
         problem = SegmentProblem(
             head=0, end=1, gains=RayleighGains(topo), pbar=spec.p0,
@@ -337,7 +410,7 @@ class TestProposed:
         )
         policy = calibrate_lambda(problem, stream(1, "cal"))
         with pytest.raises(CoverageError, match=r"\("):
-            run_proposed(spec, {(0, 1): policy}, prob_table, topo)
+            run_proposed(spec, {(0, 1): policy}, prob_table, topo, activity)
 
     def test_segment_metrics_depend_only_on_own_stream(self, monkeypatch):
         spec = small_spec((0.0, 2.0, 5.0), p_avail=0.7, epochs=120)
@@ -358,8 +431,9 @@ class TestProposed:
 
         monkeypatch.setattr(sim, "stream", skewed)
         topo = spec.topology()
+        activity = spec.epoch_activity(topo)
         prob_table = spec.pair_probabilities(topo)
-        perturbed = run_proposed(spec, result.master.policies, prob_table, topo)
+        perturbed = run_proposed(spec, result.master.policies, prob_table, topo, activity)
         assert perturbed.pair_stats[target] == baseline_stats
         assert perturbed.pair_stats != result.metrics["proposed"].pair_stats
 
@@ -376,16 +450,18 @@ class TestBaselines:
     def test_unknown_kind_rejected(self):
         spec = small_spec((0.0, 5.0), p_avail=0.5)
         topo = spec.topology()
+        activity = spec.epoch_activity(topo)
         with pytest.raises(ValueError):
-            run_baseline("baseline9", spec, spec.pair_probabilities(topo), topo)
+            run_baseline("baseline9", spec, spec.pair_probabilities(topo), topo, activity)
         with pytest.raises(ValueError):
-            run_baseline("proposed", spec, spec.pair_probabilities(topo), topo)
+            run_baseline("proposed", spec, spec.pair_probabilities(topo), topo, activity)
 
     def test_single_hop_route_all_baselines_coincide(self):
         spec = small_spec((0.0, 5.0), p_avail=0.8, epochs=400)
         topo = spec.topology()
+        activity = spec.epoch_activity(topo)
         prob_table = spec.pair_probabilities(topo)
-        runs = {k: run_baseline(k, spec, prob_table, topo) for k in BASELINES}
+        runs = {k: run_baseline(k, spec, prob_table, topo, activity) for k in BASELINES}
         values = {m.u_empirical for m in runs.values()}
         assert len(values) == 1
         for m in runs.values():
@@ -394,8 +470,9 @@ class TestBaselines:
     def test_full_availability_equivalences(self):
         spec = small_spec((0.0, 1.5, 3.2, 5.0), p_avail=1.0, epochs=300, seed=6)
         topo = spec.topology()
+        activity = spec.epoch_activity(topo)
         prob_table = spec.pair_probabilities(topo)
-        runs = {k: run_baseline(k, spec, prob_table, topo) for k in BASELINES}
+        runs = {k: run_baseline(k, spec, prob_table, topo, activity) for k in BASELINES}
         assert runs["baseline1"].u_empirical == runs["baseline3"].u_empirical
         assert runs["baseline1"].u_min == runs["baseline3"].u_min
         assert runs["baseline2"].u_empirical == runs["baseline4"].u_empirical
@@ -403,18 +480,20 @@ class TestBaselines:
     def test_blocked_route_yields_zero(self):
         spec = small_spec((0.0, 2.0, 5.0), p_avail=0.0, epochs=50)
         topo = spec.topology()
+        activity = spec.epoch_activity(topo)
         prob_table = spec.pair_probabilities(topo)
         for kind in BASELINES:
-            metrics = run_baseline(kind, spec, prob_table, topo)
+            metrics = run_baseline(kind, spec, prob_table, topo, activity)
             assert metrics.u_empirical == 0.0
             assert metrics.total_power == 0.0
 
     def test_power_fairness_measured_at_budget(self):
         spec = small_spec((0.0, 1.5, 3.2, 5.0), p_avail=0.7, epochs=200)
         topo = spec.topology()
+        activity = spec.epoch_activity(topo)
         prob_table = spec.pair_probabilities(topo)
         for kind in BASELINES:
-            metrics = run_baseline(kind, spec, prob_table, topo)
+            metrics = run_baseline(kind, spec, prob_table, topo, activity)
             assert metrics.total_power == pytest.approx(spec.p0, rel=1e-6)
 
     def test_store_and_forward_duty_mass_matches_enumeration(self):
@@ -434,7 +513,8 @@ class TestBaselines:
         # Store-and-forward reports mass * p_c, its expected radiated power.
         spec = small_spec((0.0, 1.0, 2.0, 3.0), p_avail=0.6, epochs=50)
         topo = spec.topology()
-        metrics = run_baseline("baseline2", spec, spec.pair_probabilities(topo), topo)
+        activity = spec.epoch_activity(topo)
+        metrics = run_baseline("baseline2", spec, spec.pair_probabilities(topo), topo, activity)
         assert metrics.total_power == pytest.approx(spec.p0, rel=1e-12)
 
 
