@@ -21,7 +21,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence, get_args, get_origin, get_type_hints
+from typing import Callable, Sequence, get_args, get_origin, get_type_hints
 
 from . import oracle
 from .master import (
@@ -34,22 +34,22 @@ from .master import (
     solution_to_payload,
     solve_master,
 )
-from .model import IID_MODE, SPATIAL_MODE, PuActivityModel
+from .model import IID_MODE, SPATIAL_MODE, PuActivityModel, Topology
 from .seeding import path_fingerprint
 from .sim import (
     GRID_KEYS,
     SCHEMES,
     CoverageError,
+    Pair,
     RouteSpec,
     RunMetrics,
     StudySpec,
     grid_points,
     point_spec,
     run_baseline,
-    run_point,
     run_proposed,
 )
-from .subpolicy import CalibrationError, policy_from_payload, policy_to_payload
+from .subpolicy import CalibratedPolicy, CalibrationError, policy_from_payload, policy_to_payload
 
 CONFIG_VERSION = 1
 LN2 = math.log(2.0)
@@ -352,6 +352,72 @@ def load_config(path: Path) -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
+# The study-point pipeline: every command that calibrates runs ``_solve``,
+# and every command that simulates runs ``_run_schemes``.
+# ---------------------------------------------------------------------------
+
+
+def _solve(spec: StudySpec, topology: Topology, prob_table: dict[Pair, float],
+           threads: int = 1, where: str = "") -> MasterSolution:
+    """Allocate the budget and calibrate every pair above the cutoff, check
+    the offline footprint, and warn on stderr, each line prefixed by
+    ``where``, of every pair not converged or with budget slack."""
+    solution = solve_master(
+        RateModel(topology, spec.seed, spec.solver, threads), prob_table, spec.p0,
+        topology.last_index, spec.solver.master,
+    )
+    node_count = topology.node_count
+    for pair, policy in sorted(solution.policies.items()):
+        if policy.table.entries > node_count:
+            raise AssertionError(f"offline table for pair {pair} holds {policy.table.entries} "
+                                 f"entries, more than the node count {node_count}")
+        if not policy.report.converged:
+            print(f"warning: {where}pair {pair}: calibration did not converge; the best "
+                  "feasible multiplier found is used", file=sys.stderr)
+        if policy.report.budget_slack:
+            print(f"warning: {where}pair {pair}: budget slack; the power cap binds before "
+                  "its budget share does", file=sys.stderr)
+    total_entries = sum(policy.table.entries for policy in solution.policies.values())
+    if total_entries > node_count**3:
+        raise AssertionError(f"total offline table size {total_entries} exceeds the cubic "
+                             f"bound {node_count ** 3}")
+    return solution
+
+
+def _run_schemes(spec: StudySpec, schemes: Sequence[str], topology: Topology,
+                 prob_table: dict[Pair, float],
+                 policies: Callable[[], dict[Pair, CalibratedPolicy]]) -> dict[str, RunMetrics]:
+    """Each scheme's metrics on one draw of the spec's epochs, every scheme
+    named run once, in order; ``policies()`` is called when ``proposed`` is
+    reached, so a run without it never reads them."""
+    activity = spec.epoch_activity(topology)
+    metrics = {}
+    for scheme in dict.fromkeys(schemes):
+        if scheme == "proposed":
+            metrics[scheme] = run_proposed(spec, policies(), prob_table, topology, activity)
+        else:
+            metrics[scheme] = run_baseline(scheme, spec, prob_table, topology, activity)
+    return metrics
+
+
+@dataclass(frozen=True)
+class StudyResult:
+    spec: StudySpec
+    prob_table: dict[Pair, float]
+    master: MasterSolution
+    metrics: dict[str, RunMetrics]
+
+
+def run_point(spec: StudySpec, schemes: Sequence[str], where: str = "") -> StudyResult:
+    """Calibrate and simulate every requested scheme at one study point."""
+    topology = spec.topology()
+    prob_table = spec.pair_probabilities(topology)
+    master = _solve(spec, topology, prob_table, where=where)
+    metrics = _run_schemes(spec, schemes, topology, prob_table, lambda: master.policies)
+    return StudyResult(spec, prob_table, master, metrics)
+
+
+# ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
@@ -365,9 +431,7 @@ def cmd_calibrate(cfg: ExperimentConfig, out: Path, threads: int = 1) -> int:
     spec = cfg.spec
     topology = spec.topology()
     prob_table = spec.pair_probabilities(topology)
-    cutoff = spec.solver.master.pair_prob_cutoff
-    eligible = {p: v for p, v in prob_table.items() if v > cutoff}
-    if not eligible:
+    if all(v <= spec.solver.master.pair_prob_cutoff for v in prob_table.values()):
         print("warning: no pair clears the probability cutoff; nothing to calibrate",
               file=sys.stderr)
         atomic_write_json(
@@ -380,37 +444,15 @@ def cmd_calibrate(cfg: ExperimentConfig, out: Path, threads: int = 1) -> int:
             },
         )
         return 0
-    solution = solve_master(
-        RateModel(topology, spec.seed, spec.solver, threads), eligible, spec.p0,
-        topology.last_index, spec.solver.master,
-    )
-
-    node_count = topology.node_count
-    total_entries = 0
+    solution = _solve(spec, topology, prob_table, threads)
     for pair, policy in sorted(solution.policies.items()):
-        entries = policy.table.entries
-        if entries > node_count:
-            raise AssertionError(
-                f"offline table for pair {pair} holds {entries} entries, "
-                f"more than the node count {node_count}"
-            )
-        total_entries += entries
         payload = policy_to_payload(
             policy, seed_path=path_fingerprint(*pair_seed_path(spec.seed, pair))
         )
         atomic_write_json(_pair_artifact_path(out, pair), payload)
-        if not policy.report.converged:
-            print(f"warning: pair {pair}: calibration did not converge; the best feasible "
-                  "multiplier found is used", file=sys.stderr)
-        if policy.report.budget_slack:
-            print(f"warning: pair {pair}: budget slack; the power cap binds before its "
-                  "budget share does", file=sys.stderr)
-    if total_entries > node_count**3:
-        raise AssertionError(
-            f"total offline table size {total_entries} exceeds the cubic bound "
-            f"{node_count ** 3}"
-        )
-    atomic_write_json(out / "master.json", solution_to_payload(solution, eligible))
+    node_count = topology.node_count
+    total_entries = sum(policy.table.entries for policy in solution.policies.values())
+    atomic_write_json(out / "master.json", solution_to_payload(solution, prob_table))
     atomic_write_json(
         out / "calibration_manifest.json",
         {
@@ -478,20 +520,12 @@ def _load_policies(cfg: ExperimentConfig, artifacts: Path, topology) -> dict:
 
 def cmd_simulate(cfg: ExperimentConfig, out: Path, artifacts: Path) -> int:
     started = time.perf_counter()
-    spec = cfg.spec
-    topology = spec.topology()
-    prob_table = spec.pair_probabilities(topology)
-    activity = spec.epoch_activity(topology)
-    rows = []
-    policies = None
-    for scheme in cfg.schemes:
-        if scheme == "proposed":
-            if policies is None:
-                policies = _load_policies(cfg, artifacts, topology)
-            metrics = run_proposed(spec, policies, prob_table, topology, activity)
-        else:
-            metrics = run_baseline(scheme, spec, prob_table, topology, activity)
-        rows.append(cfg.row({}, metrics, None))
+    topology = cfg.spec.topology()
+    metrics = _run_schemes(
+        cfg.spec, cfg.schemes, topology, cfg.spec.pair_probabilities(topology),
+        lambda: _load_policies(cfg, artifacts, topology),
+    )
+    rows = [cfg.row({}, metrics[scheme], None) for scheme in cfg.schemes]
     write_csv(out / "results.csv", RESULT_COLUMNS, rows)
     atomic_write_json(
         out / "run_manifest.json",
@@ -509,6 +543,18 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path, artifacts: Path) -> int:
     return 0
 
 
+def _stored_rows(marker: Path, digest: str) -> list[dict] | None:
+    """The rows of a completed sweep point's marker; ``None`` when the marker
+    is absent, unreadable, or not a JSON object with config hash ``digest``
+    and a list of row objects, so that the point runs again."""
+    try:
+        stored = json.loads(marker.read_text())
+        rows = stored["rows"] if stored["config_hash"] == digest else None
+    except (OSError, ValueError, TypeError, KeyError):
+        return None
+    return rows if isinstance(rows, list) and all(isinstance(r, dict) for r in rows) else None
+
+
 def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
     if not cfg.grid:
         write_csv(out / "sweep.csv", RESULT_COLUMNS, [])
@@ -520,28 +566,24 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
         return 0
     points = grid_points(dict(cfg.grid))
     columns = tuple(sorted(cfg.grid)) + RESULT_COLUMNS
-    marker_dir = out / "sweep_points"
+    digest = config_hash(cfg)
     rows: list[dict] = []
     failures: list[dict] = []
     for idx, point in enumerate(points):
-        marker = marker_dir / f"point_{idx:04d}.json"
-        if marker.exists():
-            stored = json.loads(marker.read_text())
-            if stored.get("config_hash") == config_hash(cfg):
-                rows.extend(stored["rows"])
-                continue
+        marker = out / "sweep_points" / f"point_{idx:04d}.json"
+        stored = _stored_rows(marker, digest)
+        if stored is not None:
+            rows.extend(stored)
+            continue
         try:
-            spec_at_point = point_spec(cfg.spec, point)
-            result = run_point(spec_at_point, cfg.schemes)
+            result = run_point(point_spec(cfg.spec, point), cfg.schemes, f"point {idx:04d}: ")
             point_rows = [
                 cfg.row(point, result.metrics[scheme], result.master) for scheme in cfg.schemes
             ]
         except Exception as exc:  # noqa: BLE001 - aggregate and continue
             failures.append({"point": point, "error": f"{type(exc).__name__}: {exc}"})
             continue
-        atomic_write_json(
-            marker, {"config_hash": config_hash(cfg), "point": point, "rows": point_rows}
-        )
+        atomic_write_json(marker, {"config_hash": digest, "point": point, "rows": point_rows})
         rows.extend(point_rows)
     write_csv(out / "sweep.csv", columns, rows)
     atomic_write_json(
@@ -551,7 +593,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
             "points": len(points),
             "completed": len(points) - len(failures),
             "failures": failures,
-            "config_hash": config_hash(cfg),
+            "config_hash": digest,
         },
     )
     print(f"sweep: {len(points) - len(failures)}/{len(points)} points -> {out / 'sweep.csv'}")
@@ -594,6 +636,12 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def positive_int(text: str) -> int:
+    if (value := int(text)) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cogrelay",
@@ -611,7 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cal = sub.add_parser("calibrate", help="solve the master problem and persist offline tables")
     common(cal)
-    cal.add_argument("--threads", type=int, default=1, help="parallel pair calibrations")
+    cal.add_argument("--threads", type=positive_int, default=1, help="parallel pair calibrations")
 
     simp = sub.add_parser("simulate", help="run schemes against persisted offline tables")
     common(simp)

@@ -115,6 +115,20 @@ class MasterOptions:
     window: int = 10
     pair_prob_cutoff: float = 1e-6
 
+    def __post_init__(self) -> None:
+        # The ascent needs one evaluated iterate, and its step a / (b + t)
+        # and tie set must stay defined and positive at every iteration.
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be at least 1, not {self.max_iterations}")
+        if self.window < 1:
+            raise ValueError(f"window must be at least 1, not {self.window}")
+        if not self.step_b > 0.0:
+            raise ValueError(f"step_b must be positive, not {self.step_b}")
+        if self.step_a is not None and not self.step_a > 0.0:
+            raise ValueError(f"step_a must be positive, not {self.step_a}")
+        if not self.tie_tolerance >= 0.0:
+            raise ValueError(f"tie_tolerance must be non-negative, not {self.tie_tolerance}")
+
 
 @dataclass(frozen=True)
 class SolverOptions:

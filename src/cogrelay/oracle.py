@@ -1,12 +1,20 @@
 """Independent desk-scale verifiers for the solver's structural claims.
 
-Everything here deliberately avoids the production code paths: policies are
+The references here avoid the production code paths: policies are
 enumerated as explicit state-to-action tables and evaluated by exhaustive
 summation over channel realizations, the value recursion is re-derived by a
 memo-free pure-Python recursion, and the max-min/ min-max exchange and the
 ordered-sequence inequality are checked by direct enumeration.  Instances are
 small enough that all of this is exact arithmetic over the discretized
 instance, and a guard refuses anything whose policy space would not be.
+
+Some checks run the solver by design, because the solver is what they
+check: ``verify_covariance_property`` measures airtimes with the episode
+engine ``_run_episode_batch``, and the battery's dominance and covariance
+checks calibrate their policies with ``calibrate_lambda``.  Likewise the
+recursion check compares ``offline_recursion`` with the reference
+recursion, the power check ``solve_optimal_power`` with the first-order
+condition, and the flow-balance check ``master.flow_balance_identity``.
 """
 
 from __future__ import annotations

@@ -40,13 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .master import (
-    MasterSolution,
-    RateModel,
-    SolverOptions,
-    section_rates,
-    solve_master,
-)
+from .master import SolverOptions, section_rates
 from .model import (
     IID_MODE,
     PuActivityModel,
@@ -91,6 +85,8 @@ class RouteSpec:
     def __post_init__(self) -> None:
         if self.positions is None and self.nodes is None:
             raise ValueError("route needs positions or a node count")
+        if self.placement_seed < 0:
+            raise ValueError(f"placement_seed must be non-negative, not {self.placement_seed}")
         self.build()  # an unbuildable route fails here, not at first use
 
     def build(self) -> Topology:
@@ -121,6 +117,10 @@ class StudySpec:
             raise ValueError("the power budget must be positive")
         if self.episodes_per_segment < 1:
             raise ValueError("episodes_per_segment must be positive")
+        if self.baseline_warmup < 0:
+            raise ValueError(f"baseline_warmup must be non-negative, not {self.baseline_warmup}")
+        if self.prob_samples < 1:
+            raise ValueError(f"prob_samples must be positive, not {self.prob_samples}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, not {self.seed}")
 
@@ -203,20 +203,21 @@ def _link_fading(activity: EpochActivity, epochs, heads, ends) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RunMetrics:
-    """Estimated throughput and power of one scheme at one study point."""
+    """Estimated throughput and power of one scheme at one study point; a
+    scheme that never transmits keeps the zero defaults."""
 
     scheme: str
-    pair_stats: dict[Pair, SegmentMetrics]
-    u_weighted: float
-    u_min: float
-    u_empirical: float
-    u_empirical_se: float
-    total_power: float
-    total_power_se: float
     p0: float
     epochs: int
     seed: int
-    balance_consistent: bool | None
+    pair_stats: dict[Pair, SegmentMetrics] = field(default_factory=dict)
+    u_weighted: float = 0.0
+    u_min: float = 0.0
+    u_empirical: float = 0.0
+    u_empirical_se: float = 0.0
+    total_power: float = 0.0
+    total_power_se: float = 0.0
+    balance_consistent: bool | None = None
 
 
 def _run_segments(
@@ -263,7 +264,7 @@ def _run_segments(
         sum((prob_table[pair] * st.power_time_se) ** 2 for pair, st in pair_stats.items())
     )
     return RunMetrics(
-        scheme=scheme,
+        scheme, spec.p0, spec.epochs, spec.seed,
         pair_stats=pair_stats,
         u_weighted=u_weighted,
         u_min=u_min,
@@ -271,9 +272,6 @@ def _run_segments(
         u_empirical_se=u_emp_se,
         total_power=float(total_power),
         total_power_se=float(total_power_se),
-        p0=spec.p0,
-        epochs=spec.epochs,
-        seed=spec.seed,
         balance_consistent=u_weighted <= u_min * 1.01 + 1e-300,
     )
 
@@ -362,20 +360,7 @@ def run_baseline(
         raise ValueError(f"unknown baseline kind {kind!r}")
     mass = transmit_mass(kind, spec, prob_table, topology)
     if mass <= 0.0:
-        return RunMetrics(
-            scheme=kind,
-            pair_stats={},
-            u_weighted=0.0,
-            u_min=0.0,
-            u_empirical=0.0,
-            u_empirical_se=0.0,
-            total_power=0.0,
-            total_power_se=0.0,
-            p0=spec.p0,
-            epochs=spec.epochs,
-            seed=spec.seed,
-            balance_consistent=None,
-        )
+        return RunMetrics(kind, spec.p0, spec.epochs, spec.seed)
     p_c = spec.p0 / mass  # the expected radiated power mass * p_c meets the budget
     if kind == "baseline2":
         return _run_store_and_forward(spec, topology, p_c, mass, activity)
@@ -444,59 +429,13 @@ def _run_store_and_forward(
     rates = np.asarray(epoch_rates[warmup.bits.shape[0]:])  # the live epochs
     u = float(rates.mean())
     u_se = float(rates.std(ddof=1) / np.sqrt(rates.size)) if rates.size > 1 else 0.0
-    return RunMetrics(
-        scheme="baseline2",
-        pair_stats={},
-        u_weighted=u,
-        u_min=u,
-        u_empirical=u,
-        u_empirical_se=u_se,
-        total_power=mass * p_c,
-        total_power_se=0.0,
-        p0=spec.p0,
-        epochs=spec.epochs,
-        seed=spec.seed,
-        balance_consistent=None,
-    )
+    return RunMetrics("baseline2", spec.p0, spec.epochs, spec.seed, u_weighted=u, u_min=u,
+                      u_empirical=u, u_empirical_se=u_se, total_power=mass * p_c)
 
 
 # ---------------------------------------------------------------------------
-# Full study points and sweeps
+# Sweep grids
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StudyResult:
-    spec: StudySpec
-    prob_table: dict[Pair, float]
-    master: MasterSolution
-    metrics: dict[str, RunMetrics]
-
-
-def run_point(spec: StudySpec, schemes: Sequence[str]) -> StudyResult:
-    """Calibrate and simulate every requested scheme at one study point."""
-    for s in schemes:
-        if s not in SCHEMES:
-            raise ValueError(f"unknown scheme {s!r}")
-    topology = spec.topology()
-    prob_table = spec.pair_probabilities(topology)
-    master = solve_master(
-        RateModel(topology, spec.seed, spec.solver),
-        prob_table,
-        spec.p0,
-        topology.last_index,
-        spec.solver.master,
-    )
-    activity = spec.epoch_activity(topology)
-    metrics: dict[str, RunMetrics] = {}
-    for scheme in schemes:
-        if scheme == "proposed":
-            metrics[scheme] = run_proposed(
-                spec, master.policies, prob_table, topology, activity
-            )
-        else:
-            metrics[scheme] = run_baseline(scheme, spec, prob_table, topology, activity)
-    return StudyResult(spec=spec, prob_table=prob_table, master=master, metrics=metrics)
 
 
 GRID_KEYS = ("p0_db", "p0", "p_avail", "p_block", "nodes", "alpha")

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from cogrelay.cli import run_point
 from cogrelay.master import (
     MasterOptions,
     RateModel,
@@ -32,7 +33,7 @@ from cogrelay.oracle import (
     verify_sequence_lemma,
 )
 from cogrelay.seeding import stream
-from cogrelay.sim import RouteSpec, SolverOptions, StudySpec, run_point
+from cogrelay.sim import RouteSpec, SolverOptions, StudySpec
 from cogrelay.subpolicy import (
     DiscreteGains,
     calibrate_lambda,

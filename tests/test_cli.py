@@ -225,6 +225,34 @@ class TestCalibrateCommand:
         for pair in ("(0, 1)", "(0, 2)", "(1, 2)"):
             assert sum(pair in line and "budget slack" in line for line in warnings) == 1
 
+    @pytest.mark.parametrize(
+        "section, values, key",
+        [
+            ("sim", {"epochs": 150, "baseline_warmup": -5}, "baseline_warmup"),
+            ("sim", {"epochs": 150, "prob_samples": -5}, "prob_samples"),
+            ("model", {"nodes": 4, "placement_seed": -2}, "placement_seed"),
+        ],
+        ids=["baseline_warmup", "prob_samples", "placement_seed"],
+    )
+    def test_out_of_range_sim_and_route_values_are_exit_2_errors(
+        self, tmp_path, capsys, section, values, key
+    ):
+        cfg_path = write_config(tmp_path, base_config(**{section: values}))
+        code = main(["calibrate", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {key} must be ")
+        assert not (tmp_path / "o").exists()
+
+    def test_spatial_prob_samples_of_zero_is_an_exit_2_error(self, tmp_path, capsys):
+        activity = {"mode": "spatial-field", "rho_p": 0.4, "p_active": 0.5, "d0": 0.8}
+        raw = base_config(activity=activity, sim={"epochs": 150, "prob_samples": 0})
+        cfg_path = write_config(tmp_path, raw)
+        for command in ("calibrate", "simulate"):
+            code = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+            assert code == 2
+            assert capsys.readouterr().err.startswith("error: prob_samples must be positive")
+        assert not (tmp_path / "o").exists()
+
     def test_cutoff_above_all_pairs_warns_and_succeeds(self, tmp_path, capsys):
         raw = base_config()
         raw["solver"]["master"] = {"max_iterations": 4, "pair_prob_cutoff": 1.0}
@@ -272,6 +300,37 @@ class TestCalibrateCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and next(iter(solver)) in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "master",
+        [
+            {"max_iterations": 0},
+            {"window": 0},
+            {"step_b": 0.0},
+            {"step_a": -100.0},
+            {"tie_tolerance": -0.5},
+        ],
+        ids=lambda master: next(iter(master)),
+    )
+    def test_out_of_range_master_options_are_exit_2_errors(self, tmp_path, capsys, master):
+        raw = base_config()
+        raw["solver"]["master"] = {"max_iterations": 4, **master}
+        cfg_path = write_config(tmp_path, raw)
+        code = main(["calibrate", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {next(iter(master))} must be ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_are_refused(self, tmp_path, capsys, threads):
+        cfg_path = write_config(tmp_path, base_config())
+        with pytest.raises(SystemExit) as exc:
+            main(["calibrate", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                  "--threads", threads])
+        assert exc.value.code == 2
+        assert f"--threads: must be at least 1, not {threads}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
 
@@ -432,6 +491,42 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert (out / "sweep.csv").read_bytes() == first
         assert {m: m.stat().st_mtime_ns for m in markers} == stamp  # reused, not rerun
+
+    @pytest.mark.parametrize(
+        "damage",
+        [lambda text: text[: len(text) // 2], lambda text: "[]",
+         lambda text: text.replace('"rows": [', '"rows": [[], ', 1)],
+        ids=["truncated", "list", "row-not-an-object"],
+    )
+    def test_unreadable_marker_is_recomputed(self, tmp_path, damage):
+        raw = base_config()
+        raw["schemes"] = ["baseline3"]
+        raw["sweep"] = {"grid": {"p0_db": [10.0, 20.0]}}
+        cfg_path = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+        first = (out / "sweep.csv").read_bytes()
+        marker = out / "sweep_points" / "point_0000.json"
+        intact = marker.read_text()
+        marker.write_text(damage(intact))
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert (out / "sweep.csv").read_bytes() == first
+        assert marker.read_text() == intact
+
+    def test_budget_slack_is_warned_per_pair_and_point(self, tmp_path, capsys):
+        raw = base_config()
+        raw["solver"]["p_max_factor"] = 1.0  # as in test_budget_slack_is_warned_per_pair
+        raw["sweep"] = {"grid": {"p0_db": [20.0, 25.0]}}
+        cfg_path = write_config(tmp_path, raw)
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+        warnings = [
+            line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")
+        ]
+        assert len(warnings) == 6
+        for point in ("0000", "0001"):
+            for pair in ("(0, 1)", "(0, 2)", "(1, 2)"):
+                prefix = f"warning: point {point}: pair {pair}: budget slack"
+                assert sum(line.startswith(prefix) for line in warnings) == 1
 
     def test_partial_failure_continues_and_reports(self, tmp_path):
         raw = base_config()

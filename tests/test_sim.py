@@ -10,6 +10,7 @@ import pytest
 
 import cogrelay.cli as cli
 import cogrelay.sim as sim
+from cogrelay.cli import run_point
 from cogrelay.master import MasterOptions, section_rates
 from cogrelay.model import SPATIAL_MODE, PuActivityModel, partition_segments, sample_pu_activity
 from cogrelay.seeding import stream
@@ -24,7 +25,6 @@ from cogrelay.sim import (
     grid_points,
     point_spec,
     run_baseline,
-    run_point,
     run_proposed,
     transmit_mass,
 )
