@@ -13,13 +13,14 @@ import argparse
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence, get_args, get_origin, get_type_hints
 
@@ -35,17 +36,14 @@ from .master import (
     solve_master,
 )
 from .model import IID_MODE, SPATIAL_MODE, PuActivityModel, Topology
-from .seeding import path_fingerprint
+from .seeding import path_fingerprint, stream
 from .sim import (
-    GRID_KEYS,
     SCHEMES,
     CoverageError,
     Pair,
     RouteSpec,
     RunMetrics,
     StudySpec,
-    grid_points,
-    point_spec,
     run_baseline,
     run_proposed,
 )
@@ -101,7 +99,10 @@ class ArtifactMismatchError(RuntimeError):
 
 
 def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError as exc:
+        raise ConfigError(f"budget P0_dB {db:g} overflows a linear power") from exc
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -156,6 +157,12 @@ MASTER_KEYS = ("max_iterations", "step_a", "step_b", "tie_tolerance", "objective
                "window", "pair_prob_cutoff")
 SIM_KEYS = ("epochs", "episodes_per_segment", "baseline_warmup", "prob_samples")
 OUTPUT_KEYS = ("rate_units",)
+# The section and key where each sweep grid key writes a point's value:
+# ``p_block`` writes 1 - p_block, a budget key replaces the budget, and
+# ``nodes`` replaces ``positions``.  An activity key must be one its mode reads.
+GRID_KEYS = {"p0_db": ("budget", "P0_dB"), "p0": ("budget", "P0"), "nodes": ("model", "nodes"),
+             "alpha": ("model", "alpha"), "p_avail": ("activity", "p_avail"),
+             "p_block": ("activity", "p_avail")}
 
 
 @dataclass(frozen=True)
@@ -220,6 +227,15 @@ def _check_keys(
             raise ConfigError(f"missing {key!r} in config section {section!r}")
 
 
+def _scalar(kind: type, value):
+    """``value`` as ``kind``; a number field refuses booleans, non-finite
+    values and, for an int, fractions."""
+    if kind in (int, float) and (isinstance(value, bool) or not math.isfinite(float(value))
+                                 or kind is int and not float(value).is_integer()):
+        raise ValueError("not a finite number of the field's type")
+    return kind(value)
+
+
 def _convert(hint, raw: dict, section: str, key: str):
     """``raw[key]`` as the type ``hint``: a scalar type, ``tuple[T, ...]`` or ``T | None``."""
     value = raw[key]
@@ -231,9 +247,9 @@ def _convert(hint, raw: dict, section: str, key: str):
         if get_origin(hint) is tuple:
             if not isinstance(value, (list, tuple)):
                 raise TypeError("not a list")
-            return tuple(get_args(hint)[0](v) for v in value)
-        return hint(value)
-    except (TypeError, ValueError) as exc:
+            return tuple(_scalar(get_args(hint)[0], v) for v in value)
+        return _scalar(hint, value)
+    except (TypeError, ValueError, OverflowError) as exc:
         name = f"a list of {get_args(hint)[0].__name__}" if get_origin(hint) else hint.__name__
         raise ConfigError(
             f"key {key!r} in config section {section!r} must be {name}, not {value!r}"
@@ -261,7 +277,7 @@ def _build(cls, raw: dict, section: str, keys: Sequence[str], required: Sequence
 
 def parse_config(raw: dict) -> ExperimentConfig:
     _check_keys(raw, "<root>", ROOT_KEYS)
-    if raw.get("version") != CONFIG_VERSION:
+    if raw.get("version") != CONFIG_VERSION or isinstance(raw["version"], bool):
         raise ConfigError(f"unsupported config version {raw.get('version')!r}")
 
     model = _section(raw, "model")
@@ -273,8 +289,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     act_raw = dict(_section(raw, "activity"))
     # An epoch is one frame: the simulator draws availability once per
     # delivery.  The key stays accepted at its only meaningful value.
-    if act_raw.pop("epoch_frames", 1) != 1:
+    if _convert(int, {"epoch_frames": 1, **act_raw}, "activity", "epoch_frames") != 1:
         raise ConfigError("activity.epoch_frames must be 1: every epoch is one frame")
+    act_raw.pop("epoch_frames", None)
     mode = act_raw.get("mode", PuActivityModel.mode)
     if mode not in (IID_MODE, SPATIAL_MODE):
         raise ConfigError(f"unknown activity mode {mode!r}")
@@ -304,6 +321,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
     grid_raw = _section(sweep, "grid", "sweep.grid")
     _check_keys(grid_raw, "sweep.grid", GRID_KEYS)
     grid = {key: _convert(tuple[float, ...], grid_raw, "sweep.grid", key) for key in grid_raw}
+    for key, values in grid.items():
+        section, target = GRID_KEYS[key]
+        if section == "activity" and target not in ACTIVITY_KEYS[mode]:
+            raise ConfigError(f"grid key {key!r} sets {target}, which mode {mode!r} does not read")
+        if not values:
+            raise ConfigError(f"grid key {key!r} in config section 'sweep.grid' has no values")
     return _build(ExperimentConfig, _section(raw, "output"), "output", OUTPUT_KEYS,
                   spec=spec, grid=grid, **_fields(ExperimentConfig, raw, "<root>", ("schemes",)))
 
@@ -341,13 +364,39 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def load_config(path: Path) -> ExperimentConfig:
+def read_config(path: Path) -> dict:
     try:
         raw = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} is not a JSON object")
+    return raw
+
+
+def load_config(path: Path) -> ExperimentConfig:
+    return parse_config(read_config(path))
+
+
+def grid_points(grid: dict[str, Sequence[float]]) -> list[dict[str, float]]:
+    """Cartesian product of the grid in deterministic key order."""
+    keys = sorted(grid)
+    return [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
+
+
+def point_config(cfg: ExperimentConfig, point: dict[str, float]) -> ExperimentConfig:
+    """``cfg``'s document with the point's values written where ``GRID_KEYS``
+    says, parsed again, under a seed derived from the point's content."""
+    raw = config_to_payload(cfg)
+    for key, value in point.items():
+        section, target = GRID_KEYS[key]
+        if section == "budget":
+            raw["budget"] = {}
+        if key == "nodes":
+            raw["model"].pop("positions", None)
+        raw[section][target] = 1.0 - value if key == "p_block" else value
+    tag = ",".join(f"{k}={point[k]:.10g}" for k in sorted(point))
+    raw["seed"] = int(stream(cfg.spec.seed, "sweep-point", tag).integers(0, 2**63 - 1))
     return parse_config(raw)
 
 
@@ -576,7 +625,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
             rows.extend(stored)
             continue
         try:
-            result = run_point(point_spec(cfg.spec, point), cfg.schemes, f"point {idx:04d}: ")
+            result = run_point(point_config(cfg, point).spec, cfg.schemes, f"point {idx:04d}: ")
             point_rows = [
                 cfg.row(point, result.metrics[scheme], result.master) for scheme in cfg.schemes
             ]
@@ -620,6 +669,8 @@ def _parse_grid_flag(text: str) -> tuple[str, tuple[float, ...]]:
         start, stop, step = (float(x) for x in spec.split(":"))
     except ValueError as exc:
         raise ConfigError(f"bad --grid value {text!r}; expected KEY=START:STOP:STEP") from exc
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ConfigError(f"--grid key {key!r}: START, STOP and STEP must be finite")
     if step <= 0:
         raise ConfigError("grid step must be positive")
     values = []
@@ -686,24 +737,22 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.command == "verify":
             return cmd_verify(args.out, args.seed if args.seed is not None else 20260810)
-        cfg = load_config(args.config)
+        raw = read_config(args.config)  # the flags are written in, to be checked as keys
         if args.seed is not None:
-            cfg = replace(cfg, spec=replace(cfg.spec, seed=args.seed))
+            raw["seed"] = args.seed
         if getattr(args, "scheme", None):
-            cfg = replace(cfg, schemes=tuple(args.scheme))
+            raw["schemes"] = args.scheme
+        if getattr(args, "grid", None):
+            sweep = _section(raw, "sweep")
+            flags = dict(map(_parse_grid_flag, args.grid))
+            raw["sweep"] = {**sweep, "grid": {**_section(sweep, "grid", "sweep.grid"), **flags}}
+        cfg = parse_config(raw)
         if args.command == "calibrate":
             return cmd_calibrate(cfg, args.out, threads=args.threads)
         if args.command == "simulate":
             artifacts = args.artifacts if args.artifacts is not None else args.out
             return cmd_simulate(cfg, args.out, artifacts)
         if args.command == "sweep":
-            if args.grid:
-                merged = dict(cfg.grid)
-                for flag in args.grid:
-                    key, values = _parse_grid_flag(flag)
-                    merged[key] = values
-                _check_keys(merged, "--grid", GRID_KEYS)
-                cfg = replace(cfg, grid=merged)
             return cmd_sweep(cfg, args.out)
         raise AssertionError(f"unhandled command {args.command}")
     except (ConfigError, ArtifactMismatchError, CoverageError) as exc:

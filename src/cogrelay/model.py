@@ -12,6 +12,7 @@ spatial reuse and each one hosts an independent hop/power subproblem.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -46,10 +47,12 @@ class Topology:
         pos = tuple(float(x) for x in positions)
         if len(pos) < 2:
             raise ValueError("a route needs at least two nodes")
-        if any(b <= a for a, b in zip(pos, pos[1:])):
+        if not all(map(math.isfinite, pos)):
+            raise ValueError("positions must be finite")
+        if not all(a < b for a, b in zip(pos, pos[1:])):
             raise ValueError("positions must be strictly increasing along the route")
-        if alpha < 0.0:
-            raise ValueError("path-loss exponent must be non-negative")
+        if not 0.0 <= alpha < math.inf:  # NaN fails too
+            raise ValueError("path-loss exponent must be non-negative and finite")
         n = len(pos)
         x = np.asarray(pos)
         dist = np.abs(x[:, None] - x[None, :])
@@ -77,9 +80,9 @@ def make_linear_route(
     ``min_gap``.  Deterministic for a fixed seed."""
     if nodes < 2:
         raise ValueError("need at least source and destination")
-    if span <= 0.0:
-        raise ValueError("span must be positive")
-    if (nodes - 1) * min_gap >= span:
+    if not 0.0 < span < math.inf:  # NaN fails these checks too
+        raise ValueError("span must be positive and finite")
+    if not (nodes - 1) * min_gap < span:
         raise ValueError("min_gap too large for the requested span")
     acceptance = (1.0 - (nodes - 1) * min_gap / span) ** (nodes - 2)  # of one draw
     if acceptance < MIN_PLACEMENT_ACCEPTANCE:

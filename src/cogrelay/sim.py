@@ -35,8 +35,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -113,8 +113,8 @@ class StudySpec:
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ValueError("epochs must be positive")
-        if self.p0 <= 0.0:
-            raise ValueError("the power budget must be positive")
+        if not 0.0 < self.p0 < math.inf:  # NaN fails too
+            raise ValueError("the power budget must be positive and finite")
         if self.episodes_per_segment < 1:
             raise ValueError("episodes_per_segment must be positive")
         if self.baseline_warmup < 0:
@@ -431,46 +431,3 @@ def _run_store_and_forward(
     u_se = float(rates.std(ddof=1) / np.sqrt(rates.size)) if rates.size > 1 else 0.0
     return RunMetrics("baseline2", spec.p0, spec.epochs, spec.seed, u_weighted=u, u_min=u,
                       u_empirical=u, u_empirical_se=u_se, total_power=mass * p_c)
-
-
-# ---------------------------------------------------------------------------
-# Sweep grids
-# ---------------------------------------------------------------------------
-
-
-GRID_KEYS = ("p0_db", "p0", "p_avail", "p_block", "nodes", "alpha")
-
-
-def apply_grid_point(spec: StudySpec, point: dict[str, float]) -> StudySpec:
-    """Override one study dimension per grid key."""
-    out = spec
-    for key, value in point.items():
-        if key == "p0_db":
-            out = replace(out, p0=10.0 ** (value / 10.0))
-        elif key == "p0":
-            out = replace(out, p0=float(value))
-        elif key == "p_avail":
-            out = replace(out, activity=replace(out.activity, p_avail=float(value)))
-        elif key == "p_block":
-            out = replace(out, activity=replace(out.activity, p_avail=1.0 - float(value)))
-        elif key == "nodes":
-            out = replace(out, route=replace(out.route, nodes=int(value), positions=None))
-        elif key == "alpha":
-            out = replace(out, route=replace(out.route, alpha=float(value)))
-        else:
-            raise ValueError(f"unknown grid key {key!r}")
-    return out
-
-
-def grid_points(grid: dict[str, Sequence[float]]) -> list[dict[str, float]]:
-    """Cartesian product of the grid in deterministic key order."""
-    keys = sorted(grid)
-    return [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
-
-
-def point_spec(spec: StudySpec, point: dict[str, float]) -> StudySpec:
-    """Study spec for one grid point, with a content-derived seed so the
-    point is reproducible in isolation and independent of grid order."""
-    tag = ",".join(f"{k}={point[k]:.10g}" for k in sorted(point))
-    seed = int(stream(spec.seed, "sweep-point", tag).integers(0, 2**63 - 1))
-    return replace(apply_grid_point(spec, point), seed=seed)

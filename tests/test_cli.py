@@ -46,6 +46,10 @@ def base_config(**overrides):
     return raw
 
 
+NAN, INF = float("nan"), float("inf")
+SPATIAL_ACTIVITY = {"mode": "spatial-field", "rho_p": 0.4, "p_active": 0.5, "d0": 0.8}
+
+
 def write_config(tmp_path, raw, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(raw))
@@ -559,7 +563,68 @@ class TestSweepCommand:
         assert report["completed"] == 1
         [failure] = report["failures"]
         assert failure["point"] == {"nodes": 16.0}
-        assert failure["error"].startswith("ValueError: route too dense to place: 16 nodes")
+        assert failure["error"].startswith("ConfigError: route too dense to place: 16 nodes")
+
+    @pytest.mark.parametrize(
+        "flag", ["p0_db=0:inf:1", "p0_db=0:nan:1", "p0_db=nan:10:1", "p0_db=0:10:nan"]
+    )
+    def test_non_finite_grid_flag_bounds_are_exit_2_errors(self, tmp_path, capsys, flag):
+        cfg_path = write_config(tmp_path, base_config())
+        code = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                     "--grid", flag])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: --grid key 'p0_db': START, STOP and STEP must be finite")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("source", ["file", "flag"])
+    def test_grid_key_without_values_is_an_exit_2_error(self, tmp_path, capsys, source):
+        raw = base_config()
+        flags = []
+        if source == "file":
+            raw["sweep"] = {"grid": {"p0_db": [], "alpha": [2.0]}}
+        else:
+            raw["sweep"] = {"grid": {"alpha": [2.0]}}
+            flags = ["--grid", "p0_db=10:0:1"]  # STOP below START: no values
+        cfg_path = write_config(tmp_path, raw)
+        code = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o"), *flags])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: grid key 'p0_db' in config section 'sweep.grid' has no values")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("source", ["file", "flag"])
+    @pytest.mark.parametrize("key", ["p_avail", "p_block"])
+    def test_availability_grid_on_a_spatial_config_is_an_exit_2_error(
+        self, tmp_path, capsys, key, source
+    ):
+        raw = base_config(activity=SPATIAL_ACTIVITY)
+        flags = []
+        if source == "file":
+            raw["sweep"] = {"grid": {key: [0.1, 0.9]}}
+        else:
+            flags = ["--grid", f"{key}=0.1:0.9:0.8"]
+        cfg_path = write_config(tmp_path, raw)
+        code = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o"), *flags])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: grid key '{key}' sets p_avail, which mode 'spatial-field' does not read")
+        assert not (tmp_path / "o").exists()
+
+    def test_flags_are_written_into_the_config(self, tmp_path):
+        raw = base_config(seed=5, sweep={"grid": {"p0_db": [0.0], "alpha": [2.0, 3.0]}})
+        cfg_path = write_config(tmp_path, raw)
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out), "--seed", "9",
+                     "--scheme", "baseline4", "--grid", "p0_db=10:10:1"]) == 0
+        report = json.loads((out / "sweep_report.json").read_text())
+        raw.update(seed=9, schemes=["baseline4"],
+                   sweep={"grid": {"p0_db": [10.0], "alpha": [2.0, 3.0]}})
+        assert report["config_hash"] == config_hash(parse_config(raw))
+        with open(out / "sweep.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [(r["alpha"], r["p0_db"], r["scheme"]) for r in rows] == [
+            ("2.0", "10.0", "baseline4"), ("3.0", "10.0", "baseline4")]
 
     def test_unknown_grid_flag_key_is_an_exit_2_error(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config())
@@ -646,6 +711,77 @@ class TestMainEntry:
             main([command, *config, "--out", str(tmp_path / "o"), "--seed", seed])
         assert exc.value.code == 2
         assert f"must be non-negative, not {seed}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "section, values, expected",
+        [
+            ("model", {"nodes": 4, "min_gap": NAN}, "key 'min_gap' in config section 'model'"),
+            ("budget", {"P0": NAN}, "key 'P0' in config section 'budget'"),
+            ("budget", {"P0": INF}, "key 'P0' in config section 'budget'"),
+            ("budget", {"P0_dB": INF}, "key 'P0_dB' in config section 'budget'"),
+            ("budget", {"P0_dB": 4000.0}, "budget P0_dB 4000 overflows"),
+            ("model", {"positions": [0.0, 2.0, 5.0], "alpha": NAN},
+             "key 'alpha' in config section 'model'"),
+            ("model", {"positions": [0.0, 2.0, 5.0], "alpha": INF},
+             "key 'alpha' in config section 'model'"),
+            ("model", {"positions": [0.0, NAN, 5.0]}, "key 'positions' in config section 'model'"),
+            ("model", {"positions": [0.0, 2.0, INF]}, "key 'positions' in config section 'model'"),
+            ("model", {"nodes": 4, "span": NAN}, "key 'span' in config section 'model'"),
+            ("model", {"nodes": 4, "span": INF}, "key 'span' in config section 'model'"),
+            ("model", {"nodes": INF}, "key 'nodes' in config section 'model'"),
+            ("sim", {"epochs": INF}, "key 'epochs' in config section 'sim'"),
+            ("solver.master", {"step_a": INF}, "key 'step_a' in config section 'solver.master'"),
+            ("solver", {"p_max_factor": INF}, "key 'p_max_factor' in config section 'solver'"),
+            ("solver.master", {"pair_prob_cutoff": NAN},
+             "key 'pair_prob_cutoff' in config section 'solver.master'"),
+            ("activity", {**SPATIAL_ACTIVITY, "rho_p": NAN},
+             "key 'rho_p' in config section 'activity'"),
+            ("activity", {**SPATIAL_ACTIVITY, "rho_p": INF},
+             "key 'rho_p' in config section 'activity'"),
+            ("activity", {**SPATIAL_ACTIVITY, "d0": NAN}, "key 'd0' in config section 'activity'"),
+            ("activity", {**SPATIAL_ACTIVITY, "d0": INF}, "key 'd0' in config section 'activity'"),
+            ("activity", {**SPATIAL_ACTIVITY, "strip_width": NAN},
+             "key 'strip_width' in config section 'activity'"),
+            ("solver.master", {"step_b": INF}, "key 'step_b' in config section 'solver.master'"),
+            ("solver.master", {"objective_tolerance": NAN},
+             "key 'objective_tolerance' in config section 'solver.master'"),
+            ("solver", {"power_tolerance": INF},
+             "key 'power_tolerance' in config section 'solver'"),
+            ("model", {"nodes": 4.7}, "key 'nodes' in config section 'model'"),
+            ("<root>", {"seed": 3.9}, "key 'seed' in config section '<root>'"),
+            ("<root>", {"seed": True}, "key 'seed' in config section '<root>'"),
+            ("sim", {"epochs": True}, "key 'epochs' in config section 'sim'"),
+            ("budget", {"P0": True}, "key 'P0' in config section 'budget'"),
+            ("activity", {"mode": "iid-bernoulli", "p_avail": 0.8, "epoch_frames": True},
+             "key 'epoch_frames' in config section 'activity'"),
+            ("<root>", {"version": True}, "unsupported config version True"),
+        ],
+        ids=["min_gap-nan", "P0-nan", "P0-inf", "P0_dB-inf", "P0_dB-4000", "alpha-nan",
+             "alpha-inf", "positions-nan", "positions-inf", "span-nan", "span-inf", "nodes-inf",
+             "epochs-inf", "step_a-inf", "p_max_factor-inf", "pair_prob_cutoff-nan", "rho_p-nan",
+             "rho_p-inf", "d0-nan", "d0-inf", "strip_width-nan", "step_b-inf",
+             "objective_tolerance-nan", "power_tolerance-inf", "nodes-fraction",
+             "seed-fraction", "seed-bool", "epochs-bool", "P0-bool", "epoch_frames-bool",
+             "version-bool"],
+    )
+    def test_non_finite_fractional_and_boolean_numbers_are_exit_2_errors(
+        self, tmp_path, capsys, section, values, expected
+    ):
+        raw = base_config()
+        if section == "<root>":
+            raw.update(values)
+        elif section == "solver":
+            raw["solver"].update(values)
+        elif section == "solver.master":
+            raw["solver"]["master"].update(values)
+        else:
+            raw[section] = values
+        cfg_path = write_config(tmp_path, raw)  # json writes NaN and Infinity literals
+        code = main(["calibrate", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {expected}") and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
     def test_bad_config_path(self, tmp_path, capsys):

@@ -99,6 +99,19 @@ class TestTopology:
     def test_seed_7_routes_are_pinned(self, nodes, span, positions):
         assert make_linear_route(nodes, span, placement_seed=7) == positions
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: make_linear_route(4, 5.0, 7, float("nan")),
+            lambda: make_linear_route(4, float("nan"), 7),
+            lambda: Topology.from_positions((0.0, float("nan"), 2.0), 2.0),
+        ],
+        ids=["min_gap", "span", "positions"],
+    )
+    def test_nan_route_arguments_are_refused(self, build):
+        with pytest.raises(ValueError):
+            build()
+
     def test_route_too_dense_to_place_is_refused(self):
         # One draw in about 2.7e8 would place these relays 0.25 apart.
         with pytest.raises(ValueError, match=r"16 nodes over span 5 with min_gap 0\.25"):

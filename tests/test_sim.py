@@ -21,9 +21,6 @@ from cogrelay.sim import (
     RunMetrics,
     SolverOptions,
     StudySpec,
-    apply_grid_point,
-    grid_points,
-    point_spec,
     run_baseline,
     run_proposed,
     transmit_mass,
@@ -550,27 +547,33 @@ class TestStudyPoints:
         if m.balance_consistent:
             assert m.u_weighted == pytest.approx(m.u_min, rel=0.011)
 
+    @pytest.mark.parametrize("p0", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_budget_is_refused(self, p0):
+        with pytest.raises(ValueError, match="budget must be positive and finite"):
+            small_spec((0.0, 5.0), p_avail=0.9, p0=p0)
+
     def test_grid_points_and_overrides(self):
         grid = {"p0_db": (0.0, 10.0), "p_block": (0.1, 0.2)}
-        points = grid_points(grid)
+        points = cli.grid_points(grid)
         assert len(points) == 4
         assert points[0] == {"p0_db": 0.0, "p_block": 0.1}
-        spec = small_spec((0.0, 5.0), p_avail=0.9)
-        out = apply_grid_point(spec, points[0])
+        cfg = cli.ExperimentConfig(small_spec((0.0, 5.0), p_avail=0.9))
+        out = cli.point_config(cfg, points[0]).spec
         assert out.p0 == pytest.approx(1.0)
         assert out.activity.p_avail == pytest.approx(0.9)  # p_block applied
-        out2 = apply_grid_point(spec, {"p_block": 0.25})
+        out2 = cli.point_config(cfg, {"p_block": 0.25}).spec
         assert out2.activity.p_avail == pytest.approx(0.75)
-        out3 = apply_grid_point(spec, {"nodes": 4, "alpha": 3.0})
+        out3 = cli.point_config(cfg, {"nodes": 4, "alpha": 3.0}).spec
         assert out3.route.nodes == 4 and out3.route.alpha == 3.0
-        with pytest.raises(ValueError):
-            apply_grid_point(spec, {"bogus": 1.0})
+        assert out3.route.positions is None
+        with pytest.raises(KeyError):  # parsing refuses unknown grid keys first
+            cli.point_config(cfg, {"bogus": 1.0})
 
     def test_point_seed_is_content_addressed(self):
-        spec = small_spec((0.0, 5.0), p_avail=0.9)
-        a = point_spec(spec, {"p0_db": 10.0})
-        b = point_spec(spec, {"p0_db": 10.0})
-        c = point_spec(spec, {"p0_db": 20.0})
+        cfg = cli.ExperimentConfig(small_spec((0.0, 5.0), p_avail=0.9))
+        a = cli.point_config(cfg, {"p0_db": 10.0}).spec
+        b = cli.point_config(cfg, {"p0_db": 10.0}).spec
+        c = cli.point_config(cfg, {"p0_db": 20.0}).spec
         assert a.seed == b.seed
         assert a.seed != c.seed
 
