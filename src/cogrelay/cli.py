@@ -52,19 +52,12 @@ from .subpolicy import CalibratedPolicy, CalibrationError, policy_from_payload, 
 CONFIG_VERSION = 1
 LN2 = math.log(2.0)
 
-RESULT_COLUMNS = (
-    "scheme",
-    "u_min",
-    "u_weighted",
-    "u_empirical",
-    "u_empirical_se",
-    "total_power",
-    "p0",
-    "epochs",
-    "seed",
-    "master_objective",
-    "master_iterations",
-)
+# A result row: these ``RunMetrics`` fields, then the master's attribute
+# under each master column's name.
+METRIC_COLUMNS = ("scheme", "u_min", "u_weighted", "u_empirical", "u_empirical_se",
+                  "total_power", "p0", "epochs", "seed")
+MASTER_COLUMNS = {"master_objective": "best_objective", "master_iterations": "iterations"}
+RESULT_COLUMNS = METRIC_COLUMNS + tuple(MASTER_COLUMNS)
 RATE_COLUMNS = ("u_min", "u_weighted", "u_empirical", "u_empirical_se", "master_objective")
 
 VERIFY_REPORT_SCHEMA = {
@@ -173,9 +166,13 @@ class ExperimentConfig:
     rate_units: str = "nats"
 
     def __post_init__(self) -> None:
-        for s in self.schemes:
+        if not self.schemes:
+            raise ConfigError("key 'schemes' needs at least one scheme")
+        for i, s in enumerate(self.schemes):
             if s not in SCHEMES:
                 raise ConfigError(f"unknown scheme {s!r}")
+            if s in self.schemes[:i]:
+                raise ConfigError(f"key 'schemes' names scheme {s!r} twice")
         if self.rate_units not in ("nats", "bits"):
             raise ConfigError(f"unknown rate units {self.rate_units!r}")
 
@@ -184,27 +181,16 @@ class ExperimentConfig:
         return value / LN2 if self.rate_units == "bits" else value
 
     def row(self, point: dict, m: RunMetrics, master: MasterSolution | None) -> dict:
-        """One output row: the grid point's keys, then the scheme's results,
+        """One output row: the grid point's values, then the scheme's results,
         rates in the configured units.  The master columns stay blank for
         runs against stored tables."""
-        row = {
-            **{k: point[k] for k in sorted(point)},
-            "scheme": m.scheme,
-            "u_min": m.u_min,
-            "u_weighted": m.u_weighted,
-            "u_empirical": m.u_empirical,
-            "u_empirical_se": m.u_empirical_se,
-            "total_power": m.total_power,
-            "p0": m.p0,
-            "epochs": m.epochs,
-            "seed": m.seed,
-            "master_objective": "" if master is None else master.best_objective,
-            "master_iterations": "" if master is None else master.iterations,
-        }
+        row = {key: getattr(m, key) for key in METRIC_COLUMNS}
+        for key, attr in MASTER_COLUMNS.items():
+            row[key] = "" if master is None else getattr(master, attr)
         for key in RATE_COLUMNS:
             if row[key] != "":
                 row[key] = self.scale(row[key])
-        return row
+        return {**point, **row}
 
 
 def _section(raw: dict, key: str, name: str | None = None) -> dict:
@@ -327,6 +313,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"grid key {key!r} sets {target}, which mode {mode!r} does not read")
         if not values:
             raise ConfigError(f"grid key {key!r} in config section 'sweep.grid' has no values")
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ConfigError(f"grid key {key!r} in config section 'sweep.grid' repeats "
+                                  f"the value {value:g}")
     return _build(ExperimentConfig, _section(raw, "output"), "output", OUTPUT_KEYS,
                   spec=spec, grid=grid, **_fields(ExperimentConfig, raw, "<root>", ("schemes",)))
 
@@ -359,9 +349,24 @@ def config_to_payload(cfg: ExperimentConfig) -> dict:
     }
 
 
+def _digest(payload: dict) -> str:
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
 def config_hash(cfg: ExperimentConfig) -> str:
-    blob = json.dumps(config_to_payload(cfg), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return _digest(config_to_payload(cfg))
+
+
+def calibration_hash(cfg: ExperimentConfig) -> str:
+    """Hash of the part of ``cfg`` that calibration reads: the canonical
+    payload without ``schemes``, ``sweep`` and ``output``, and with ``sim``
+    cut down to ``prob_samples``.  It guards calibration artifacts, so a
+    config that differs only in what a run of the tables reads can use them."""
+    payload = config_to_payload(cfg)
+    for key in ("schemes", "sweep", "output"):
+        del payload[key]
+    payload["sim"] = {"prob_samples": payload["sim"]["prob_samples"]}
+    return _digest(payload)
 
 
 def read_config(path: Path) -> dict:
@@ -379,9 +384,11 @@ def load_config(path: Path) -> ExperimentConfig:
 
 
 def grid_points(grid: dict[str, Sequence[float]]) -> list[dict[str, float]]:
-    """Cartesian product of the grid in deterministic key order."""
+    """Cartesian product of the grid in deterministic key order; an empty
+    grid has no points."""
     keys = sorted(grid)
-    return [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
+    combos = itertools.product(*(grid[k] for k in keys)) if keys else ()
+    return [dict(zip(keys, combo)) for combo in combos]
 
 
 def point_config(cfg: ExperimentConfig, point: dict[str, float]) -> ExperimentConfig:
@@ -436,12 +443,12 @@ def _solve(spec: StudySpec, topology: Topology, prob_table: dict[Pair, float],
 def _run_schemes(spec: StudySpec, schemes: Sequence[str], topology: Topology,
                  prob_table: dict[Pair, float],
                  policies: Callable[[], dict[Pair, CalibratedPolicy]]) -> dict[str, RunMetrics]:
-    """Each scheme's metrics on one draw of the spec's epochs, every scheme
-    named run once, in order; ``policies()`` is called when ``proposed`` is
-    reached, so a run without it never reads them."""
+    """Each scheme's metrics on one draw of the spec's epochs, in order;
+    ``policies()`` is called when ``proposed`` is reached, so a run without
+    it never reads them."""
     activity = spec.epoch_activity(topology)
     metrics = {}
-    for scheme in dict.fromkeys(schemes):
+    for scheme in schemes:
         if scheme == "proposed":
             metrics[scheme] = run_proposed(spec, policies(), prob_table, topology, activity)
         else:
@@ -487,7 +494,7 @@ def cmd_calibrate(cfg: ExperimentConfig, out: Path, threads: int = 1) -> int:
             out / "calibration_manifest.json",
             {
                 "format_version": 1,
-                "config_hash": config_hash(cfg),
+                "config_hash": calibration_hash(cfg),
                 "pairs": [],
                 "table_entries_total": 0,
             },
@@ -506,7 +513,7 @@ def cmd_calibrate(cfg: ExperimentConfig, out: Path, threads: int = 1) -> int:
         out / "calibration_manifest.json",
         {
             "format_version": 1,
-            "config_hash": config_hash(cfg),
+            "config_hash": calibration_hash(cfg),
             "seed": spec.seed,
             "pairs": [list(p) for p in sorted(solution.policies)],
             "table_entries_total": total_entries,
@@ -545,7 +552,7 @@ def _load_policies(cfg: ExperimentConfig, artifacts: Path, topology) -> dict:
         raise ArtifactMismatchError(f"no calibration manifest under {artifacts}")
     manifest = _read_artifact(manifest_path)
     try:
-        stale = manifest["config_hash"] != config_hash(cfg)
+        stale = manifest["config_hash"] != calibration_hash(cfg)
         pairs = [(int(i), int(j)) for i, j in manifest["pairs"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise _malformed(manifest_path, exc) from exc
@@ -605,27 +612,25 @@ def _stored_rows(marker: Path, digest: str) -> list[dict] | None:
 
 
 def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
-    if not cfg.grid:
-        write_csv(out / "sweep.csv", RESULT_COLUMNS, [])
-        atomic_write_json(
-            out / "sweep_report.json",
-            {"format_version": 1, "points": 0, "failures": [], "config_hash": config_hash(cfg)},
-        )
-        print("empty sweep grid; wrote header-only CSV")
-        return 0
-    points = grid_points(dict(cfg.grid))
-    columns = tuple(sorted(cfg.grid)) + RESULT_COLUMNS
+    points = grid_points(cfg.grid)
+    specs = []
+    for idx, point in enumerate(points):  # refuse a bad point before any point runs
+        try:
+            specs.append(point_config(cfg, point).spec)
+        except ConfigError as exc:
+            raise ConfigError(f"sweep point {idx:04d} {point}: {exc}") from exc
+    columns = tuple(sorted(cfg.grid)) + tuple(c for c in RESULT_COLUMNS if c not in cfg.grid)
     digest = config_hash(cfg)
     rows: list[dict] = []
     failures: list[dict] = []
-    for idx, point in enumerate(points):
+    for idx, (point, spec) in enumerate(zip(points, specs)):
         marker = out / "sweep_points" / f"point_{idx:04d}.json"
         stored = _stored_rows(marker, digest)
         if stored is not None:
             rows.extend(stored)
             continue
         try:
-            result = run_point(point_config(cfg, point).spec, cfg.schemes, f"point {idx:04d}: ")
+            result = run_point(spec, cfg.schemes, f"point {idx:04d}: ")
             point_rows = [
                 cfg.row(point, result.metrics[scheme], result.master) for scheme in cfg.schemes
             ]

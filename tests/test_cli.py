@@ -365,6 +365,26 @@ class TestSimulateCommand:
         assert code == 2
         assert "different configuration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit, flags, schemes",
+        [(lambda raw: None, ["--scheme", "proposed"], ["proposed"]),
+         (lambda raw: raw["sim"].update(epochs=100), [], ["proposed", "baseline3"]),
+         (lambda raw: raw.update(output={"rate_units": "bits"}), [], ["proposed", "baseline3"])],
+        ids=["scheme-flag", "epochs", "rate-units"],
+    )
+    def test_artifacts_serve_configs_that_differ_only_in_what_calibration_ignores(
+        self, calibrated, tmp_path, edit, flags, schemes
+    ):
+        _, artifacts = calibrated
+        raw = base_config()
+        edit(raw)
+        cfg_path = write_config(tmp_path, raw, "run.json")
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out),
+                     "--artifacts", str(artifacts), *flags]) == 0
+        with open(out / "results.csv", newline="") as handle:
+            assert [row["scheme"] for row in csv.DictReader(handle)] == schemes
+
     def test_uncalibrated_segment_is_an_exit_2_error(self, tmp_path, capsys):
         raw = base_config()
         raw["solver"]["master"] = {"max_iterations": 4, "pair_prob_cutoff": 0.2}
@@ -479,6 +499,8 @@ class TestSweepCommand:
         text = (out / "sweep.csv").read_text()
         assert text.startswith("scheme,")
         assert len(text.strip().splitlines()) == 1
+        report = json.loads((out / "sweep_report.json").read_text())
+        assert report["points"] == 0 and report["completed"] == 0
 
     def test_points_are_resumable(self, tmp_path):
         raw = base_config()
@@ -551,19 +573,39 @@ class TestSweepCommand:
         assert len(rows) == 1
         assert rows[0]["p_block"] == "0.2"
 
-    def test_route_too_dense_to_place_is_a_failed_point(self, tmp_path):
+    def test_route_too_dense_to_place_is_refused_before_any_point_runs(self, tmp_path, capsys):
         raw = base_config()
         raw["schemes"] = ["baseline3"]
         cfg_path = write_config(tmp_path, raw)
         out = tmp_path / "out"
         code = main(["sweep", "--config", str(cfg_path), "--out", str(out),
                      "--grid", "nodes=3:16:13"])
-        assert code == 1
-        report = json.loads((out / "sweep_report.json").read_text())
-        assert report["completed"] == 1
-        [failure] = report["failures"]
-        assert failure["point"] == {"nodes": 16.0}
-        assert failure["error"].startswith("ConfigError: route too dense to place: 16 nodes")
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: sweep point 0001 {'nodes': 16.0}: route too dense to place: 16 nodes")
+        assert not out.exists()  # point 0000 can be placed, but did not run
+
+    def test_point_no_config_can_take_is_refused_before_any_point_runs(self, tmp_path, capsys):
+        raw = base_config(sweep={"grid": {"nodes": [3, 4.5], "p_avail": [1.5]}})
+        cfg_path = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sweep point 0000 {'nodes': 3.0, 'p_avail': 1.5}: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_a_p0_grid_writes_each_column_once(self, tmp_path):
+        raw = base_config(schemes=["baseline3"], sweep={"grid": {"p0": [50.0, 100.0]}})
+        cfg_path = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+        with open(out / "sweep.csv", newline="") as handle:
+            header = next(csv.reader(handle))
+            handle.seek(0)
+            rows = list(csv.DictReader(handle))
+        assert header == ["p0", *RESULT_COLUMNS[:6], *RESULT_COLUMNS[7:]]
+        assert [row["p0"] for row in rows] == ["50.0", "100.0"]
 
     @pytest.mark.parametrize(
         "flag", ["p0_db=0:inf:1", "p0_db=0:nan:1", "p0_db=nan:10:1", "p0_db=0:10:nan"]
@@ -626,6 +668,14 @@ class TestSweepCommand:
         assert [(r["alpha"], r["p0_db"], r["scheme"]) for r in rows] == [
             ("2.0", "10.0", "baseline4"), ("3.0", "10.0", "baseline4")]
 
+    def test_repeated_grid_value_is_an_exit_2_error(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, base_config(sweep={"grid": {"p0_db": [20, 20]}}))
+        code = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: grid key 'p0_db' in config section 'sweep.grid' repeats the value 20")
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_grid_flag_key_is_an_exit_2_error(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config())
         code = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
@@ -669,6 +719,25 @@ class TestMainEntry:
         )
         assert code == 2
         assert "unknown scheme" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "schemes, flags, expected",
+        [([], [], "key 'schemes' needs at least one scheme"),
+         (["baseline3", "baseline3"], [], "key 'schemes' names scheme 'baseline3' twice"),
+         (["proposed"], ["--scheme", "baseline3", "--scheme", "baseline3"],
+          "key 'schemes' names scheme 'baseline3' twice")],
+        ids=["empty", "repeated", "repeated-flag"],
+    )
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_empty_or_repeated_schemes_are_exit_2_errors(
+        self, tmp_path, capsys, command, schemes, flags, expected
+    ):
+        raw = base_config(schemes=schemes, sweep={"grid": {"p0_db": [20.0]}})
+        cfg_path = write_config(tmp_path, raw)
+        code = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o"), *flags])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {expected}")
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_config_key_names_key_and_section(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config(activity_typo=1))
