@@ -307,8 +307,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
     grid_raw = _section(sweep, "grid", "sweep.grid")
     _check_keys(grid_raw, "sweep.grid", GRID_KEYS)
     grid = {key: _convert(tuple[float, ...], grid_raw, "sweep.grid", key) for key in grid_raw}
+    writers: dict[str, str] = {}  # the grid key that writes each target
     for key, values in grid.items():
         section, target = GRID_KEYS[key]
+        # A budget key replaces the whole budget, so the two collide.
+        slot = "the budget" if section == "budget" else f"{section}.{target}"
+        if (other := writers.setdefault(slot, key)) != key:
+            raise ConfigError(f"grid keys {other!r} and {key!r} both set {slot}")
         if section == "activity" and target not in ACTIVITY_KEYS[mode]:
             raise ConfigError(f"grid key {key!r} sets {target}, which mode {mode!r} does not read")
         if not values:

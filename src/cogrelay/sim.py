@@ -50,7 +50,7 @@ from .model import (
     segment_probabilities,
     segment_runs,
 )
-from .seeding import stream
+from .seeding import stream, streams
 from .subpolicy import (
     CalibratedPolicy,
     EpisodeBatch,
@@ -162,7 +162,7 @@ class EpochActivity:
     @classmethod
     def draw(cls, spec: StudySpec, topology: Topology, count: int, *tag: str) -> EpochActivity:
         """``count`` epochs, epoch ``e`` from stream ``(seed, "activity", *tag, e)``."""
-        gens = (stream(spec.seed, "activity", *tag, e) for e in range(count))
+        gens = streams(spec.seed, (("activity", *tag, e) for e in range(count)))
         empty = np.zeros((0, topology.node_count), dtype=np.uint8)
         bits = np.concatenate([empty, *availability_chunks(spec.activity, topology, gens)])
         return cls(bits, *segment_runs(bits), seed=spec.seed, tag=tag)
@@ -195,9 +195,12 @@ class EpochActivity:
 def _link_fading(activity: EpochActivity, epochs, heads, ends) -> np.ndarray:
     """The fading of link ``s -> t`` at ``[e, s]`` for each ``(e, s, t)``, else NaN."""
     fading = np.full((activity.bits.shape[0], activity.bits.shape[1] - 1), np.nan)
-    for e, s, t in zip(epochs.tolist(), heads.tolist(), ends.tolist()):
-        gen = stream(activity.seed, "epoch", *activity.tag, e, "link", s, t)
-        fading[e, s] = gen.exponential(1.0)
+    paths = (
+        ("epoch", *activity.tag, e, "link", s, t)
+        for e, s, t in zip(epochs.tolist(), heads.tolist(), ends.tolist())
+    )
+    gens = streams(activity.seed, paths)
+    fading[epochs, heads] = np.fromiter((g.exponential(1.0) for g in gens), float, epochs.size)
     return fading
 
 
@@ -301,8 +304,8 @@ def run_proposed(
     def run_pair(pair: Pair, epochs: np.ndarray) -> EpisodeBatch:
         policy = policies[pair]
         cube = {s: np.empty((epochs.size * k, pair[1] - s)) for s in range(*pair)}
-        for row, e in enumerate(epochs.tolist()):
-            rng = stream(spec.seed, "epoch", e, "segment", *pair)
+        rngs = streams(spec.seed, (("epoch", e, "segment", *pair) for e in epochs.tolist()))
+        for row, rng in enumerate(rngs):
             for s, block in draw_episode_cube(policy.problem, rng, k).items():
                 cube[s][row * k : row * k + k] = block
         return _run_episode_batch(policy.problem, policy.lam, policy.table, cube)

@@ -653,6 +653,29 @@ class TestSweepCommand:
             f"error: grid key '{key}' sets p_avail, which mode 'spatial-field' does not read")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("source", ["file", "flag"])
+    @pytest.mark.parametrize(
+        "first, second, target",
+        [("p0", "p0_db", "the budget"), ("p_block", "p_avail", "activity.p_avail")],
+    )
+    def test_grid_keys_that_set_one_target_are_an_exit_2_error(
+        self, tmp_path, capsys, first, second, target, source
+    ):
+        # Before, one of the two was dropped: {"p0": [50], "p0_db": [20]} ran at P0 = 100.
+        raw = base_config()
+        flags = []
+        if source == "file":
+            raw["sweep"] = {"grid": {first: [0.5], second: [0.9]}}
+        else:
+            raw["sweep"] = {"grid": {first: [0.5]}}
+            flags = ["--grid", f"{second}=0.9:0.9:1"]
+        cfg_path = write_config(tmp_path, raw)
+        code = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o"), *flags])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: grid keys '{first}' and '{second}' both set {target}")
+        assert not (tmp_path / "o").exists()
+
     def test_flags_are_written_into_the_config(self, tmp_path):
         raw = base_config(seed=5, sweep={"grid": {"p0_db": [0.0], "alpha": [2.0, 3.0]}})
         cfg_path = write_config(tmp_path, raw)

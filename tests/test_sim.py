@@ -122,14 +122,15 @@ class TestEpochActivity:
         one_hop = [(e, head) for e, head, end in runs if end == head + 1]
         assert one_hop
         drawn = Counter()
-        real_stream = sim.stream
+        real_streams = sim.streams
 
-        def counting(root, *path):
-            if "link" in path:
-                drawn[path] += 1
-            return real_stream(root, *path)
+        def counting(root, paths):
+            for path in paths:
+                if "link" in path:
+                    drawn[path] += 1
+                yield from real_streams(root, [path])
 
-        monkeypatch.setattr(sim, "stream", counting)
+        monkeypatch.setattr(sim, "streams", counting)
         run_baseline("baseline3", spec, prob_table, topo, activity)
         assert np.isnan(activity.direct[tuple(np.transpose(one_hop))]).all()
         assert max(drawn.values()) == 1
@@ -346,14 +347,15 @@ class TestPairBatches:
         prob_table = spec.pair_probabilities(topo)
         activity = spec.epoch_activity(topo)
         drawn = Counter()
-        real_stream = sim.stream
+        real_streams = sim.streams
 
-        def counting(root, *path):
-            if "link" in path:
-                drawn[path] += 1
-            return real_stream(root, *path)
+        def counting(root, paths):
+            for path in paths:
+                if "link" in path:
+                    drawn[path] += 1
+                yield from real_streams(root, [path])
 
-        monkeypatch.setattr(sim, "stream", counting)
+        monkeypatch.setattr(sim, "streams", counting)
         for kind in BASELINES:
             run_baseline(kind, spec, prob_table, topo, activity)
         live = {path for path in drawn if path[1] != "warmup"}
@@ -415,18 +417,19 @@ class TestProposed:
         target = (0, 2)
         baseline_stats = result.metrics["proposed"].pair_stats[target]
 
-        real_stream = sim.stream
+        real_streams = sim.streams
 
-        def skewed(root, *path):
-            # Perturb every segment stream except the target pair's.
-            if "segment" in path:
-                idx = path.index("segment")
-                pair = (path[idx + 1], path[idx + 2])
-                if pair != target:
-                    return real_stream(root, *path, "skewed")
-            return real_stream(root, *path)
+        def skewed(root, paths):
+            for path in paths:
+                # Perturb every segment stream except the target pair's.
+                if "segment" in path:
+                    idx = path.index("segment")
+                    pair = (path[idx + 1], path[idx + 2])
+                    if pair != target:
+                        path = (*path, "skewed")
+                yield from real_streams(root, [path])
 
-        monkeypatch.setattr(sim, "stream", skewed)
+        monkeypatch.setattr(sim, "streams", skewed)
         topo = spec.topology()
         activity = spec.epoch_activity(topo)
         prob_table = spec.pair_probabilities(topo)
