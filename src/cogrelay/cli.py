@@ -148,7 +148,7 @@ BUDGET_KEYS = ("P0_dB", "P0")
 SOLVER_KEYS = ("mc_samples", "episodes", "power_tolerance", "p_max_factor", "p_floor_factor")
 MASTER_KEYS = ("max_iterations", "step_a", "step_b", "tie_tolerance", "objective_tolerance",
                "window", "pair_prob_cutoff")
-SIM_KEYS = ("epochs", "episodes_per_segment", "baseline_warmup", "prob_samples")
+SIM_KEYS = ("epochs", "baseline_warmup", "prob_samples")
 OUTPUT_KEYS = ("rate_units",)
 # The section and key where each sweep grid key writes a point's value:
 # ``p_block`` writes 1 - p_block, a budget key replaces the budget, and
@@ -363,14 +363,14 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 
 def calibration_hash(cfg: ExperimentConfig) -> str:
-    """Hash of the part of ``cfg`` that calibration reads: the canonical
-    payload without ``schemes``, ``sweep`` and ``output``, and with ``sim``
-    cut down to ``prob_samples``.  It guards calibration artifacts, so a
-    config that differs only in what a run of the tables reads can use them."""
+    """Hash of what calibration reads, guarding its artifacts: the canonical
+    payload without ``schemes``, ``sweep``, ``output`` and ``sim``, save the
+    ``prob_samples`` that sample spatial-field pair probabilities."""
     payload = config_to_payload(cfg)
-    for key in ("schemes", "sweep", "output"):
+    for key in ("schemes", "sweep", "output", "sim"):
         del payload[key]
-    payload["sim"] = {"prob_samples": payload["sim"]["prob_samples"]}
+    if cfg.spec.activity.mode == SPATIAL_MODE:
+        payload["sim"] = {"prob_samples": cfg.spec.prob_samples}
     return _digest(payload)
 
 

@@ -117,7 +117,8 @@ class MasterOptions:
 
     def __post_init__(self) -> None:
         # The ascent needs one evaluated iterate, and its step a / (b + t)
-        # and tie set must stay defined and positive at every iteration.
+        # and tie set must stay defined and positive at every iteration.  A
+        # negative objective tolerance would turn early stopping off unseen.
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be at least 1, not {self.max_iterations}")
         if self.window < 1:
@@ -126,8 +127,11 @@ class MasterOptions:
             raise ValueError(f"step_b must be positive, not {self.step_b}")
         if self.step_a is not None and not self.step_a > 0.0:
             raise ValueError(f"step_a must be positive, not {self.step_a}")
-        if not self.tie_tolerance >= 0.0:
-            raise ValueError(f"tie_tolerance must be non-negative, not {self.tie_tolerance}")
+        for key in ("tie_tolerance", "objective_tolerance"):
+            if not getattr(self, key) >= 0.0:
+                raise ValueError(f"{key} must be non-negative, not {getattr(self, key)}")
+        if not 0.0 <= self.pair_prob_cutoff <= 1.0:  # it compares occurrence probabilities
+            raise ValueError(f"pair_prob_cutoff must be in [0, 1], not {self.pair_prob_cutoff}")
 
 
 @dataclass(frozen=True)

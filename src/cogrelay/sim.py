@@ -81,19 +81,18 @@ class RouteSpec:
     span: float = 5.0
     min_gap: float = 0.25
     placement_seed: int = 7
+    topology: Topology = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.positions is None and self.nodes is None:
             raise ValueError("route needs positions or a node count")
         if self.placement_seed < 0:
             raise ValueError(f"placement_seed must be non-negative, not {self.placement_seed}")
-        self.build()  # an unbuildable route fails here, not at first use
-
-    def build(self) -> Topology:
-        if self.positions is not None:
-            return Topology.from_positions(self.positions, self.alpha)
-        pos = make_linear_route(self.nodes, self.span, self.placement_seed, self.min_gap)
-        return Topology.from_positions(pos, self.alpha)
+        pos = self.positions
+        if pos is None:
+            pos = make_linear_route(self.nodes, self.span, self.placement_seed, self.min_gap)
+        # Built once, here: an unbuildable route fails on construction, not at first use.
+        object.__setattr__(self, "topology", Topology.from_positions(pos, self.alpha))
 
 
 @dataclass(frozen=True)
@@ -104,7 +103,6 @@ class StudySpec:
     activity: PuActivityModel
     p0: float
     epochs: int = 2000
-    episodes_per_segment: int = 1
     baseline_warmup: int = 16
     prob_samples: int = 100_000
     seed: int = 0
@@ -115,8 +113,6 @@ class StudySpec:
             raise ValueError("epochs must be positive")
         if not 0.0 < self.p0 < math.inf:  # NaN fails too
             raise ValueError("the power budget must be positive and finite")
-        if self.episodes_per_segment < 1:
-            raise ValueError("episodes_per_segment must be positive")
         if self.baseline_warmup < 0:
             raise ValueError(f"baseline_warmup must be non-negative, not {self.baseline_warmup}")
         if self.prob_samples < 1:
@@ -125,7 +121,7 @@ class StudySpec:
             raise ValueError(f"seed must be non-negative, not {self.seed}")
 
     def topology(self) -> Topology:
-        return self.route.build()
+        return self.route.topology
 
     def pair_probabilities(self, topology: Topology) -> dict[Pair, float]:
         """Occurrence probability of every transmitting pair."""
@@ -234,12 +230,11 @@ def _run_segments(
     """The epoch/segment loop of every scheme with dynamic spatial reuse.
 
     Each epoch has one availability vector; ``run_pair(pair, epochs)``
-    delivers the packets of every epoch in which the pair is a transmitting
-    segment, in one batch: the rows in epoch order, the same number per
-    epoch.  It returns ``None`` where the scheme leaves the pair idle.  A
-    pair's episodes pool over all epochs into its rate and power; the
-    end-to-end rate of an epoch averages the rows of its segment reaching
-    the destination.
+    delivers the packet of every epoch in which the pair is a transmitting
+    segment, in one batch: one row per epoch, in epoch order.  It returns
+    ``None`` where the scheme leaves the pair idle.  A pair's episodes pool
+    over all epochs into its rate and power; the end-to-end rate of an
+    epoch is that of its segment reaching the destination.
     """
     last = topology.last_index
     pair_stats: dict[Pair, SegmentMetrics] = {}
@@ -250,7 +245,7 @@ def _run_segments(
             continue
         pair_stats[pair] = _metrics_from_batch(batch)
         if pair[1] == last:  # the one segment per epoch that reaches the destination
-            end_rates[epochs] = (1.0 / batch.t_sum).reshape(epochs.size, -1).mean(axis=1)
+            end_rates[epochs] = 1.0 / batch.t_sum
 
     u_table = {pair: st.rate for pair, st in pair_stats.items()}
     rates = section_rates(prob_table, u_table, last)
@@ -299,15 +294,14 @@ def run_proposed(
                 f"segment {pair} observed at epoch {epochs[0]} has no calibrated policy; "
                 f"pairs at or below pair_prob_cutoff {cutoff:g} are not calibrated"
             )
-    k = spec.episodes_per_segment
 
     def run_pair(pair: Pair, epochs: np.ndarray) -> EpisodeBatch:
         policy = policies[pair]
-        cube = {s: np.empty((epochs.size * k, pair[1] - s)) for s in range(*pair)}
+        cube = {s: np.empty((epochs.size, pair[1] - s)) for s in range(*pair)}
         rngs = streams(spec.seed, (("epoch", e, "segment", *pair) for e in epochs.tolist()))
         for row, rng in enumerate(rngs):
-            for s, block in draw_episode_cube(policy.problem, rng, k).items():
-                cube[s][row * k : row * k + k] = block
+            for s, block in draw_episode_cube(policy.problem, rng, 1).items():
+                cube[s][row] = block[0]
         return _run_episode_batch(policy.problem, policy.lam, policy.table, cube)
 
     return _run_segments("proposed", spec, topology, prob_table, run_pair, activity)

