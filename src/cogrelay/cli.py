@@ -354,24 +354,27 @@ def config_to_payload(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _digest(payload: dict) -> str:
+def _digest(cfg: ExperimentConfig, payload: dict) -> str:
+    if cfg.spec.activity.mode == SPATIAL_MODE:
+        # Spatial digests name the closed-form segment table, so that sweep
+        # markers and artifacts holding rows of the Monte-Carlo table that
+        # preceded it are not reused.  Iid tables were always closed form.
+        payload = {**payload, "segment_table": "closed-form"}
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    return _digest(config_to_payload(cfg))
+    return _digest(cfg, config_to_payload(cfg))
 
 
 def calibration_hash(cfg: ExperimentConfig) -> str:
     """Hash of what calibration reads, guarding its artifacts: the canonical
-    payload without ``schemes``, ``sweep``, ``output`` and ``sim``, save the
-    ``prob_samples`` that sample spatial-field pair probabilities."""
+    payload without ``schemes``, ``sweep``, ``output`` and ``sim``.  Segment
+    probabilities are closed form, so no ``sim`` key reaches calibration."""
     payload = config_to_payload(cfg)
     for key in ("schemes", "sweep", "output", "sim"):
         del payload[key]
-    if cfg.spec.activity.mode == SPATIAL_MODE:
-        payload["sim"] = {"prob_samples": cfg.spec.prob_samples}
-    return _digest(payload)
+    return _digest(cfg, payload)
 
 
 def read_config(path: Path) -> dict:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -219,15 +218,18 @@ def partition_segments(bits: np.ndarray) -> list[tuple[int, int]]:
 
 
 def segment_probabilities(
-    model: PuActivityModel,
-    topology: Topology,
-    rng: np.random.Generator | None = None,
-    samples: int = 100_000,
+    model: PuActivityModel, topology: Topology
 ) -> dict[tuple[int, int], float]:
-    """Occurrence probability of every potential segment ``0 <= i <= j <= M``:
-    closed form in iid mode, else Monte-Carlo frequencies over ``samples``
-    availability draws from ``rng`` (only the segments seen, whose binomial
-    standard error is ``sqrt(p (1 - p) / samples)``)."""
+    """Occurrence probability of every potential segment ``0 <= i <= j <= M``,
+    in closed form in both modes.
+
+    Segment ``(i, j)`` means nodes ``i..j`` available and each neighbour
+    inside the route blocked.  In spatial mode, nodes ``i..j`` are all
+    available with the void probability ``V(i..j) = exp(-rho_p p_active
+    |U|)`` of the active field, where ``U`` is the union of the nodes'
+    ``d0``-disks clipped to the strip (intervals on the line); inclusion-
+    exclusion over the two neighbours then takes at most four such terms.
+    """
     last = topology.last_index
     if model.mode == IID_MODE:
         p = model.p_avail
@@ -237,14 +239,22 @@ def segment_probabilities(
             for i in range(last + 1)
             for j in range(i, last + 1)
         }
-    if rng is None:
-        raise ValueError("spatial mode needs a generator")
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    # A Counter keeps first-occurrence order, the order of one draw at a time,
-    # which the float sums over the table downstream follow.
-    counts: Counter[tuple[int, int]] = Counter()
-    for bits in availability_chunks(model, topology, itertools.repeat(rng, samples)):
-        _, heads, ends = segment_runs(bits)
-        counts.update(zip(heads.tolist(), ends.tolist()))
-    return {k: c / samples for k, c in counts.items()}
+    d0, gaps = model.d0, np.diff(topology.positions)
+    if model.strip_width > 0.0:
+        # The union's chord at height y is 2h + sum(min(gap, 2h)), h = sqrt(d0^2 - y^2);
+        # area(y) = y h + d0^2 asin(y / d0) integrates 2h from 0 to y.
+        def area(y):
+            return y * np.sqrt(d0**2 - y**2) + d0**2 * np.arcsin(y / d0)
+
+        a = min(model.strip_width / 2.0, d0)
+        b = np.minimum(a, np.sqrt(np.maximum(d0**2 - gaps**2 / 4.0, 0.0)))  # where 2h >= gap
+        disk, extra = 2.0 * area(a), 2.0 * (gaps * b + area(a) - area(b))
+    else:
+        disk, extra = 2.0 * d0, np.minimum(gaps, 2.0 * d0)
+    cum = np.concatenate(([0.0], np.cumsum(extra)))
+    i, j = np.triu_indices(last + 1)
+    # void[i + 1, j + 1] = V(i..j); the zero border stands for a neighbour outside the route.
+    void = np.zeros((last + 3, last + 3))
+    void[i + 1, j + 1] = np.exp(-model.rho_p * model.p_active * (disk + cum[j] - cum[i]))
+    prob = void[i + 1, j + 1] - void[i, j + 1] - void[i + 1, j + 2] + void[i, j + 2]
+    return dict(zip(zip(i.tolist(), j.tolist()), np.maximum(prob, 0.0).tolist()))

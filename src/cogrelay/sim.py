@@ -97,7 +97,12 @@ class RouteSpec:
 
 @dataclass(frozen=True)
 class StudySpec:
-    """One experiment point: environment, budget, sampling effort, seeds."""
+    """One experiment point: environment, budget, sampling effort, seeds.
+
+    ``prob_samples`` sets only the spatial-field draws of baseline 2's
+    duty cycle, ``max(prob_samples // 10, 1000)`` of them; segment
+    probabilities are closed form, and iid mode reads it nowhere.
+    """
 
     route: RouteSpec
     activity: PuActivityModel
@@ -125,10 +130,7 @@ class StudySpec:
 
     def pair_probabilities(self, topology: Topology) -> dict[Pair, float]:
         """Occurrence probability of every transmitting pair."""
-        rng = stream(self.seed, "pair-probabilities")
-        table = segment_probabilities(
-            self.activity, topology, rng=rng, samples=self.prob_samples
-        )
+        table = segment_probabilities(self.activity, topology)
         return {p: v for p, v in table.items() if p[1] > p[0]}
 
     def epoch_activity(self, topology: Topology) -> EpochActivity:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import time
@@ -16,6 +17,7 @@ from cogrelay.cli import (
     ConfigError,
     _pair_artifact_path,
     _parse_grid_flag,
+    calibration_hash,
     cmd_verify,
     config_hash,
     config_to_payload,
@@ -128,6 +130,28 @@ class TestConfig:
         raw["activity"] = {**raw["activity"], "epoch_frames": 1}
         assert config_hash(parse_config(raw)) == config_hash(parse_config(base_config()))
         assert config_to_payload(parse_config(raw))["activity"]["epoch_frames"] == 1
+
+    @pytest.mark.parametrize("spatial", [False, True], ids=["iid", "spatial"])
+    def test_hashes_move_only_for_the_spatial_segment_table(self, spatial):
+        # Each digest as it was while spatial segment probabilities were
+        # sampled: iid digests are unchanged, and spatial ones move, so
+        # artifacts and sweep markers of the sampled table are not reused.
+        raw = base_config()
+        if spatial:
+            raw["activity"] = SPATIAL_ACTIVITY
+        cfg = parse_config(raw)
+        payload = config_to_payload(cfg)
+        calibration = {k: v for k, v in payload.items()
+                       if k not in ("schemes", "sweep", "output", "sim")}
+        if spatial:
+            calibration["sim"] = {"prob_samples": cfg.spec.prob_samples}
+        before = [hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+                  for doc in (payload, calibration)]
+        after = [config_hash(cfg), calibration_hash(cfg)]
+        if spatial:
+            assert all(a != b for a, b in zip(after, before))
+        else:
+            assert after == before
 
     def test_numeric_strings_convert_to_the_field_type(self):
         raw = base_config()
@@ -383,18 +407,27 @@ class TestSimulateCommand:
         assert "different configuration" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "edit, flags, schemes",
-        [(lambda raw: None, ["--scheme", "proposed"], ["proposed"]),
-         (lambda raw: raw["sim"].update(epochs=100), [], ["proposed", "baseline3"]),
-         (lambda raw: raw.update(output={"rate_units": "bits"}), [], ["proposed", "baseline3"]),
-         (lambda raw: raw["sim"].update(prob_samples=5000), [], ["proposed", "baseline3"])],
-        ids=["scheme-flag", "epochs", "rate-units", "iid-prob-samples"],
+        "activity, edit, flags, schemes",
+        [(None, lambda raw: None, ["--scheme", "proposed"], ["proposed"]),
+         (None, lambda raw: raw["sim"].update(epochs=100), [], ["proposed", "baseline3"]),
+         (None, lambda raw: raw.update(output={"rate_units": "bits"}), [],
+          ["proposed", "baseline3"]),
+         (None, lambda raw: raw["sim"].update(prob_samples=5000), [], ["proposed", "baseline3"]),
+         # Spatial-field segment probabilities are closed form: calibration
+         # reads no sample count.
+         (SPATIAL_ACTIVITY, lambda raw: raw["sim"].update(prob_samples=3000), [],
+          ["proposed", "baseline3"])],
+        ids=["scheme-flag", "epochs", "rate-units", "iid-prob-samples", "spatial-prob-samples"],
     )
     def test_artifacts_serve_configs_that_differ_only_in_what_calibration_ignores(
-        self, calibrated, tmp_path, edit, flags, schemes
+        self, tmp_path, activity, edit, flags, schemes
     ):
-        _, artifacts = calibrated
         raw = base_config()
+        if activity is not None:
+            raw.update(activity=activity, sim={"epochs": 100, "prob_samples": 2000})
+        artifacts = tmp_path / "artifacts"
+        assert main(["calibrate", "--config", str(write_config(tmp_path, raw, "cal.json")),
+                     "--out", str(artifacts)]) == 0
         edit(raw)
         cfg_path = write_config(tmp_path, raw, "run.json")
         out = tmp_path / "run"
@@ -402,17 +435,6 @@ class TestSimulateCommand:
                      "--artifacts", str(artifacts), *flags]) == 0
         with open(out / "results.csv", newline="") as handle:
             assert [row["scheme"] for row in csv.DictReader(handle)] == schemes
-
-    def test_spatial_artifacts_refuse_other_prob_samples(self, tmp_path, capsys):
-        # Spatial-field pair probabilities are sampled, so the tables depend
-        # on the sample count.
-        raw = base_config(activity=SPATIAL_ACTIVITY, sim={"epochs": 100, "prob_samples": 2000})
-        out = tmp_path / "out"
-        assert main(["calibrate", "--config", str(write_config(tmp_path, raw)),
-                     "--out", str(out)]) == 0
-        raw["sim"]["prob_samples"] = 3000
-        cfg_path = write_config(tmp_path, raw, "run.json")
-        assert "different configuration" in self.simulate_error(cfg_path, out, capsys)
 
     def test_uncalibrated_segment_is_an_exit_2_error(self, tmp_path, capsys):
         raw = base_config()
@@ -564,6 +586,27 @@ class TestSweepCommand:
         marker = out / "sweep_points" / "point_0000.json"
         intact = marker.read_text()
         marker.write_text(damage(intact))
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert (out / "sweep.csv").read_bytes() == first
+        assert marker.read_text() == intact
+
+    def test_spatial_marker_of_the_sampled_table_is_recomputed(self, tmp_path):
+        # A marker hashed as while spatial segment probabilities were
+        # sampled holds rows of that table: the point runs again.
+        raw = base_config(activity=SPATIAL_ACTIVITY, schemes=["baseline3"],
+                          sim={"epochs": 100, "prob_samples": 2000})
+        raw["sweep"] = {"grid": {"p0_db": [10.0]}}
+        cfg_path = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+        first = (out / "sweep.csv").read_bytes()
+        marker = out / "sweep_points" / "point_0000.json"
+        intact = marker.read_text()
+        stored = json.loads(intact)
+        payload = config_to_payload(parse_config(raw))
+        sampled = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+        rows = [{**row, "u_min": -1.0} for row in stored["rows"]]
+        marker.write_text(json.dumps({**stored, "config_hash": sampled, "rows": rows}))
         assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert (out / "sweep.csv").read_bytes() == first
         assert marker.read_text() == intact

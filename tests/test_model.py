@@ -11,6 +11,7 @@ from cogrelay.model import (
     SPATIAL_MODE,
     PuActivityModel,
     Topology,
+    availability_chunks,
     make_linear_route,
     partition_segments,
     sample_availability,
@@ -245,8 +246,7 @@ class TestPuActivity:
 
     def test_spatial_probabilities_sane(self, bench_topology):
         model = PuActivityModel(mode=SPATIAL_MODE, rho_p=0.4, p_active=0.5, d0=0.8)
-        rng = stream(8, "spatial")
-        probs = segment_probabilities(model, bench_topology, rng=rng, samples=4000)
+        probs = segment_probabilities(model, bench_topology)
         assert sum(probs.values()) > 0.0
         assert all(0.0 <= v <= 1.0 for v in probs.values())
 
@@ -290,6 +290,17 @@ def mc_reference(model, topology, rng, samples):
     return {k: c / samples for k, c in counts.items()}
 
 
+def batched_frequencies(model, topology, rng, samples):
+    """Segment frequencies of ``samples`` draws from ``rng`` through the
+    batched sampler, in first-occurrence order."""
+    counts = {}
+    for bits in availability_chunks(model, topology, itertools.repeat(rng, samples)):
+        _, heads, ends = segment_runs(bits)
+        for seg in zip(heads.tolist(), ends.tolist()):
+            counts[seg] = counts.get(seg, 0) + 1
+    return {k: c / samples for k, c in counts.items()}
+
+
 ACTIVITY_CASES = {
     "iid": PuActivityModel(p_avail=0.7),
     "strip": PuActivityModel(mode=SPATIAL_MODE, rho_p=0.4, p_active=0.5, d0=0.8,
@@ -307,23 +318,23 @@ class TestBatchedSampler:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_mc_matches_one_draw_at_a_time(self, case, nodes, span, seed):
         # Same frequencies in the same dict order, and the generator left in
-        # the same state: the batches consume the stream draw for draw.
+        # the same state: the batches consume the stream draw for draw.  The
+        # closed form agrees with the one-draw frequencies within four
+        # binomial standard errors, the segments never drawn included.
         model = ACTIVITY_CASES[case]
         topo = Topology.from_positions(make_linear_route(nodes, span, 7), alpha=2.0)
         samples = 2500  # spans a chunk boundary
         ref_rng, rng = stream(seed, "mc"), stream(seed, "mc")
         expected = mc_reference(model, topo, ref_rng, samples)
-        probs = segment_probabilities(model, topo, rng, samples)
-        if model.mode == IID_MODE:
-            # The closed form draws nothing, and the one-draw frequencies
-            # agree with it within four binomial standard errors.
-            assert rng.bit_generator.state == stream(seed, "mc").bit_generator.state
-            for pair, freq in expected.items():
-                se = max(np.sqrt(freq * (1.0 - freq) / samples), 1e-3)
-                assert abs(freq - probs[pair]) <= 4.0 * se
-            return
-        assert list(probs.items()) == list(expected.items())
+        batched = batched_frequencies(model, topo, rng, samples)
+        assert list(batched.items()) == list(expected.items())
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+        probs = segment_probabilities(model, topo)
+        assert set(expected) <= set(probs)
+        for pair, p in probs.items():
+            freq = expected.get(pair, 0.0)
+            se = max(np.sqrt(freq * (1.0 - freq) / samples), 1e-3)
+            assert abs(freq - p) <= 4.0 * se
 
     @pytest.mark.parametrize("case", sorted(ACTIVITY_CASES))
     def test_rows_from_separate_generators(self, case, bench_topology):
@@ -343,3 +354,75 @@ class TestBatchedSampler:
         for r, vector in enumerate(bits):
             expected = partition_segments(vector)
             assert list(zip(head[row == r].tolist(), end[row == r].tolist())) == expected
+
+
+# Three geometries of the closed form: the README route in a strip narrower
+# than the disks, on the line, and a 12-node route in a strip whose
+# half-width exceeds d0, so that every disk lies whole inside it.
+CLOSED_FORM_CASES = {
+    "readme-strip": ((6, 5.0), ACTIVITY_CASES["strip"]),
+    "readme-line": ((6, 5.0), ACTIVITY_CASES["line"]),
+    "long12-wide-strip": ((12, 10.0), PuActivityModel(mode=SPATIAL_MODE, rho_p=0.4,
+                                                      p_active=0.5, d0=0.8, strip_width=3.0)),
+}
+
+
+def closed_form_case(case):
+    (nodes, span), model = CLOSED_FORM_CASES[case]
+    return model, Topology.from_positions(make_linear_route(nodes, span, 7), alpha=2.0)
+
+
+def node_availability(model):
+    """Void probability of one node's d0-disk clipped to the strip: the disk
+    less its two caps beyond the strip's edges."""
+    d0, half = model.d0, model.strip_width / 2.0
+    if model.strip_width == 0.0:
+        measure = 2.0 * d0
+    elif half >= d0:
+        measure = np.pi * d0**2
+    else:
+        cap = d0**2 * np.arccos(half / d0) - half * np.sqrt(d0**2 - half**2)
+        measure = np.pi * d0**2 - 2.0 * cap
+    return np.exp(-model.rho_p * model.p_active * measure)
+
+
+class TestSpatialClosedForm:
+    @pytest.mark.parametrize("case", sorted(CLOSED_FORM_CASES))
+    def test_matches_monte_carlo(self, case):
+        # Every segment within four binomial standard errors of 200 000
+        # draws of the sampler, the segments never drawn included.
+        model, topo = closed_form_case(case)
+        samples = 200_000
+        freq = batched_frequencies(model, topo, stream(9, "closed-form"), samples)
+        probs = segment_probabilities(model, topo)
+        assert len(probs) == topo.node_count * (topo.node_count + 1) // 2
+        assert set(freq) <= set(probs)
+        for pair, p in probs.items():
+            assert abs(freq.get(pair, 0.0) - p) <= 4.0 * np.sqrt(p * (1.0 - p) / samples), pair
+
+    @pytest.mark.parametrize("case", sorted(CLOSED_FORM_CASES))
+    def test_segments_through_a_node_sum_to_its_availability(self, case):
+        model, topo = closed_form_case(case)
+        probs = segment_probabilities(model, topo)
+        for s in range(topo.node_count):
+            through = sum(v for (i, j), v in probs.items() if i <= s <= j)
+            assert abs(through - node_availability(model)) <= 1e-12
+
+    @pytest.mark.parametrize("case", sorted(CLOSED_FORM_CASES) + ["dense", "sparse"])
+    def test_entries_are_probabilities(self, case):
+        if case in CLOSED_FORM_CASES:
+            model, topo = closed_form_case(case)
+        else:
+            model = ACTIVITY_CASES[case]
+            topo = Topology.from_positions(make_linear_route(12, 10.0, 7), alpha=2.0)
+        assert all(0.0 <= v <= 1.0 for v in segment_probabilities(model, topo).values())
+
+    @pytest.mark.parametrize("strip_width", [0.0, 1.0])
+    def test_no_active_primary_leaves_the_whole_route_one_segment(self, bench_topology,
+                                                                 strip_width):
+        model = PuActivityModel(mode=SPATIAL_MODE, rho_p=0.4, p_active=0.0, d0=0.8,
+                                strip_width=strip_width)
+        probs = segment_probabilities(model, bench_topology)
+        last = bench_topology.last_index
+        assert probs[(0, last)] == 1.0
+        assert all(v == 0.0 for pair, v in probs.items() if pair != (0, last))
