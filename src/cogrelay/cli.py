@@ -35,7 +35,7 @@ from .master import (
     solution_to_payload,
     solve_master,
 )
-from .model import IID_MODE, SPATIAL_MODE, PuActivityModel, Topology
+from .model import IID_MODE, SPATIAL_MODE, PuActivityModel
 from .seeding import path_fingerprint, stream
 from .sim import (
     SCHEMES,
@@ -417,17 +417,18 @@ def point_config(cfg: ExperimentConfig, point: dict[str, float]) -> ExperimentCo
 
 # ---------------------------------------------------------------------------
 # The study-point pipeline: every command that calibrates runs ``_solve``,
-# and every command that simulates runs ``_run_schemes``.
+# and every command that simulates runs ``_run_schemes``.  Both read the
+# point's route and segment table from its spec.
 # ---------------------------------------------------------------------------
 
 
-def _solve(spec: StudySpec, topology: Topology, prob_table: dict[Pair, float],
-           threads: int = 1, where: str = "") -> MasterSolution:
+def _solve(spec: StudySpec, threads: int = 1, where: str = "") -> MasterSolution:
     """Allocate the budget and calibrate every pair above the cutoff, check
     the offline footprint, and warn on stderr, each line prefixed by
     ``where``, of every pair not converged or with budget slack."""
+    topology = spec.topology()
     solution = solve_master(
-        RateModel(topology, spec.seed, spec.solver, threads), prob_table, spec.p0,
+        RateModel(topology, spec.seed, spec.solver, threads), spec.pair_probabilities, spec.p0,
         topology.last_index, spec.solver.master,
     )
     node_count = topology.node_count
@@ -448,37 +449,33 @@ def _solve(spec: StudySpec, topology: Topology, prob_table: dict[Pair, float],
     return solution
 
 
-def _run_schemes(spec: StudySpec, schemes: Sequence[str], topology: Topology,
-                 prob_table: dict[Pair, float],
+def _run_schemes(spec: StudySpec, schemes: Sequence[str],
                  policies: Callable[[], dict[Pair, CalibratedPolicy]]) -> dict[str, RunMetrics]:
     """Each scheme's metrics on one draw of the spec's epochs, in order;
     ``policies()`` is called when ``proposed`` is reached, so a run without
     it never reads them."""
-    activity = spec.epoch_activity(topology)
+    activity = spec.epoch_activity()
     metrics = {}
     for scheme in schemes:
         if scheme == "proposed":
-            metrics[scheme] = run_proposed(spec, policies(), prob_table, topology, activity)
+            metrics[scheme] = run_proposed(spec, policies(), activity)
         else:
-            metrics[scheme] = run_baseline(scheme, spec, prob_table, topology, activity)
+            metrics[scheme] = run_baseline(scheme, spec, activity)
     return metrics
 
 
 @dataclass(frozen=True)
 class StudyResult:
     spec: StudySpec
-    prob_table: dict[Pair, float]
     master: MasterSolution
     metrics: dict[str, RunMetrics]
 
 
 def run_point(spec: StudySpec, schemes: Sequence[str], where: str = "") -> StudyResult:
     """Calibrate and simulate every requested scheme at one study point."""
-    topology = spec.topology()
-    prob_table = spec.pair_probabilities(topology)
-    master = _solve(spec, topology, prob_table, where=where)
-    metrics = _run_schemes(spec, schemes, topology, prob_table, lambda: master.policies)
-    return StudyResult(spec, prob_table, master, metrics)
+    master = _solve(spec, where=where)
+    metrics = _run_schemes(spec, schemes, lambda: master.policies)
+    return StudyResult(spec, master, metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +490,7 @@ def _pair_artifact_path(out: Path, pair: tuple[int, int]) -> Path:
 def cmd_calibrate(cfg: ExperimentConfig, out: Path, threads: int = 1) -> int:
     started = time.perf_counter()
     spec = cfg.spec
-    topology = spec.topology()
-    prob_table = spec.pair_probabilities(topology)
-    if all(v <= spec.solver.master.pair_prob_cutoff for v in prob_table.values()):
+    if all(v <= spec.solver.master.pair_prob_cutoff for v in spec.pair_probabilities.values()):
         print("warning: no pair clears the probability cutoff; nothing to calibrate",
               file=sys.stderr)
         atomic_write_json(
@@ -508,15 +503,15 @@ def cmd_calibrate(cfg: ExperimentConfig, out: Path, threads: int = 1) -> int:
             },
         )
         return 0
-    solution = _solve(spec, topology, prob_table, threads)
+    solution = _solve(spec, threads)
     for pair, policy in sorted(solution.policies.items()):
         payload = policy_to_payload(
             policy, seed_path=path_fingerprint(*pair_seed_path(spec.seed, pair))
         )
         atomic_write_json(_pair_artifact_path(out, pair), payload)
-    node_count = topology.node_count
+    node_count = spec.topology().node_count
     total_entries = sum(policy.table.entries for policy in solution.policies.values())
-    atomic_write_json(out / "master.json", solution_to_payload(solution, prob_table))
+    atomic_write_json(out / "master.json", solution_to_payload(solution, spec.pair_probabilities))
     atomic_write_json(
         out / "calibration_manifest.json",
         {
@@ -552,9 +547,10 @@ def _malformed(path: Path, exc: Exception) -> ArtifactMismatchError:
     return ArtifactMismatchError(f"{path}: {reason}; re-run calibrate")
 
 
-def _load_policies(cfg: ExperimentConfig, artifacts: Path, topology) -> dict:
+def _load_policies(cfg: ExperimentConfig, artifacts: Path) -> dict:
     """Every calibrated pair's policy; an artifact that is missing, cannot
     be read, or does not match the configuration is an ArtifactMismatchError."""
+    spec = cfg.spec
     manifest_path = artifacts / "calibration_manifest.json"
     if not manifest_path.exists():
         raise ArtifactMismatchError(f"no calibration manifest under {artifacts}")
@@ -575,7 +571,7 @@ def _load_policies(cfg: ExperimentConfig, artifacts: Path, topology) -> dict:
             raise ArtifactMismatchError(f"missing policy artifact for pair {pair}: {path}")
         payload = _read_artifact(path)
         try:
-            problem = pair_problem(topology, pair, float(payload["pbar"]), cfg.spec.solver)
+            problem = pair_problem(spec.topology(), pair, float(payload["pbar"]), spec.solver)
             policies[pair] = policy_from_payload(payload, problem)
         except (KeyError, TypeError, ValueError) as exc:
             raise _malformed(path, exc) from exc
@@ -584,11 +580,7 @@ def _load_policies(cfg: ExperimentConfig, artifacts: Path, topology) -> dict:
 
 def cmd_simulate(cfg: ExperimentConfig, out: Path, artifacts: Path) -> int:
     started = time.perf_counter()
-    topology = cfg.spec.topology()
-    metrics = _run_schemes(
-        cfg.spec, cfg.schemes, topology, cfg.spec.pair_probabilities(topology),
-        lambda: _load_policies(cfg, artifacts, topology),
-    )
+    metrics = _run_schemes(cfg.spec, cfg.schemes, lambda: _load_policies(cfg, artifacts))
     rows = [cfg.row({}, metrics[scheme], None) for scheme in cfg.schemes]
     write_csv(out / "results.csv", RESULT_COLUMNS, rows)
     atomic_write_json(

@@ -489,7 +489,7 @@ def solution_to_payload(
                 "rate_se": policy.metrics.rate_se,
                 "lambda": policy.lam,
                 "shadow_price": policy.shadow_price,
-                "achieved_power": policy.report.achieved_power,
+                "achieved_power": policy.metrics.power_time_avg,
             }
             for pair, policy in sorted(solution.policies.items())
         ],

@@ -99,6 +99,8 @@ class RouteSpec:
 class StudySpec:
     """One experiment point: environment, budget, sampling effort, seeds.
 
+    The spec is the one source of the point's route (``topology()``) and of
+    its segment table (``pair_probabilities``, computed once per spec).
     ``prob_samples`` sets only the spatial-field draws of baseline 2's
     duty cycle, ``max(prob_samples // 10, 1000)`` of them; segment
     probabilities are closed form, and iid mode reads it nowhere.
@@ -128,14 +130,15 @@ class StudySpec:
     def topology(self) -> Topology:
         return self.route.topology
 
-    def pair_probabilities(self, topology: Topology) -> dict[Pair, float]:
+    @functools.cached_property
+    def pair_probabilities(self) -> dict[Pair, float]:
         """Occurrence probability of every transmitting pair."""
-        table = segment_probabilities(self.activity, topology)
+        table = segment_probabilities(self.activity, self.topology())
         return {p: v for p, v in table.items() if p[1] > p[0]}
 
-    def epoch_activity(self, topology: Topology) -> EpochActivity:
+    def epoch_activity(self) -> EpochActivity:
         """Every epoch's availability, each drawn once from its own stream."""
-        return EpochActivity.draw(self, topology, self.epochs)
+        return EpochActivity.draw(self, self.epochs)
 
 
 @dataclass(frozen=True)
@@ -158,9 +161,10 @@ class EpochActivity:
     tag: tuple[str, ...] = ()
 
     @classmethod
-    def draw(cls, spec: StudySpec, topology: Topology, count: int, *tag: str) -> EpochActivity:
+    def draw(cls, spec: StudySpec, count: int, *tag: str) -> EpochActivity:
         """``count`` epochs, epoch ``e`` from stream ``(seed, "activity", *tag, e)``."""
         gens = streams(spec.seed, (("activity", *tag, e) for e in range(count)))
+        topology = spec.topology()
         empty = np.zeros((0, topology.node_count), dtype=np.uint8)
         bits = np.concatenate([empty, *availability_chunks(spec.activity, topology, gens)])
         return cls(bits, *segment_runs(bits), seed=spec.seed, tag=tag)
@@ -224,12 +228,11 @@ class RunMetrics:
 def _run_segments(
     scheme: str,
     spec: StudySpec,
-    topology: Topology,
-    prob_table: dict[Pair, float],
     run_pair: Callable[[Pair, np.ndarray], EpisodeBatch | None],
     activity: EpochActivity,
 ) -> RunMetrics:
-    """The epoch/segment loop of every scheme with dynamic spatial reuse.
+    """The epoch/segment loop of every scheme with dynamic spatial reuse,
+    weighted by the spec's segment table.
 
     Each epoch has one availability vector; ``run_pair(pair, epochs)``
     delivers the packet of every epoch in which the pair is a transmitting
@@ -238,7 +241,8 @@ def _run_segments(
     over all epochs into its rate and power; the end-to-end rate of an
     epoch is that of its segment reaching the destination.
     """
-    last = topology.last_index
+    last = spec.topology().last_index
+    prob_table = spec.pair_probabilities
     pair_stats: dict[Pair, SegmentMetrics] = {}
     end_rates = np.zeros(spec.epochs)
     for pair, epochs in sorted(activity.pair_epochs.items()):
@@ -279,11 +283,10 @@ def _run_segments(
 def run_proposed(
     spec: StudySpec,
     policies: dict[Pair, CalibratedPolicy],
-    prob_table: dict[Pair, float],
-    topology: Topology,
     activity: EpochActivity,
 ) -> RunMetrics:
-    """Simulate the calibrated scheme over the run's epochs.
+    """Simulate the calibrated scheme over the run's epochs, on the spec's
+    route and segment table.
 
     Segments draw their fading from per-(epoch, segment) streams, so one
     segment's metrics are bit-identical under any change to the other
@@ -306,7 +309,7 @@ def run_proposed(
                 cube[s][row] = block[0]
         return _run_episode_batch(policy.problem, policy.lam, policy.table, cube)
 
-    return _run_segments("proposed", spec, topology, prob_table, run_pair, activity)
+    return _run_segments("proposed", spec, run_pair, activity)
 
 
 # ---------------------------------------------------------------------------
@@ -323,19 +326,15 @@ def _no_adjacent_pair_probability(p: float, nodes: int) -> float:
     return prob_prev1 + prob_prev0
 
 
-def transmit_mass(
-    kind: str,
-    spec: StudySpec,
-    prob_table: dict[Pair, float],
-    topology: Topology,
-) -> float:
+def transmit_mass(kind: str, spec: StudySpec) -> float:
     """Probability weight multiplying the constant power in the scheme's
     expected instantaneous radiated power."""
+    topology = spec.topology()
     last = topology.last_index
     if kind == "baseline1":
-        return prob_table.get((0, last), 0.0)
+        return spec.pair_probabilities.get((0, last), 0.0)
     if kind in ("baseline3", "baseline4"):
-        return float(sum(prob_table.values()))
+        return float(sum(spec.pair_probabilities.values()))
     if kind == "baseline2":
         if spec.activity.mode == IID_MODE:
             return 1.0 - _no_adjacent_pair_probability(spec.activity.p_avail, last + 1)
@@ -347,33 +346,23 @@ def transmit_mass(
     raise ValueError(f"unknown baseline kind {kind!r}")
 
 
-def run_baseline(
-    kind: str,
-    spec: StudySpec,
-    prob_table: dict[Pair, float],
-    topology: Topology,
-    activity: EpochActivity,
-) -> RunMetrics:
+def run_baseline(kind: str, spec: StudySpec, activity: EpochActivity) -> RunMetrics:
     """Simulate one reference scheme at a power-fair constant transmit power."""
     if kind not in SCHEMES or kind == "proposed":
         raise ValueError(f"unknown baseline kind {kind!r}")
-    mass = transmit_mass(kind, spec, prob_table, topology)
+    mass = transmit_mass(kind, spec)
     if mass <= 0.0:
         return RunMetrics(kind, spec.p0, spec.epochs, spec.seed)
     p_c = spec.p0 / mass  # the expected radiated power mass * p_c meets the budget
     if kind == "baseline2":
-        return _run_store_and_forward(spec, topology, p_c, mass, activity)
-    return _run_segmentwise_baseline(kind, spec, topology, prob_table, p_c, activity)
+        return _run_store_and_forward(spec, p_c, mass, activity)
+    return _run_segmentwise_baseline(kind, spec, p_c, activity)
 
 
 def _run_segmentwise_baseline(
-    kind: str,
-    spec: StudySpec,
-    topology: Topology,
-    prob_table: dict[Pair, float],
-    p_c: float,
-    activity: EpochActivity,
+    kind: str, spec: StudySpec, p_c: float, activity: EpochActivity
 ) -> RunMetrics:
+    topology = spec.topology()
     last = topology.last_index
 
     def run_pair(pair: Pair, epochs: np.ndarray) -> EpisodeBatch | None:
@@ -397,15 +386,16 @@ def _run_segmentwise_baseline(
             t_sum, p_c * t_sum, np.full(n, len(hops)), np.full(n, end - head), 1, hop_times
         )
 
-    return _run_segments(kind, spec, topology, prob_table, run_pair, activity)
+    return _run_segments(kind, spec, run_pair, activity)
 
 
 def _run_store_and_forward(
-    spec: StudySpec, topology: Topology, p_c: float, mass: float, activity: EpochActivity
+    spec: StudySpec, p_c: float, mass: float, activity: EpochActivity
 ) -> RunMetrics:
+    topology = spec.topology()
     last = topology.last_index
     buffers = np.zeros(last, dtype=bool)  # packet held at nodes 0..M-1
-    warmup = EpochActivity.draw(spec, topology, spec.baseline_warmup, "warmup")
+    warmup = EpochActivity.draw(spec, spec.baseline_warmup, "warmup")
     bits = np.concatenate([warmup.bits, activity.bits])
     gains = np.concatenate([warmup.adjacent, activity.adjacent]) * np.diag(topology.pathloss, 1)
     epoch_rates: list[float] = []

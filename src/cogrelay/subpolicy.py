@@ -18,6 +18,7 @@ are linear SNR units against unit noise.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -365,13 +366,13 @@ def _pricer(
     maps ``lam`` to each block's (cost, power), shaped like the block.
     """
     flat = np.concatenate([b.ravel() for b in blocks])
-    bounds = np.cumsum([b.size for b in blocks])[:-1]
+    offsets = list(itertools.accumulate((b.size for b in blocks), initial=0))
 
     def price(lam: float) -> list[tuple[np.ndarray, np.ndarray]]:
         cost, power = _price(problem, lam, flat)
         return [
-            (c.reshape(b.shape), p.reshape(b.shape))
-            for b, c, p in zip(blocks, np.split(cost, bounds), np.split(power, bounds))
+            (cost[i:j].reshape(b.shape), power[i:j].reshape(b.shape))
+            for b, i, j in zip(blocks, offsets, offsets[1:])
         ]
 
     return price
@@ -468,7 +469,6 @@ class SegmentMetrics:
 
 @dataclass(frozen=True)
 class CalibrationReport:
-    achieved_power: float
     iterations: int
     converged: bool
     budget_slack: bool
@@ -645,6 +645,17 @@ def _max_power(problem: SegmentProblem) -> float:
     return problem.p_max
 
 
+class _Iterate(NamedTuple):
+    """One multiplier's evaluation in calibration: its table and episode
+    batch, and the batch's rate and spend, the two means bisection reads."""
+
+    lam: float
+    table: ValueTable
+    batch: EpisodeBatch
+    rate: float
+    spend: float
+
+
 def calibrate_lambda(
     problem: SegmentProblem,
     rng: np.random.Generator,
@@ -678,37 +689,31 @@ def calibrate_lambda(
 
     evaluations = 0
 
-    def evaluate(lam: float) -> tuple[ValueTable, SegmentMetrics]:
+    def evaluate(lam: float) -> _Iterate:
         nonlocal evaluations
         evaluations += 1
         priced = price(lam)
         rec = {s: (c, w) for s, (c, _), (_, w) in zip(nodes, priced, rec_blocks)}
         table = offline_recursion(problem, lam, priced=rec)
         ep = dict(zip(nodes, priced[len(nodes) :]))
-        metrics = _metrics_from_batch(_run_episode_batch(problem, lam, table, cube, ep), weights)
-        return table, metrics
+        batch = _run_episode_batch(problem, lam, table, cube, ep)
+        spend = _mean(batch.e_sum, weights) / _mean(batch.t_sum, weights)
+        return _Iterate(lam, table, batch, _mean(1.0 / batch.t_sum, weights), spend)
 
-    def finish(lam, table, metrics, converged, slack):
-        report = CalibrationReport(
-            achieved_power=metrics.power_time_avg,
-            iterations=evaluations,
-            converged=converged,
-            budget_slack=slack,
-        )
-        return CalibratedPolicy(
-            problem=problem, lam=lam, table=table, report=report, metrics=metrics
-        )
+    def finish(it: _Iterate, converged: bool, slack: bool) -> CalibratedPolicy:
+        report = CalibrationReport(iterations=evaluations, converged=converged, budget_slack=slack)
+        return CalibratedPolicy(problem=problem, lam=it.lam, table=it.table, report=report,
+                                metrics=_metrics_from_batch(it.batch, weights))
 
     # With a zero multiplier every link transmits at the largest power, so the
     # achieved time-averaged power equals it; no sampling needed for the
     # budget-slack test.
     if _max_power(problem) <= pbar * (1.0 + power_tolerance):
-        table, metrics = evaluate(0.0)
-        return finish(0.0, table, metrics, True, True)
+        return finish(evaluate(0.0), True, True)
 
     lo, hi = 0.0, 1.0 / pbar
-    table_hi, metrics_hi = evaluate(hi)
-    if metrics_hi.power_time_avg > pbar:
+    best = evaluate(hi)  # the best feasible iterate so far
+    if best.spend > pbar:
         raise CalibrationError(
             "the cheapest policy overspends the power budget",
             diagnostics={
@@ -716,26 +721,24 @@ def calibrate_lambda(
                 "end": problem.end,
                 "pbar": pbar,
                 "lam": hi,
-                "achieved_power": metrics_hi.power_time_avg,
+                "achieved_power": best.spend,
             },
         )
 
-    best_feasible = (hi, table_hi, metrics_hi)
     for _ in range(MAX_BISECTIONS):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        table, metrics = evaluate(mid)
-        if abs(metrics.power_time_avg - pbar) <= power_tolerance * pbar:
-            return finish(mid, table, metrics, True, False)
-        if metrics.power_time_avg > pbar:
+        it = evaluate(mid)
+        if abs(it.spend - pbar) <= power_tolerance * pbar:
+            return finish(it, True, False)
+        if it.spend > pbar:
             lo = mid
         else:
             hi = mid
-            if metrics.rate > best_feasible[2].rate:
-                best_feasible = (mid, table, metrics)
-    lam, table, metrics = best_feasible
-    return finish(lam, table, metrics, False, False)
+            if it.rate > best.rate:
+                best = it
+    return finish(best, False, False)
 
 
 # ---------------------------------------------------------------------------
@@ -760,7 +763,7 @@ def policy_to_payload(policy: CalibratedPolicy, seed_path: str = "") -> dict:
         "pbar": policy.problem.pbar,
         "p_max": policy.problem.p_max,
         "p_floor": policy.problem.p_floor,
-        "achieved_power": policy.report.achieved_power,
+        "achieved_power": policy.metrics.power_time_avg,
         "iterations": policy.report.iterations,
         "converged": policy.report.converged,
         "budget_slack": policy.report.budget_slack,
@@ -787,7 +790,6 @@ def policy_from_payload(payload: dict, problem: SegmentProblem) -> CalibratedPol
         )
     table = ValueTable(problem.head, problem.end, np.asarray(payload["values"]))
     report = CalibrationReport(
-        achieved_power=payload["achieved_power"],
         iterations=payload["iterations"],
         converged=payload["converged"],
         budget_slack=payload["budget_slack"],

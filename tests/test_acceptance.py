@@ -471,22 +471,22 @@ class TestCriterion9SweepShape:
         hop_by_hop = result.metrics["baseline4"].u_min
         # Baseline 4's power-fair constant power: its transmit mass is the
         # total segment probability.
-        power = result.spec.p0 / sum(result.prob_table.values())
+        power = result.spec.p0 / sum(result.spec.pair_probabilities.values())
         reference = _constant_power_relaying(result, power, stream(9, "acc-low-snr"))
         reference_u_min = section_rates(
-            result.prob_table,
+            result.spec.pair_probabilities,
             {pair: rate for pair, (rate, _) in reference.items()},
             result.spec.topology().last_index,
         ).min()
         hops = _hops_per_length(
-            result.prob_table,
+            result.spec.pair_probabilities,
             {
                 pair: policy.metrics.frames / policy.metrics.episodes
                 for pair, policy in result.master.policies.items()
             },
         )
         reference_hops = _hops_per_length(
-            result.prob_table, {pair: h for pair, (_, h) in reference.items()}
+            result.spec.pair_probabilities, {pair: h for pair, (_, h) in reference.items()}
         )
         ratio = prop / hop_by_hop
         hop_ratio = hops / reference_hops

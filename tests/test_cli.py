@@ -26,7 +26,6 @@ from cogrelay.cli import (
     main,
     parse_config,
 )
-from cogrelay.sim import StudySpec
 from cogrelay.subpolicy import CalibrationError
 
 
@@ -525,13 +524,13 @@ class TestSimulateCommand:
         assert "calibration_manifest.json" in err and reason in err
 
     def test_wall_time_counts_the_pair_probabilities(self, tmp_path, capsys, monkeypatch):
-        real = StudySpec.pair_probabilities
+        real = cogrelay.sim.segment_probabilities
 
-        def slow(self, topology):
+        def slow(model, topology):
             time.sleep(0.2)
-            return real(self, topology)
+            return real(model, topology)
 
-        monkeypatch.setattr(StudySpec, "pair_probabilities", slow)
+        monkeypatch.setattr(cogrelay.sim, "segment_probabilities", slow)
         cfg_path = write_config(tmp_path, base_config())
         out = tmp_path / "out"
         assert main(["calibrate", "--config", str(cfg_path), "--out", str(out)]) == 0
@@ -540,6 +539,30 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["wall_seconds"] >= 0.2
+
+    @pytest.mark.parametrize("activity", [None, SPATIAL_ACTIVITY], ids=["iid", "spatial"])
+    def test_each_command_computes_the_segment_table_once(self, tmp_path, monkeypatch,
+                                                           activity):
+        calls = []
+        real = cogrelay.sim.segment_probabilities
+
+        def counted(model, topology):
+            calls.append(model)
+            return real(model, topology)
+
+        monkeypatch.setattr(cogrelay.sim, "segment_probabilities", counted)
+        raw = base_config(schemes=list(cogrelay.sim.SCHEMES))
+        if activity is not None:
+            raw["activity"] = activity
+        cfg_path = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        assert main(["calibrate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert len(calls) == 1
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert len(calls) == 2
+        cfg = load_config(cfg_path)
+        cogrelay.cli.run_point(cfg.spec, cfg.schemes)
+        assert len(calls) == 3
 
 
 class TestSweepCommand:

@@ -114,10 +114,9 @@ def stub_policy(pbar, rate, lam, shadow_price, achieved_power):
     return SimpleNamespace(
         # The curves are exact, as on enumerable gains.
         problem=SimpleNamespace(pbar=pbar, gains=SimpleNamespace(enumerable=True)),
-        metrics=SimpleNamespace(rate=rate, rate_se=0.0),
+        metrics=SimpleNamespace(rate=rate, rate_se=0.0, power_time_avg=achieved_power),
         lam=lam,
         shadow_price=shadow_price,
-        report=SimpleNamespace(achieved_power=achieved_power),
     )
 
 

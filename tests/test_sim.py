@@ -12,7 +12,13 @@ import cogrelay.cli as cli
 import cogrelay.sim as sim
 from cogrelay.cli import run_point
 from cogrelay.master import MasterOptions, section_rates
-from cogrelay.model import SPATIAL_MODE, PuActivityModel, partition_segments, sample_pu_activity
+from cogrelay.model import (
+    SPATIAL_MODE,
+    PuActivityModel,
+    partition_segments,
+    sample_pu_activity,
+    segment_probabilities,
+)
 from cogrelay.seeding import stream
 from cogrelay.sim import (
     CoverageError,
@@ -62,7 +68,7 @@ class TestEpochActivity:
             activity=activity,
         )
         topo = spec.topology()
-        drawn = spec.epoch_activity(topo)
+        drawn = spec.epoch_activity()
         assert drawn.bits.shape == (spec.epochs, topo.node_count)
         for e in range(spec.epochs):
             bits = sample_pu_activity(activity, topo, stream(spec.seed, "activity", e))
@@ -79,13 +85,13 @@ class TestEpochActivity:
             activity=activity, baseline_warmup=40,
         )
         topo = spec.topology()
-        warmup = EpochActivity.draw(spec, topo, spec.baseline_warmup, "warmup")
+        warmup = EpochActivity.draw(spec, spec.baseline_warmup, "warmup")
         assert warmup.bits.shape == (40, topo.node_count)
         for k in range(40):
             key = ("activity", "warmup", k)
             bits = sample_pu_activity(activity, topo, stream(spec.seed, *key))
             assert np.array_equal(warmup.bits[k], bits)
-        none = EpochActivity.draw(spec, topo, 0, "warmup")  # baseline_warmup 0
+        none = EpochActivity.draw(spec, 0, "warmup")  # baseline_warmup 0
         assert none.bits.shape == (0, topo.node_count)
         assert none.adjacent.shape == none.direct.shape == (0, topo.last_index)
 
@@ -96,7 +102,7 @@ class TestEpochActivity:
             activity=SPATIAL,
         )
         topo = spec.topology()
-        drawn = EpochActivity.draw(spec, topo, spec.epochs, *tag)
+        drawn = EpochActivity.draw(spec, spec.epochs, *tag)
         adjacent = np.full((spec.epochs, topo.last_index), np.nan)
         direct = adjacent.copy()
 
@@ -115,9 +121,7 @@ class TestEpochActivity:
 
     def test_one_hop_segment_reads_its_adjacent_link(self, monkeypatch):
         spec = small_spec((0.0, 1.0, 2.2, 3.1, 4.0, 5.0), p_avail=0.7, epochs=300)
-        topo = spec.topology()
-        prob_table = spec.pair_probabilities(topo)
-        activity = spec.epoch_activity(topo)
+        activity = spec.epoch_activity()
         runs = list(zip(activity.epoch.tolist(), activity.head.tolist(), activity.end.tolist()))
         one_hop = [(e, head) for e, head, end in runs if end == head + 1]
         assert one_hop
@@ -131,7 +135,7 @@ class TestEpochActivity:
                 yield from real_streams(root, [path])
 
         monkeypatch.setattr(sim, "streams", counting)
-        run_baseline("baseline3", spec, prob_table, topo, activity)
+        run_baseline("baseline3", spec, activity)
         assert np.isnan(activity.direct[tuple(np.transpose(one_hop))]).all()
         assert max(drawn.values()) == 1
         used = {("epoch", e, "link", head, end) for e, head, end in runs if end - head >= 2}
@@ -144,14 +148,12 @@ class TestEpochActivity:
             activity=SPATIAL, prob_samples=4000,
         )
         result = run_point(spec, sim.SCHEMES)
-        topo = spec.topology()
-        activity = spec.epoch_activity(topo)
-        prob_table = spec.pair_probabilities(topo)
-        assert run_proposed(spec, result.master.policies, prob_table, topo, activity) == (
+        activity = spec.epoch_activity()
+        assert run_proposed(spec, result.master.policies, activity) == (
             result.metrics["proposed"]
         )
         for kind in BASELINES:
-            assert run_baseline(kind, spec, prob_table, topo, activity) == result.metrics[kind]
+            assert run_baseline(kind, spec, activity) == result.metrics[kind]
 
     def test_store_and_forward_duty_mass_is_one_draw_per_sample(self):
         spec = dataclasses.replace(
@@ -165,7 +167,19 @@ class TestEpochActivity:
         for _ in range(samples):
             bits = sample_pu_activity(SPATIAL, topo, rng)
             hits += bool(np.any(bits[:-1] & bits[1:]))
-        assert transmit_mass("baseline2", spec, {}, topo) == hits / samples
+        assert transmit_mass("baseline2", spec) == hits / samples
+
+    def test_a_replaced_spec_gets_its_own_table(self):
+        spec = small_spec((0.0, 1.0, 2.2, 3.1, 4.0, 5.0), p_avail=0.6)
+        table = spec.pair_probabilities
+        assert spec.pair_probabilities is table  # computed once per spec
+        for activity in (PuActivityModel(p_avail=0.9), SPATIAL):
+            other = dataclasses.replace(spec, activity=activity)
+            exact = segment_probabilities(activity, other.topology())
+            assert other.pair_probabilities == {p: v for p, v in exact.items() if p[1] > p[0]}
+            assert other.pair_probabilities != table
+        assert spec.pair_probabilities is table
+
 
 # A test-side reference: the per-(epoch, segment) loop that the per-pair
 # batches replaced, with one engine call per segment occurrence and one
@@ -267,7 +281,7 @@ def reference_run(scheme, spec, topo, prob_table, policies, activity):
             return _run_episode_batch(policy.problem, policy.lam, policy.table, cube)
 
         return _reference_segments(scheme, spec, topo, prob_table, run_segment, activity)
-    mass = transmit_mass(scheme, spec, prob_table, topo)
+    mass = transmit_mass(scheme, spec)
     p_c = spec.p0 / mass
     if scheme == "baseline2":
         return _reference_store_and_forward(spec, topo, p_c, mass, activity)
@@ -305,19 +319,19 @@ class TestPairBatches:
         )
         policies = run_point(spec, ("baseline4",)).master.policies
         topo = spec.topology()
-        prob_table = spec.pair_probabilities(topo)
-        activity_draw = spec.epoch_activity(topo)
+        prob_table = spec.pair_probabilities
+        activity_draw = spec.epoch_activity()
         assert len(activity_draw.pair_epochs) > 2
         expected = reference_run("proposed", spec, topo, prob_table, policies, activity_draw)
-        assert run_proposed(spec, policies, prob_table, topo, activity_draw) == expected
+        assert run_proposed(spec, policies, activity_draw) == expected
         for kind in BASELINES:
             expected = reference_run(kind, spec, topo, prob_table, policies, activity_draw)
-            assert run_baseline(kind, spec, prob_table, topo, activity_draw) == expected
+            assert run_baseline(kind, spec, activity_draw) == expected
 
     def test_coverage_error_names_the_earliest_uncovered_epoch(self):
         spec = small_spec((0.0, 1.5, 3.2, 5.0), p_avail=0.7, epochs=300, seed=4)
         topo = spec.topology()
-        activity = spec.epoch_activity(topo)
+        activity = spec.epoch_activity()
         first = {}
         for e in range(spec.epochs):
             bits = sample_pu_activity(spec.activity, topo, stream(spec.seed, "activity", e))
@@ -333,16 +347,14 @@ class TestPairBatches:
         policies = {pair: None for pair in by_first if pair not in (missing, later)}
         match = rf"^segment \({missing[0]}, {missing[1]}\) observed at epoch {first[missing]} "
         with pytest.raises(CoverageError, match=match):
-            run_proposed(spec, policies, spec.pair_probabilities(topo), topo, activity)
+            run_proposed(spec, policies, activity)
 
     def test_each_baseline_link_is_drawn_once_per_run(self, monkeypatch):
         spec = dataclasses.replace(
             small_spec((0.0, 1.0, 2.2, 3.1, 4.0, 5.0), p_avail=1.0, epochs=300),
             activity=SPATIAL, prob_samples=4000,
         )
-        topo = spec.topology()
-        prob_table = spec.pair_probabilities(topo)
-        activity = spec.epoch_activity(topo)
+        activity = spec.epoch_activity()
         drawn = Counter()
         real_streams = sim.streams
 
@@ -354,7 +366,7 @@ class TestPairBatches:
 
         monkeypatch.setattr(sim, "streams", counting)
         for kind in BASELINES:
-            run_baseline(kind, spec, prob_table, topo, activity)
+            run_baseline(kind, spec, activity)
         live = {path for path in drawn if path[1] != "warmup"}
         assert len(live) > spec.epochs
         assert max(drawn.values()) == 1
@@ -363,9 +375,8 @@ class TestPairBatches:
 class TestProposed:
     def test_no_spectrum_no_throughput(self):
         spec = small_spec((0.0, 2.0, 5.0), p_avail=0.0, epochs=100)
-        topo = spec.topology()
-        activity = spec.epoch_activity(topo)
-        metrics = run_proposed(spec, {}, spec.pair_probabilities(topo), topo, activity)
+        activity = spec.epoch_activity()
+        metrics = run_proposed(spec, {}, activity)
         assert metrics.u_min == 0.0
         assert metrics.u_weighted == 0.0
         assert metrics.u_empirical == 0.0
@@ -374,15 +385,14 @@ class TestProposed:
     def test_single_hop_full_availability_matches_segment_estimate(self):
         spec = small_spec((0.0, 5.0), p_avail=1.0, epochs=3000, seed=9)
         topo = spec.topology()
-        activity = spec.epoch_activity(topo)
+        activity = spec.epoch_activity()
         problem = SegmentProblem(
             head=0, end=1, gains=RayleighGains(topo), pbar=spec.p0,
             p_max=100.0 * spec.p0, p_floor=1e-6 * spec.p0,
             mc_samples=400, episodes=400,
         )
         policy = calibrate_lambda(problem, stream(9, "cal"))
-        prob_table = spec.pair_probabilities(topo)
-        metrics = run_proposed(spec, {(0, 1): policy}, prob_table, topo, activity)
+        metrics = run_proposed(spec, {(0, 1): policy}, activity)
         reference = estimate_segment_metrics(policy, 3000, stream(10, "ref"))
         scale = np.hypot(metrics.u_empirical_se, reference.rate_se)
         assert abs(metrics.u_weighted - reference.rate) <= 4.0 * scale
@@ -397,8 +407,7 @@ class TestProposed:
     def test_missing_policy_is_a_hard_error(self):
         spec = small_spec((0.0, 2.0, 5.0), p_avail=0.7, epochs=200)
         topo = spec.topology()
-        activity = spec.epoch_activity(topo)
-        prob_table = spec.pair_probabilities(topo)
+        activity = spec.epoch_activity()
         problem = SegmentProblem(
             head=0, end=1, gains=RayleighGains(topo), pbar=spec.p0,
             p_max=100.0 * spec.p0, p_floor=1e-6 * spec.p0,
@@ -406,7 +415,7 @@ class TestProposed:
         )
         policy = calibrate_lambda(problem, stream(1, "cal"))
         with pytest.raises(CoverageError, match=r"\("):
-            run_proposed(spec, {(0, 1): policy}, prob_table, topo, activity)
+            run_proposed(spec, {(0, 1): policy}, activity)
 
     def test_segment_metrics_depend_only_on_own_stream(self, monkeypatch):
         spec = small_spec((0.0, 2.0, 5.0), p_avail=0.7, epochs=120)
@@ -427,10 +436,8 @@ class TestProposed:
                 yield from real_streams(root, [path])
 
         monkeypatch.setattr(sim, "streams", skewed)
-        topo = spec.topology()
-        activity = spec.epoch_activity(topo)
-        prob_table = spec.pair_probabilities(topo)
-        perturbed = run_proposed(spec, result.master.policies, prob_table, topo, activity)
+        activity = spec.epoch_activity()
+        perturbed = run_proposed(spec, result.master.policies, activity)
         assert perturbed.pair_stats[target] == baseline_stats
         assert perturbed.pair_stats != result.metrics["proposed"].pair_stats
 
@@ -446,19 +453,16 @@ class TestProposed:
 class TestBaselines:
     def test_unknown_kind_rejected(self):
         spec = small_spec((0.0, 5.0), p_avail=0.5)
-        topo = spec.topology()
-        activity = spec.epoch_activity(topo)
+        activity = spec.epoch_activity()
         with pytest.raises(ValueError):
-            run_baseline("baseline9", spec, spec.pair_probabilities(topo), topo, activity)
+            run_baseline("baseline9", spec, activity)
         with pytest.raises(ValueError):
-            run_baseline("proposed", spec, spec.pair_probabilities(topo), topo, activity)
+            run_baseline("proposed", spec, activity)
 
     def test_single_hop_route_all_baselines_coincide(self):
         spec = small_spec((0.0, 5.0), p_avail=0.8, epochs=400)
-        topo = spec.topology()
-        activity = spec.epoch_activity(topo)
-        prob_table = spec.pair_probabilities(topo)
-        runs = {k: run_baseline(k, spec, prob_table, topo, activity) for k in BASELINES}
+        activity = spec.epoch_activity()
+        runs = {k: run_baseline(k, spec, activity) for k in BASELINES}
         values = {m.u_empirical for m in runs.values()}
         assert len(values) == 1
         for m in runs.values():
@@ -466,38 +470,30 @@ class TestBaselines:
 
     def test_full_availability_equivalences(self):
         spec = small_spec((0.0, 1.5, 3.2, 5.0), p_avail=1.0, epochs=300, seed=6)
-        topo = spec.topology()
-        activity = spec.epoch_activity(topo)
-        prob_table = spec.pair_probabilities(topo)
-        runs = {k: run_baseline(k, spec, prob_table, topo, activity) for k in BASELINES}
+        activity = spec.epoch_activity()
+        runs = {k: run_baseline(k, spec, activity) for k in BASELINES}
         assert runs["baseline1"].u_empirical == runs["baseline3"].u_empirical
         assert runs["baseline1"].u_min == runs["baseline3"].u_min
         assert runs["baseline2"].u_empirical == runs["baseline4"].u_empirical
 
     def test_blocked_route_yields_zero(self):
         spec = small_spec((0.0, 2.0, 5.0), p_avail=0.0, epochs=50)
-        topo = spec.topology()
-        activity = spec.epoch_activity(topo)
-        prob_table = spec.pair_probabilities(topo)
+        activity = spec.epoch_activity()
         for kind in BASELINES:
-            metrics = run_baseline(kind, spec, prob_table, topo, activity)
+            metrics = run_baseline(kind, spec, activity)
             assert metrics.u_empirical == 0.0
             assert metrics.total_power == 0.0
 
     def test_power_fairness_measured_at_budget(self):
         spec = small_spec((0.0, 1.5, 3.2, 5.0), p_avail=0.7, epochs=200)
-        topo = spec.topology()
-        activity = spec.epoch_activity(topo)
-        prob_table = spec.pair_probabilities(topo)
+        activity = spec.epoch_activity()
         for kind in BASELINES:
-            metrics = run_baseline(kind, spec, prob_table, topo, activity)
+            metrics = run_baseline(kind, spec, activity)
             assert metrics.total_power == pytest.approx(spec.p0, rel=1e-6)
 
     def test_store_and_forward_duty_mass_matches_enumeration(self):
         spec = small_spec((0.0, 1.0, 2.0, 3.0), p_avail=0.6)
-        topo = spec.topology()
-        prob_table = spec.pair_probabilities(topo)
-        mass = transmit_mass("baseline2", spec, prob_table, topo)
+        mass = transmit_mass("baseline2", spec)
         p = 0.6
         total = 0.0
         for bits in itertools.product((0, 1), repeat=4):
@@ -509,9 +505,8 @@ class TestBaselines:
     def test_constant_power_solver(self):
         # Store-and-forward reports mass * p_c, its expected radiated power.
         spec = small_spec((0.0, 1.0, 2.0, 3.0), p_avail=0.6, epochs=50)
-        topo = spec.topology()
-        activity = spec.epoch_activity(topo)
-        metrics = run_baseline("baseline2", spec, spec.pair_probabilities(topo), topo, activity)
+        activity = spec.epoch_activity()
+        metrics = run_baseline("baseline2", spec, activity)
         assert metrics.total_power == pytest.approx(spec.p0, rel=1e-12)
 
 

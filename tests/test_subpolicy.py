@@ -332,13 +332,13 @@ class TestCalibration:
         policy = calibrate_lambda(problem, stream(1, "cal"))
         assert policy.lam == 0.0
         assert policy.report.budget_slack
-        assert policy.report.achieved_power <= problem.pbar * 1.01
+        assert policy.metrics.power_time_avg <= problem.pbar * 1.01
 
     def test_achieved_power_within_tolerance(self, bench_topology):
         problem = rayleigh_problem(bench_topology, 0, 4, pbar=10.0, n=800)
         policy = calibrate_lambda(problem, stream(2, "cal"), power_tolerance=1e-2)
         assert policy.report.converged
-        assert abs(policy.report.achieved_power - 10.0) <= 0.1
+        assert abs(policy.metrics.power_time_avg - 10.0) <= 0.1
         assert policy.lam > 0.0
 
     def test_multiplier_monotone_in_budget(self, bench_topology):
