@@ -145,6 +145,9 @@ ACTIVITY_KEYS = {
 }
 ACTIVITY_REQUIRED = {IID_MODE: ("p_avail",), SPATIAL_MODE: ("rho_p", "p_active", "d0")}
 BUDGET_KEYS = ("P0_dB", "P0")
+# The largest linear power budget (1000 dB).  Calibration squares per-episode
+# energies, and a budget of 1e160 already overflows them.
+MAX_P0 = 1e100
 SOLVER_KEYS = ("mc_samples", "episodes", "power_tolerance", "p_max_factor", "p_floor_factor")
 MASTER_KEYS = ("max_iterations", "step_a", "step_b", "tie_tolerance", "objective_tolerance",
                "window", "pair_prob_cutoff")
@@ -288,10 +291,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
     _check_keys(budget, "budget", BUDGET_KEYS)
     if len(budget) != 1:
         raise ConfigError("budget needs exactly one of 'P0_dB' or 'P0'")
-    if "P0" in budget:
-        p0 = _convert(float, budget, "budget", "P0")
-    else:
-        p0 = db_to_linear(_convert(float, budget, "budget", "P0_dB"))
+    key = next(iter(budget))
+    value = _convert(float, budget, "budget", key)
+    p0 = value if key == "P0" else db_to_linear(value)
+    if p0 > MAX_P0:
+        raise ConfigError(f"budget {key} {value:g} is above the largest power budget, "
+                          f"{MAX_P0:g} (1000 dB)")
 
     solver_raw = dict(_section(raw, "solver"))
     master_raw = _section(solver_raw, "master", "solver.master")

@@ -88,6 +88,8 @@ class RouteSpec:
             raise ValueError("route needs positions or a node count")
         if self.placement_seed < 0:
             raise ValueError(f"placement_seed must be non-negative, not {self.placement_seed}")
+        if self.min_gap < 0.0:
+            raise ValueError(f"min_gap must be non-negative, not {self.min_gap:g}")
         pos = self.positions
         if pos is None:
             pos = make_linear_route(self.nodes, self.span, self.placement_seed, self.min_gap)

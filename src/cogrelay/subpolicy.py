@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -45,6 +46,11 @@ class CalibrationError(RuntimeError):
         self.diagnostics = diagnostics or {}
 
 
+def _priced_cost(g: np.ndarray, p: np.ndarray, lam: float, pbar: float) -> np.ndarray:
+    """``(1 + lam (p - pbar)) / ln(1 + g p)`` on arrays already checked."""
+    return (1.0 + lam * (p - pbar)) / np.log1p(g * p)
+
+
 def priced_hop_cost(gain, power, lam: float, pbar: float):
     """Per-hop time plus the priced energy overshoot:
     ``(1 + lam * (power - pbar)) / ln(1 + gain * power)``.  At ``lam = 0``
@@ -55,7 +61,7 @@ def priced_hop_cost(gain, power, lam: float, pbar: float):
         raise ValueError("gain and power must be positive")
     if lam < 0.0:
         raise ValueError("multiplier must be non-negative")
-    out = (1.0 + lam * (p - pbar)) / np.log1p(g * p)
+    out = _priced_cost(g, p, lam, pbar)
     return float(out) if out.ndim == 0 else out
 
 
@@ -73,6 +79,35 @@ def power_foc(gain, power, pbar: float):
     return g / ((1.0 + gp) * np.log1p(gp) + (pbar - p) * g)
 
 
+def _winitzki(z: np.ndarray) -> np.ndarray:
+    """Winitzki's logarithmic guess for ``W0(z)``, read at ``max(z, 0)``."""
+    L = np.log1p(np.maximum(z, 0.0))
+    return L * (1.0 - np.log1p(L) / (2.0 + L))
+
+
+def _halley(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Four Halley steps on ``w e^w = z`` from the guess ``w``:
+    ``w -= f / (e^w (w + 1) - (w + 2) f / (2 (w + 1)))`` with
+    ``f = w e^w - z``, each operation written into a buffer made once."""
+    w = np.array(w, dtype=float)  # a copy: the caller may still read the guess
+    ew, f, w1, t = (np.empty_like(w) for _ in range(4))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(4):
+            np.exp(w, out=ew)
+            np.multiply(w, ew, out=f)
+            f -= z
+            np.add(w, 1.0, out=w1)
+            np.add(w1, 1.0, out=t)
+            t *= f
+            ew *= w1
+            w1 *= 2.0
+            t /= w1
+            ew -= t
+            f /= ew
+            w -= f
+    return w
+
+
 def lambert_w0(z, offset=None):
     """Principal branch of the Lambert W function for ``z >= -1/e``.
 
@@ -83,43 +118,97 @@ def lambert_w0(z, offset=None):
     ``w e^w - z`` cancels and the series is the more accurate; it is
     returned as is.  ``offset``, when given, is ``e z + 1`` computed without
     that cancellation.
+
+    Only the guesses the inputs need are computed: when no ``z`` is negative
+    and no series variable is within 1e-3 of the branch point, Winitzki's
+    form alone, with the same bits as the mixed computation.
     """
     z = np.asarray(z, dtype=float)
+    # The series variable grows with the offset, so its smallest value
+    # comes from the smallest offset; ``e z + 1 >= 1`` needs no look.
+    if z.size and z.min() >= 0.0 and (
+        offset is None or math.sqrt(2.0 * min(max(np.min(offset), 0.0), 1.0)) >= 1e-3
+    ):
+        return _halley(z, _winitzki(z))
     offset = np.e * z + 1.0 if offset is None else np.asarray(offset, dtype=float)
     q = np.sqrt(2.0 * np.clip(offset, 0.0, 1.0))
-    L = np.log1p(np.maximum(z, 0.0))
     guess = np.where(
-        z < 0.0,
-        -1.0 + q * (1.0 + q * (-1.0 / 3.0 + q * 11.0 / 72.0)),
-        L * (1.0 - np.log1p(L) / (2.0 + L)),
+        z < 0.0, -1.0 + q * (1.0 + q * (-1.0 / 3.0 + q * 11.0 / 72.0)), _winitzki(z)
     )
-    w = guess
+    return np.where(q < 1e-3, guess, _halley(z, guess))
+
+
+def _interior_power(g, lam, pbar, p_floor, p_max):
+    """The stationary power of gains ``g`` that are neither capped nor at
+    a multiplier of ``1/pbar`` or more, clipped to ``[p_floor, p_max]``.
+
+    With ``x = g * power`` the first-order condition reads
+    ``(1 + x) ln(1 + x) - x = c``, ``c = g (1 - lam pbar) / lam``, whose
+    root is ``1 + x = exp(1 + W0((c - 1) / e))``.  One Newton step on ``x``
+    restores the precision ``expm1`` loses at small ``x``.
+    """
+    c = g * (1.0 - lam * pbar) / lam
+    x = np.expm1(1.0 + lambert_w0((c - 1.0) / np.e, c))
+    lx = np.log1p(x)
+    # x is 0 when c is below about 1e-32, as when 1 - lam * pbar rounds
+    # to 0; the floor then applies.
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(4):
-            ew = np.exp(w)
-            f = w * ew - z
-            w1 = w + 1.0
-            w = w - f / (ew * w1 - (w1 + 1.0) * f / (2.0 * w1))
-    return np.where(q < 1e-3, guess, w)
+        x = np.where(lx > 0.0, x - ((1.0 + x) * lx - x - c) / lx, 0.0)
+    return np.clip(x / g, p_floor, p_max)
+
+
+def _solve_vector(g: np.ndarray, pbar: float, lam: float, p_max: float, p_floor: float):
+    """``solve_optimal_power`` on a 1-D float64 gain vector with float
+    scalars: the same checks and bits, without broadcasting, and without a
+    mask when no gain is capped."""
+    # NaN fails every comparison, so each check also rejects it.
+    if g.size and not (g.min() > 0.0 and g.max() < np.inf):
+        raise ValueError("gains must be positive and finite")
+    if not 0.0 < pbar < np.inf:
+        raise ValueError("pbar must be positive and finite")
+    if not 0.0 <= lam < np.inf:
+        raise ValueError("multiplier must be non-negative and finite")
+    if not 0.0 < p_max < np.inf:
+        raise ValueError("p_max must be positive and finite")
+    if not lam < 1.0 / pbar:
+        return np.full(g.size, p_floor)
+    cap = power_foc(g, p_max, pbar) >= lam
+    if not cap.any():
+        return _interior_power(g, lam, pbar, p_floor, p_max)
+    out = np.where(cap, p_max, p_floor)
+    todo = ~cap
+    if todo.any():
+        out[todo] = _interior_power(g[todo], lam, pbar, p_floor, p_max)
+    return out
 
 
 def solve_optimal_power(gain, pbar, lam, p_max, p_floor=None):
     """Power minimizing the priced hop cost; broadcasts over all arguments.
 
-    With ``x = gain * power`` the first-order condition reads
-    ``(1 + x) ln(1 + x) - x = c``, ``c = gain (1 - lam pbar) / lam``, whose
-    root is ``1 + x = exp(1 + W0((c - 1) / e))``.  One Newton step on ``x``
-    restores the precision ``expm1`` loses at small ``x``.  When the
-    multiplier is at least ``1/pbar`` the root is at or below zero and the
-    configured floor is returned (the policy declines to boost); when the
-    multiplier is zero or below the condition's value at ``p_max``, the cap
-    is returned.
+    The root of the first-order condition is closed form (see
+    ``_interior_power``).  When the multiplier is at least ``1/pbar`` the
+    root is at or below zero and the configured floor is returned (the
+    policy declines to boost); when the multiplier is zero or below the
+    condition's value at ``p_max``, the cap is returned.
+
+    A 1-D float64 gain vector with float ``pbar``, ``lam``, ``p_max`` and
+    ``p_floor`` (the pricing pass's shape) takes a fast path with the same
+    checks and the same bits: scalars are checked by Python comparisons,
+    the gains by one minimum and one maximum, nothing is broadcast, and no
+    mask is built when no gain is capped and ``lam < 1/pbar``.
     """
+    if p_floor is None:
+        p_floor = DEFAULT_P_FLOOR_FACTOR * np.asarray(pbar, dtype=float)
+    if (
+        type(gain) is np.ndarray and gain.ndim == 1 and gain.dtype == np.float64
+        and all(isinstance(a, float) for a in (pbar, lam, p_max, p_floor))
+    ):
+        return _solve_vector(gain, pbar, lam, p_max, p_floor)
     g = np.asarray(gain, dtype=float)
     pb = np.asarray(pbar, dtype=float)
     lm = np.asarray(lam, dtype=float)
     pm = np.asarray(p_max, dtype=float)
-    pf = DEFAULT_P_FLOOR_FACTOR * pb if p_floor is None else np.asarray(p_floor, dtype=float)
+    pf = np.asarray(p_floor, dtype=float)
     # NaN fails both comparisons, so each check also rejects it.
     if not ((g > 0.0) & (g < np.inf)).all():
         raise ValueError("gains must be positive and finite")
@@ -140,15 +229,7 @@ def solve_optimal_power(gain, pbar, lam, p_max, p_floor=None):
         def sub(a):  # ``a``'s entries at ``todo``; scalars broadcast as they are
             return a if a.ndim == 0 else np.broadcast_to(a, shape)[todo]
 
-        gi, lmi = sub(g), sub(lm)
-        c = gi * (1.0 - lmi * sub(pb)) / lmi
-        x = np.expm1(1.0 + lambert_w0((c - 1.0) / np.e, c))
-        lx = np.log1p(x)
-        # x is 0 when c is below about 1e-32, as when 1 - lam * pbar rounds
-        # to 0; the floor then applies.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = np.where(lx > 0.0, x - ((1.0 + x) * lx - x - c) / lx, 0.0)
-        out[todo] = np.clip(x / gi, sub(pf), sub(pm))
+        out[todo] = _interior_power(sub(g), sub(lm), sub(pb), sub(pf), sub(pm))
     return float(out) if out.ndim == 0 else out
 
 
@@ -334,11 +415,14 @@ def _price(
     entry of a flat gain vector.
 
     Both depend only on the gain and ``lam``, never on a cost-to-go, so a
-    caller can price every frozen gain before it knows any table value.  The
-    solver calls ``solve_optimal_power`` and ``priced_hop_cost`` nowhere else.
+    caller can price every frozen gain before it knows any table value.
+    Calibration, the recursion and the episode engine all price through
+    here; the oracles and tests also call the public functions directly.
     The vector is priced in slices of ``PRICE_CHUNK`` gains: every step is
     elementwise, so slicing changes no bit, and the power solve's temporaries
-    stay cache-sized.
+    stay cache-sized.  Each slice is one ``solve_optimal_power`` call on its
+    fast path; the solve has checked the gains and ``lam``, and the problem
+    guarantees ``0 < p_floor``, so the cost skips ``priced_hop_cost``'s checks.
     """
     cost = np.empty(gains.size)
     power = np.empty(gains.size)
@@ -347,7 +431,7 @@ def _price(
         g = gains[i : i + PRICE_CHUNK]
         if levels is None:
             p = solve_optimal_power(g, problem.pbar, lam, problem.p_max, problem.p_floor)
-            cost[i : i + g.size] = priced_hop_cost(g, p, lam, problem.pbar)
+            cost[i : i + g.size] = _priced_cost(g, p, lam, problem.pbar)
             power[i : i + g.size] = p
         else:
             all_costs = priced_hop_cost(g[:, None], levels, lam, problem.pbar)
@@ -501,7 +585,9 @@ class EpisodeBatch(NamedTuple):
     delivery time, energy, hop count and candidate evaluations;
     ``max_step`` is the largest candidate count of one hop decision.
     ``hop_times[e, k]`` is the airtime of the hop into node ``head + 1 + k``
-    in episode ``e`` (zero where no hop lands there).
+    in episode ``e`` (zero where no hop lands there); calibration drops it
+    (None) from the batches it keeps, since ``_metrics_from_batch`` does not
+    read it.
     """
 
     t_sum: np.ndarray
@@ -509,7 +595,7 @@ class EpisodeBatch(NamedTuple):
     frames: np.ndarray
     evals: np.ndarray
     max_step: int
-    hop_times: np.ndarray
+    hop_times: np.ndarray | None
 
 
 def _run_episode_batch(
@@ -647,7 +733,8 @@ def _max_power(problem: SegmentProblem) -> float:
 
 class _Iterate(NamedTuple):
     """One multiplier's evaluation in calibration: its table and episode
-    batch, and the batch's rate and spend, the two means bisection reads."""
+    batch (without ``hop_times``), and the batch's rate and spend, the two
+    means bisection reads."""
 
     lam: float
     table: ValueTable
@@ -698,7 +785,8 @@ def calibrate_lambda(
         ep = dict(zip(nodes, priced[len(nodes) :]))
         batch = _run_episode_batch(problem, lam, table, cube, ep)
         spend = _mean(batch.e_sum, weights) / _mean(batch.t_sum, weights)
-        return _Iterate(lam, table, batch, _mean(1.0 / batch.t_sum, weights), spend)
+        rate = _mean(1.0 / batch.t_sum, weights)
+        return _Iterate(lam, table, batch._replace(hop_times=None), rate, spend)
 
     def finish(it: _Iterate, converged: bool, slack: bool) -> CalibratedPolicy:
         report = CalibrationReport(iterations=evaluations, converged=converged, budget_slack=slack)

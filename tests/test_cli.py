@@ -259,8 +259,9 @@ class TestCalibrateCommand:
             ("sim", {"epochs": 150, "baseline_warmup": -5}, "baseline_warmup"),
             ("sim", {"epochs": 150, "prob_samples": -5}, "prob_samples"),
             ("model", {"nodes": 4, "placement_seed": -2}, "placement_seed"),
+            ("model", {"nodes": 4, "min_gap": -0.5}, "min_gap"),
         ],
-        ids=["baseline_warmup", "prob_samples", "placement_seed"],
+        ids=["baseline_warmup", "prob_samples", "placement_seed", "min_gap"],
     )
     def test_out_of_range_sim_and_route_values_are_exit_2_errors(
         self, tmp_path, capsys, section, values, key
@@ -690,6 +691,16 @@ class TestSweepCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_p0_grid_point_above_the_largest_budget_is_refused_before_any_point_runs(
+        self, tmp_path, capsys
+    ):
+        raw = base_config(sweep={"grid": {"p0": [50.0, 1e300]}})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(write_config(tmp_path, raw)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sweep point 0001 {'p0': 1e+300}: budget P0 1e+300 is above")
+        assert not out.exists()
+
     def test_a_p0_grid_writes_each_column_once(self, tmp_path):
         raw = base_config(schemes=["baseline3"], sweep={"grid": {"p0": [50.0, 100.0]}})
         cfg_path = write_config(tmp_path, raw)
@@ -888,6 +899,32 @@ class TestMainEntry:
         assert code == 2
         err = capsys.readouterr().err
         assert "route too dense to place: 16 nodes over span 5 with min_gap 0.25" in err
+
+    @pytest.mark.parametrize(
+        "budget, expected",
+        [
+            ({"P0": 1e300}, "budget P0 1e+300 is above the largest power budget, 1e+100"),
+            ({"P0": "1.1e100"}, "budget P0 1.1e+100 is above the largest power budget"),
+            ({"P0_dB": 1000.5}, "budget P0_dB 1000.5 is above the largest power budget"),
+        ],
+        ids=["P0-1e300", "P0-string", "P0_dB-1000.5"],
+    )
+    def test_budget_above_the_largest_is_an_exit_2_error(self, tmp_path, capsys, budget,
+                                                          expected):
+        cfg_path = write_config(tmp_path, base_config(budget=budget))
+        code = main(["calibrate", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {expected}") and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("budget", [{"P0": 1e100}, {"P0_dB": 1000.0}])
+    def test_largest_budget_is_accepted(self, budget):
+        assert parse_config(base_config(budget=budget)).spec.p0 == 1e100
+
+    def test_min_gap_of_zero_is_accepted(self):
+        raw = base_config(model={"nodes": 4, "min_gap": 0.0, "alpha": 2.0})
+        assert parse_config(raw).spec.route.min_gap == 0.0
 
     def test_negative_config_seed_is_an_exit_2_error(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config(seed=-1))

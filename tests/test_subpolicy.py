@@ -185,6 +185,103 @@ class TestOptimalPower:
         assert np.all(np.abs(w * np.exp(w) - z) <= 1e-14 * np.maximum(1.0, np.abs(z)))
 
 
+class TestSolveFastPath:
+    """A 1-D float64 gain vector with float scalars takes the solve's fast
+    path; it keeps every check and every bit of the broadcasting path."""
+
+    PBAR = 4.0
+    P_MAX, P_FLOOR = 100.0 * PBAR, 1e-6 * PBAR
+
+    @staticmethod
+    def gains(low, high, size=997):
+        return 10.0 ** stream(31, "fast-path", f"{low}:{high}").uniform(low, high, size)
+
+    def solve_both(self, g, lam, monkeypatch):
+        """(fast, 0-d p̄, (n, 1) block) results, with the fast path seen taken once."""
+        taken = []
+        real = subpolicy._solve_vector
+        monkeypatch.setattr(
+            subpolicy, "_solve_vector", lambda *args: taken.append(1) or real(*args)
+        )
+        fast = solve_optimal_power(g, self.PBAR, lam, self.P_MAX, self.P_FLOOR)
+        zero_d = solve_optimal_power(g, np.asarray(self.PBAR), lam, self.P_MAX, self.P_FLOOR)
+        block = solve_optimal_power(g[:, None], self.PBAR, lam, self.P_MAX, self.P_FLOOR)
+        assert taken == [1]
+        return fast, zero_d, block.ravel()
+
+    @pytest.mark.parametrize(
+        "price, low, high, expect",
+        [
+            (0.0, -4.0, 4.0, "cap"),
+            (1.0, -4.0, 4.0, "floor"),
+            ("below", -4.0, 4.0, "floor"),
+            ("below", -8.0, 0.0, "interior+floor"),
+            (0.5, -4.0, 4.0, "interior"),
+            (0.1, -4.0, 4.0, "cap+interior"),
+            (0.97, -8.0, 0.0, "cap+interior"),
+            (0.999999, -12.0, 8.0, "cap+interior+floor"),
+        ],
+    )
+    def test_bitwise_equal_to_the_broadcasting_path(self, monkeypatch, price, low, high, expect):
+        lam = np.nextafter(1.0 / self.PBAR, 0.0) if price == "below" else price / self.PBAR
+        fast, zero_d, block = self.solve_both(self.gains(low, high), float(lam), monkeypatch)
+        assert fast.dtype == np.float64 and fast.shape == zero_d.shape == block.shape
+        assert fast.tobytes() == zero_d.tobytes() == block.tobytes()
+        kinds = {
+            "cap": fast == self.P_MAX,
+            "floor": fast == self.P_FLOOR,
+            "interior": (fast > self.P_FLOOR) & (fast < self.P_MAX),
+        }
+        assert {kind for kind, hit in kinds.items() if hit.any()} == set(expect.split("+"))
+
+    @pytest.mark.parametrize(
+        "bad_gain", [np.nan, np.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"]
+    )
+    def test_bad_gain_inside_a_vector_raises(self, bad_gain):
+        g = self.gains(-2.0, 2.0, 50)
+        g[17] = bad_gain
+        with pytest.raises(ValueError, match="gains must be positive and finite"):
+            solve_optimal_power(g, self.PBAR, 0.1, self.P_MAX, self.P_FLOOR)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((math.inf, 0.1, 400.0), "pbar"),
+            ((math.nan, 0.1, 400.0), "pbar"),
+            ((0.0, 0.1, 400.0), "pbar"),
+            ((4.0, -0.1, 400.0), "multiplier"),
+            ((4.0, math.inf, 400.0), "multiplier"),
+            ((4.0, math.nan, 400.0), "multiplier"),
+            ((4.0, 0.1, math.inf), "p_max"),
+            ((4.0, 0.1, math.nan), "p_max"),
+        ],
+        ids=["pbar-inf", "pbar-nan", "pbar-zero", "lam-negative", "lam-inf", "lam-nan",
+             "p_max-inf", "p_max-nan"],
+    )
+    def test_bad_scalar_with_a_vector_raises(self, args, message):
+        for g in (self.gains(-2.0, 2.0, 50), np.empty(0)):
+            with pytest.raises(ValueError, match=message):
+                solve_optimal_power(g, *args)
+
+    @pytest.mark.parametrize("price", [0.0, 0.5, 1.0])
+    def test_empty_vector_returns_an_empty_array(self, price):
+        p = solve_optimal_power(np.empty(0), self.PBAR, price / self.PBAR, self.P_MAX)
+        assert isinstance(p, np.ndarray) and p.shape == (0,) and p.dtype == np.float64
+
+    @pytest.mark.parametrize("with_offset", [False, True])
+    def test_lambert_w0_single_branch_equals_two_branches(self, with_offset):
+        # A negative entry makes the call take both guesses; the single-branch
+        # call on the non-negative entries must give the same bits.
+        z = np.concatenate([[0.0, 5e-324, 1e-300, 1.0, 1e300], 10.0 ** np.linspace(-12, 12, 999)])
+        both = np.append(z, -0.2)
+        if with_offset:
+            single, mixed = lambert_w0(z, E * z + 1.0), lambert_w0(both, E * both + 1.0)
+        else:
+            single, mixed = lambert_w0(z), lambert_w0(both)
+        assert single.tobytes() == mixed[:-1].tobytes()
+        assert single[0] == 0.0 and np.isfinite(single).all()
+
+
 def direct_price(problem, lam, gains):
     """(cost, power) of a gain block of any shape by one direct call of the
     power solve (or one scan of the power levels) on the whole block."""
