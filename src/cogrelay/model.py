@@ -27,6 +27,15 @@ SPATIAL_MODE = "spatial-field"
 CHUNK_ROWS = 256
 # Least acceptance rate of route placement; below it sampling runs for hours.
 MIN_PLACEMENT_ACCEPTANCE = 1e-6
+# Largest spatial-field ``d0`` and ``strip_width``: their squares and the
+# field's areas stay finite.
+MAX_FIELD_LENGTH = 1e100
+# Most primaries a spatial field may put in one epoch's window on average
+# (``rho_p`` times the window's measure).  Availability is drawn for
+# ``CHUNK_ROWS`` epochs at a time, with up to three uniforms per primary and a
+# distance per active primary and node, so this keeps one batch within a few
+# hundred MB.
+MAX_PRIMARIES = 1e4
 
 
 @dataclass(frozen=True)
@@ -128,8 +137,21 @@ class PuActivityModel:
                 raise ValueError("p_active must lie in [0, 1]")
             if self.d0 <= 0.0:
                 raise ValueError("spatial mode requires d0 > 0")
+            for key in ("d0", "strip_width"):
+                if getattr(self, key) > MAX_FIELD_LENGTH:
+                    raise ValueError(f"{key} {getattr(self, key):g} is above its bound, "
+                                     f"{MAX_FIELD_LENGTH:g}")
         if self.strip_width < 0.0:
             raise ValueError("strip_width must be non-negative")
+
+
+def field_window(model: PuActivityModel, positions: Sequence[float]) -> tuple[float, float, float]:
+    """``(lo, hi, measure)`` of the spatial field's window: every primary
+    that can block a node lies within ``d0`` of the route, so the window is
+    the route's extent widened by ``d0`` at both ends (times ``strip_width``
+    in the measure, with a strip)."""
+    lo, hi = float(positions[0]) - model.d0, float(positions[-1]) + model.d0
+    return lo, hi, (hi - lo) * model.strip_width if model.strip_width > 0.0 else hi - lo
 
 
 def sample_availability(
@@ -149,10 +171,8 @@ def sample_availability(
     if model.mode == IID_MODE:
         u = np.array([g.random(n) for g in rngs]).reshape(-1, n)
         return (u < model.p_avail).astype(np.uint8)
-    lo, hi = x[0] - model.d0, x[-1] + model.d0
-    length = hi - lo
+    lo, hi, measure = field_window(model, x)
     width = model.strip_width
-    measure = length * width if width > 0.0 else length
     k = 3 if width > 0.0 else 2  # uniforms per primary: x, (y,) activity
     counts, blocks = [], [np.empty(0)]  # the empty block covers zero rows
     for g in rngs:

@@ -515,7 +515,9 @@ def verify_covariance_property(
     """
     problem = policy.problem
     cube = draw_episode_cube(problem, rng, episodes)
-    hop_times = _run_episode_batch(problem, policy.lam, policy.table, cube).hop_times
+    hop_times = _run_episode_batch(
+        problem, policy.lam, policy.table, cube, hop_times=True
+    ).hop_times
     # Hops are grouped by the cluster of their destination node.
     totals = np.add.reduceat(hop_times, np.arange(0, problem.length, cluster_size), axis=1)
     n_clusters = totals.shape[1]

@@ -43,9 +43,12 @@ import numpy as np
 from .master import SolverOptions, section_rates
 from .model import (
     IID_MODE,
+    MAX_PRIMARIES,
+    SPATIAL_MODE,
     PuActivityModel,
     Topology,
     availability_chunks,
+    field_window,
     make_linear_route,
     segment_probabilities,
     segment_runs,
@@ -128,6 +131,14 @@ class StudySpec:
             raise ValueError(f"prob_samples must be positive, not {self.prob_samples}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, not {self.seed}")
+        act = self.activity
+        if act.mode == SPATIAL_MODE:
+            primaries = act.rho_p * field_window(act, self.route.topology.positions)[2]
+            if not primaries <= MAX_PRIMARIES:
+                raise ValueError(
+                    f"rho_p {act.rho_p:g} puts {primaries:.3g} primaries in an epoch's field "
+                    f"on average, above the bound on rho_p x measure, {MAX_PRIMARIES:g}"
+                )
 
     def topology(self) -> Topology:
         return self.route.topology

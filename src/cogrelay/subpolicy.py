@@ -57,10 +57,13 @@ def priced_hop_cost(gain, power, lam: float, pbar: float):
     it is the plain time to push one bit across the link."""
     g = np.asarray(gain, dtype=float)
     p = np.asarray(power, dtype=float)
-    if np.any(g <= 0.0) or np.any(p <= 0.0):
-        raise ValueError("gain and power must be positive")
-    if lam < 0.0:
-        raise ValueError("multiplier must be non-negative")
+    # NaN fails every comparison, so each check also rejects it.
+    if not ((g > 0.0) & (g < np.inf)).all():
+        raise ValueError("gains must be positive and finite")
+    if not ((p > 0.0) & (p < np.inf)).all():
+        raise ValueError("powers must be positive and finite")
+    if not 0.0 <= lam < np.inf:
+        raise ValueError("multiplier must be non-negative and finite")
     out = _priced_cost(g, p, lam, pbar)
     return float(out) if out.ndim == 0 else out
 
@@ -86,10 +89,9 @@ def _winitzki(z: np.ndarray) -> np.ndarray:
 
 
 def _halley(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Four Halley steps on ``w e^w = z`` from the guess ``w``:
+    """Four Halley steps on ``w e^w = z`` from the guess ``w``, in place:
     ``w -= f / (e^w (w + 1) - (w + 2) f / (2 (w + 1)))`` with
     ``f = w e^w - z``, each operation written into a buffer made once."""
-    w = np.array(w, dtype=float)  # a copy: the caller may still read the guess
     ew, f, w1, t = (np.empty_like(w) for _ in range(4))
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(4):
@@ -108,6 +110,12 @@ def _halley(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     return w
 
 
+# Entries with an offset below this may have a series variable
+# ``sqrt(2 offset)`` under 1e-3; the margin above 5e-7 covers the rounding
+# of the square root.
+_SERIES_OFFSET = 5e-7 * (1.0 + 1e-6)
+
+
 def lambert_w0(z, offset=None):
     """Principal branch of the Lambert W function for ``z >= -1/e``.
 
@@ -117,25 +125,28 @@ def lambert_w0(z, offset=None):
     1e-3 of the branch point in the series variable, Halley's residual
     ``w e^w - z`` cancels and the series is the more accurate; it is
     returned as is.  ``offset``, when given, is ``e z + 1`` computed without
-    that cancellation.
+    that cancellation, with ``z``'s shape.
 
-    Only the guesses the inputs need are computed: when no ``z`` is negative
-    and no series variable is within 1e-3 of the branch point, Winitzki's
-    form alone, with the same bits as the mixed computation.
+    Winitzki's guess and the Halley steps run over every entry; the series
+    variable, the series guess and the choice of the series result are
+    computed only on the entries that can take them: ``z < 0``, or an offset
+    under ``_SERIES_OFFSET``.  Every step is elementwise, so the bits are
+    those of computing both guesses everywhere.
     """
-    z = np.asarray(z, dtype=float)
-    # The series variable grows with the offset, so its smallest value
-    # comes from the smallest offset; ``e z + 1 >= 1`` needs no look.
-    if z.size and z.min() >= 0.0 and (
-        offset is None or math.sqrt(2.0 * min(max(np.min(offset), 0.0), 1.0)) >= 1e-3
-    ):
-        return _halley(z, _winitzki(z))
-    offset = np.e * z + 1.0 if offset is None else np.asarray(offset, dtype=float)
-    q = np.sqrt(2.0 * np.clip(offset, 0.0, 1.0))
-    guess = np.where(
-        z < 0.0, -1.0 + q * (1.0 + q * (-1.0 / 3.0 + q * 11.0 / 72.0)), _winitzki(z)
-    )
-    return np.where(q < 1e-3, guess, _halley(z, guess))
+    shape = np.shape(z)
+    z = np.asarray(z, dtype=float).ravel()
+    offset = np.e * z + 1.0 if offset is None else np.asarray(offset, dtype=float).ravel()
+    w = _winitzki(z)  # the guess, then the root
+    near = np.flatnonzero((z < 0.0) | (offset < _SERIES_OFFSET))
+    if near.size:
+        q = np.sqrt(2.0 * np.minimum(np.maximum(offset[near], 0.0), 1.0))  # clip's bits
+        series = -1.0 + q * (1.0 + q * (-1.0 / 3.0 + q * 11.0 / 72.0))
+        guess = np.where(z[near] < 0.0, series, w[near])
+        w[near] = guess
+    _halley(z, w)
+    if near.size:
+        w[near] = np.where(q < 1e-3, guess, w[near])
+    return w.reshape(shape)
 
 
 def _interior_power(g, lam, pbar, p_floor, p_max):
@@ -160,9 +171,22 @@ def _interior_power(g, lam, pbar, p_floor, p_max):
 def _solve_vector(g: np.ndarray, pbar: float, lam: float, p_max: float, p_floor: float):
     """``solve_optimal_power`` on a 1-D float64 gain vector with float
     scalars: the same checks and bits, without broadcasting, and without a
-    mask when no gain is capped."""
+    mask when no gain is capped.
+
+    ``power_foc`` at ``p_max`` falls as the gain grows, since its
+    denominator over the gain, ``p_max h(g p_max) + pbar - p_max`` with
+    ``h(x) = (1 + x) ln(1 + x) / x``, rises.  So one evaluation at the
+    smallest gain, in Python floats, decides "no gain caps" when it lies
+    below ``lam`` by a relative margin that no rounding of the vector
+    evaluation can cross: each entry is off by a few ulps of the
+    denominator's two terms, and their cancellation amplifies that by at
+    most ``1 + 2 p_max / pbar``; the margin, ``1e-13 (1 + p_max / pbar)``, is
+    some forty times the bound on the two evaluations' combined error.
+    Otherwise, and when the smallest gain is so small that the denominator
+    leaves the normal range, the vector test decides.
+    """
     # NaN fails every comparison, so each check also rejects it.
-    if g.size and not (g.min() > 0.0 and g.max() < np.inf):
+    if g.size and not ((lo := g.min()) > 0.0 and g.max() < np.inf):
         raise ValueError("gains must be positive and finite")
     if not 0.0 < pbar < np.inf:
         raise ValueError("pbar must be positive and finite")
@@ -172,6 +196,15 @@ def _solve_vector(g: np.ndarray, pbar: float, lam: float, p_max: float, p_floor:
         raise ValueError("p_max must be positive and finite")
     if not lam < 1.0 / pbar:
         return np.full(g.size, p_floor)
+    if g.size and lo * min(pbar, p_max) > 1e-290:
+        # ``power_foc(lo, p_max, pbar) * (1 + margin) < lam`` in Python
+        # floats, times the denominator: a non-positive one fails the test.
+        lo = float(lo)
+        x = lo * p_max
+        if lo * (1.0 + 1e-13 * (1.0 + p_max / pbar)) < lam * (
+            (1.0 + x) * math.log1p(x) + (pbar - p_max) * lo
+        ):
+            return _interior_power(g, lam, pbar, p_floor, p_max)
     cap = power_foc(g, p_max, pbar) >= lam
     if not cap.any():
         return _interior_power(g, lam, pbar, p_floor, p_max)
@@ -415,9 +448,12 @@ def _price(
     entry of a flat gain vector.
 
     Both depend only on the gain and ``lam``, never on a cost-to-go, so a
-    caller can price every frozen gain before it knows any table value.
-    Calibration, the recursion and the episode engine all price through
-    here; the oracles and tests also call the public functions directly.
+    caller can price every frozen gain before it knows any table value, and
+    pricing any subset of the gains gives those gains the same bits.
+    Calibration's fused pass, the recursion and the episode engine all price
+    through here, the engine for just the rows that reach a cube block it was
+    not given priced; the oracles and tests also call the public functions
+    directly.
     The vector is priced in slices of ``PRICE_CHUNK`` gains: every step is
     elementwise, so slicing changes no bit, and the power solve's temporaries
     stay cache-sized.  Each slice is one ``solve_optimal_power`` call on its
@@ -448,6 +484,8 @@ def _pricer(
 
     The blocks are flattened into one vector once; the returned function
     maps ``lam`` to each block's (cost, power), shaped like the block.
+    Calibration's fused pass is one such pricer over the recursion blocks
+    and the episode cube's blocks that the engine does not price itself.
     """
     flat = np.concatenate([b.ravel() for b in blocks])
     offsets = list(itertools.accumulate((b.size for b in blocks), initial=0))
@@ -464,22 +502,24 @@ def _pricer(
 
 def _decide(
     costs: np.ndarray, powers: np.ndarray, tail: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row best (cost+tail, next-hop index, power) over candidate links.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row (next-hop index, power) minimizing cost plus cost-to-go over
+    candidate links.
 
     ``costs`` and ``powers`` are ``(n, c)``, priced for the current node's
     ``c`` candidates; ``tail`` is the candidates' cost-to-go.  Ties pick the
     nearest hop.
     """
-    total = costs + tail
-    pick = np.argmin(total, axis=-1)
-    rows = np.arange(total.shape[0])
-    return total[rows, pick], pick, powers[rows, pick]
+    pick = (costs + tail).argmin(axis=-1)
+    return pick, powers[np.arange(pick.size), pick]
 
 
 def _mean(x: np.ndarray, weights: np.ndarray | None) -> float:
-    """Sample mean of ``x``, or its expectation under row probabilities."""
-    return float(np.mean(x) if weights is None else weights @ x)
+    """Sample mean of ``x``, or its expectation under row probabilities.
+
+    ``np.add.reduce(x) / x.size`` is what ``np.mean`` computes on a float64
+    vector, without its dispatch."""
+    return float(np.add.reduce(x) / x.size if weights is None else weights @ x)
 
 
 def _expectation_block(
@@ -521,7 +561,7 @@ def offline_recursion(
     values = np.zeros(problem.length + 1)
     for s in nodes:
         costs, weights = priced[s]
-        best = np.min(costs + values[s - problem.head + 1 :], axis=1)
+        best = (costs + values[s - problem.head + 1 :]).min(axis=1)
         values[s - problem.head] = _mean(best, weights)
     return ValueTable(problem.head, problem.end, values)
 
@@ -585,9 +625,9 @@ class EpisodeBatch(NamedTuple):
     delivery time, energy, hop count and candidate evaluations;
     ``max_step`` is the largest candidate count of one hop decision.
     ``hop_times[e, k]`` is the airtime of the hop into node ``head + 1 + k``
-    in episode ``e`` (zero where no hop lands there); calibration drops it
-    (None) from the batches it keeps, since ``_metrics_from_batch`` does not
-    read it.
+    in episode ``e`` (zero where no hop lands there); the engine fills it
+    only on request and leaves it None otherwise, since
+    ``_metrics_from_batch`` does not read it.
     """
 
     t_sum: np.ndarray
@@ -604,6 +644,8 @@ def _run_episode_batch(
     table: ValueTable,
     cube: dict[int, np.ndarray],
     priced: dict[int, tuple[np.ndarray, np.ndarray]] | None = None,
+    *,
+    hop_times: bool = False,
 ) -> EpisodeBatch:
     """The episode engine: vectorized deliveries over a pre-drawn CSI cube
     (node -> gains block), each hop the online argmin at the current node.
@@ -613,7 +655,11 @@ def _run_episode_batch(
     passes over the nodes in order: at each it decides only the rows whose
     packet is there, adds the hop's airtime and energy, and moves those rows
     on.  ``priced`` (node -> the (cost, power) of ``cube[node]`` at ``lam``)
-    spares pricing the cube here.
+    spares pricing the cube here; a node it leaves out is priced on the rows
+    that reach it, and only those.  Without ``priced`` the whole cube is
+    priced in one pass.  Pricing is elementwise, so either way every row
+    gets the same bits.  The batch's ``hop_times`` is filled only when
+    ``hop_times`` is true, and is None otherwise.
     """
     nodes = range(problem.head, problem.end)
     if priced is None:
@@ -623,21 +669,28 @@ def _run_episode_batch(
     e_sum = np.zeros(n)
     frames = np.zeros(n, dtype=int)
     evals = np.zeros(n, dtype=int)
-    hop_times = np.zeros((n, problem.length))
+    times = np.zeros((n, problem.length)) if hop_times else None
     at = np.zeros(n, dtype=int)  # each episode's current node minus head
     for k, s in enumerate(nodes):
         rows = np.flatnonzero(at == k)
-        costs, powers = priced[s]
-        _, pick, power = _decide(costs[rows], powers[rows], table.values[k + 1 :])
-        t = 1.0 / np.log1p(cube[s][rows, pick] * power)
+        # ``sub``: where the rows at s sit in ``gains``, ``costs`` and ``powers``.
+        if s in priced:
+            gains, sub = cube[s], rows
+            costs, powers = priced[s]
+        else:  # price just the rows that reach s
+            gains, sub = cube[s][rows], np.arange(rows.size)
+            costs, powers = (a.reshape(gains.shape) for a in _price(problem, lam, gains.ravel()))
+        pick, power = _decide(costs[sub], powers[sub], table.values[k + 1 :])
+        t = 1.0 / np.log1p(gains[sub, pick] * power)
         t_sum[rows] += t
         e_sum[rows] += power * t
-        hop_times[rows, k + pick] = t
+        if hop_times:
+            times[rows, k + pick] = t
         frames[rows] += 1
         evals[rows] += problem.length - k
         at[rows] = k + 1 + pick
     # Every episode decides at the head, among all ``length`` candidates.
-    return EpisodeBatch(t_sum, e_sum, frames, evals, problem.length, hop_times)
+    return EpisodeBatch(t_sum, e_sum, frames, evals, problem.length, times)
 
 
 def _metrics_from_batch(
@@ -772,7 +825,12 @@ def calibrate_lambda(
     nodes = range(problem.head, problem.end)
     rec_blocks = [_expectation_block(problem, s, rng) for s in nodes]
     cube, weights = _episode_cube(problem, rng, problem.episodes)
-    price = _pricer(problem, [gains for gains, _ in rec_blocks] + [cube[s] for s in nodes])
+    # One pricing pass per evaluation covers the recursion blocks, the
+    # head's cube block (every episode starts there) and each later cube
+    # block too small to be worth a solve call of its own; the engine prices
+    # the rows that reach each larger block.
+    fused = [s for s in nodes if s == problem.head or cube[s].size < PRICE_CHUNK // 2]
+    price = _pricer(problem, [gains for gains, _ in rec_blocks] + [cube[s] for s in fused])
 
     evaluations = 0
 
@@ -782,11 +840,11 @@ def calibrate_lambda(
         priced = price(lam)
         rec = {s: (c, w) for s, (c, _), (_, w) in zip(nodes, priced, rec_blocks)}
         table = offline_recursion(problem, lam, priced=rec)
-        ep = dict(zip(nodes, priced[len(nodes) :]))
+        ep = dict(zip(fused, priced[len(nodes) :]))
         batch = _run_episode_batch(problem, lam, table, cube, ep)
         spend = _mean(batch.e_sum, weights) / _mean(batch.t_sum, weights)
         rate = _mean(1.0 / batch.t_sum, weights)
-        return _Iterate(lam, table, batch._replace(hop_times=None), rate, spend)
+        return _Iterate(lam, table, batch, rate, spend)
 
     def finish(it: _Iterate, converged: bool, slack: bool) -> CalibratedPolicy:
         report = CalibrationReport(iterations=evaluations, converged=converged, budget_slack=slack)

@@ -922,6 +922,52 @@ class TestMainEntry:
     def test_largest_budget_is_accepted(self, budget):
         assert parse_config(base_config(budget=budget)).spec.p0 == 1e100
 
+    SPATIAL_5 = {"mode": "spatial-field", "rho_p": 0.4, "p_active": 0.5, "d0": 0.8,
+                 "strip_width": 1.0}
+
+    @pytest.mark.parametrize(
+        "key, value, expected",
+        [
+            ("d0", 1e300, "d0 1e+300 is above its bound, 1e+100"),
+            ("strip_width", 1e300, "strip_width 1e+300 is above its bound, 1e+100"),
+            ("rho_p", 1e300, "rho_p 1e+300 puts 6.6e+300 primaries in an epoch's field"),
+            ("rho_p", 1e9, "rho_p 1e+09 puts 6.6e+09 primaries in an epoch's field"),
+            ("rho_p", 1600.0, "rho_p 1600 puts 1.06e+04 primaries in an epoch's field"),
+            ("d0", 1e100, "rho_p 0.4 puts 8e+99 primaries in an epoch's field"),
+        ],
+        ids=["d0-1e300", "strip_width-1e300", "rho_p-1e300", "rho_p-1e9", "rho_p-1600",
+             "d0-1e100"],
+    )
+    def test_spatial_field_beyond_its_bounds_is_an_exit_2_error(
+        self, tmp_path, capsys, key, value, expected
+    ):
+        # The window of a 5-node route 5 long, widened by d0 = 0.8 at both
+        # ends, in a strip 1 wide: a measure of 6.6.
+        raw = base_config(model={"positions": [0.0, 1.2, 2.5, 3.9, 5.0]},
+                          activity={**self.SPATIAL_5, key: value})
+        cfg_path = write_config(tmp_path, raw)
+        code = main(["calibrate", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {expected}") and "Traceback" not in err
+        if key == "rho_p" or value == 1e100:
+            assert "above the bound on rho_p x measure, 10000" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "changes",
+        [{"rho_p": 1500.0}, {"d0": 1e100, "rho_p": 1e-100},
+         {"strip_width": 1e100, "rho_p": 1e-100}],
+        ids=["rho_p-1500", "d0-1e100", "strip_width-1e100"],
+    )
+    def test_spatial_field_at_its_bounds_calibrates(self, tmp_path, changes):
+        raw = base_config(model={"positions": [0.0, 1.2, 2.5, 3.9, 5.0]},
+                          activity={**self.SPATIAL_5, **changes},
+                          solver={"mc_samples": 50, "episodes": 50,
+                                  "master": {"max_iterations": 2}})
+        cfg_path = write_config(tmp_path, raw)
+        assert main(["calibrate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+
     def test_min_gap_of_zero_is_accepted(self):
         raw = base_config(model={"nodes": 4, "min_gap": 0.0, "alpha": 2.0})
         assert parse_config(raw).spec.route.min_gap == 0.0

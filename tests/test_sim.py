@@ -1,9 +1,11 @@
 import csv
 import dataclasses
+import functools
 import itertools
 import json
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,7 +280,9 @@ def reference_run(scheme, spec, topo, prob_table, policies, activity):
             policy = policies[(head, end)]
             rng = stream(spec.seed, "epoch", e, "segment", head, end)
             cube = draw_episode_cube(policy.problem, rng, 1)
-            return _run_episode_batch(policy.problem, policy.lam, policy.table, cube)
+            return _run_episode_batch(
+                policy.problem, policy.lam, policy.table, cube, hop_times=True
+            )
 
         return _reference_segments(scheme, spec, topo, prob_table, run_segment, activity)
     mass = transmit_mass(scheme, spec)
@@ -593,3 +597,73 @@ class TestStudyPoints:
         assert [r["scheme"] for r in rows] == ["proposed", "baseline3"] * 2
         for row in rows:
             assert all(row[key] != "" for key in ("u_min", "u_weighted", "total_power", "seed"))
+
+
+def readme_spec(**activity):
+    """The README configuration as written, its activity replaced when given."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    raw = json.loads(readme.split("```json\n")[1].split("```", 1)[0])
+    if activity:
+        raw["activity"] = activity
+    return cli.parse_config(raw).spec
+
+
+README_SPATIAL = {"mode": "spatial-field", "rho_p": 0.4, "p_active": 0.5, "d0": 0.8,
+                  "strip_width": 1.0}
+
+
+@functools.lru_cache(maxsize=None)
+def constant_power_rate_z(activity: str, seed: int):
+    """(kind, pair, episodes, z) of every pair rate of baselines 1 and 3 on
+    the README config (``activity`` "iid") or on it with a spatial field,
+    where z = (rate - exact) / rate_se."""
+    from scipy.special import exp1
+
+    spec = readme_spec(**(README_SPATIAL if activity == "spatial" else {}))
+    spec = dataclasses.replace(spec, seed=seed)
+    pathloss = spec.topology().pathloss
+    epochs = spec.epoch_activity()
+    rows = []
+    for kind in ("baseline1", "baseline3"):
+        p_c = spec.p0 / transmit_mass(kind, spec)
+        for (i, j), st in run_baseline(kind, spec, epochs).pair_stats.items():
+            assert st.episodes >= 2 and st.rate_se > 0.0, (kind, seed, i, j)
+            inv_s = 1.0 / (p_c * pathloss[i, j])
+            exact = math.exp(inv_s) * exp1(inv_s)
+            rows.append((kind, (i, j), st.episodes, (st.rate - exact) / st.rate_se))
+    return rows
+
+
+# Baseline 3's pair (2, 3) of the README config at seed 1 reads z = +4.22 on
+# 33 episodes: ``rate_se`` understates the error of a pair with few episodes
+# (ROADMAP item 8).  Strict, so the case fails once that row is within 4 SE.
+RATE_SE_MISS = pytest.mark.xfail(
+    strict=True, reason="rate_se understates small-sample errors (ROADMAP item 8)"
+)
+
+
+class TestExactConstantPowerBaselines:
+    """Baselines 1 and 3 send each segment in one hop at a constant power
+    p_c, so a pair's rate is E[ln(1 + s X)] with X ~ Exp(1) and
+    s = p_c pathloss[i, j], which equals e^{1/s} E1(1/s).
+
+    Every simulated pair rate, at five seeds, must lie within 4 SE of it.
+    """
+
+    @pytest.mark.parametrize(
+        "activity, seed, kind",
+        [
+            pytest.param(
+                activity, seed, kind,
+                marks=RATE_SE_MISS if (activity, seed, kind) == ("iid", 1, "baseline3") else (),
+            )
+            for activity, seed, kind in itertools.product(
+                ("iid", "spatial"), (1, 2, 3, 4, 5), ("baseline1", "baseline3")
+            )
+        ],
+    )
+    def test_pair_rates_match_the_exponential_integral(self, activity, seed, kind):
+        rows = [row for row in constant_power_rate_z(activity, seed) if row[0] == kind]
+        beyond = [row for row in rows if abs(row[-1]) > 4.0]
+        assert rows
+        assert not beyond, f"{len(beyond)} of {len(rows)} rows beyond 4 SE: {beyond}"

@@ -96,6 +96,32 @@ class TestPricedCost:
         with pytest.raises(ValueError):
             priced_hop_cost(1.0, 1.0, -0.5, 1.0)
 
+    @pytest.mark.parametrize(
+        "gain, power, lam, message",
+        [
+            (math.nan, 1.0, 0.1, "gains"),
+            (math.inf, 1.0, 0.1, "gains"),
+            (1.0, math.nan, 0.1, "powers"),
+            (1.0, math.inf, 0.1, "powers"),
+            (1.0, 1.0, math.nan, "multiplier"),
+            (1.0, 1.0, math.inf, "multiplier"),
+        ],
+        ids=["gain-nan", "gain-inf", "power-nan", "power-inf", "lam-nan", "lam-inf"],
+    )
+    def test_non_finite_inputs_rejected(self, gain, power, lam, message):
+        # As solve_optimal_power: no NaN cost, and no 0.0 for an infinite gain.
+        with pytest.raises(ValueError, match=message):
+            priced_hop_cost(gain, power, lam, 1.0)
+        # One bad entry among good ones, as the discrete-level pricing passes them.
+        gains = np.array([0.5, 1.0, 2.0])
+        levels = np.array([0.5, 1.0, 4.0])
+        if message == "gains":
+            gains[1] = gain
+        elif message == "powers":
+            levels[2] = power
+        with pytest.raises(ValueError, match=message):
+            priced_hop_cost(gains[:, None], levels, lam, 1.0)
+
 
 class TestOptimalPower:
     def test_budget_point_is_exact_root(self):
@@ -280,6 +306,100 @@ class TestSolveFastPath:
             single, mixed = lambert_w0(z), lambert_w0(both)
         assert single.tobytes() == mixed[:-1].tobytes()
         assert single[0] == 0.0 and np.isfinite(single).all()
+
+
+class TestCapPreTest:
+    """The fast path decides "no gain caps" from the cap condition at the
+    smallest gain, in Python floats, with a margin for rounding; it equals
+    the vector test of the broadcasting path bit for bit, and takes it when
+    inconclusive."""
+
+    PBAR = 4.0
+
+    @staticmethod
+    def threshold(lam, pbar, p_max):
+        """The gain at which ``power_foc`` at ``p_max`` equals ``lam``:
+        bisection on the log gain, since the condition falls as the gain grows."""
+        lo, hi = -300.0, 300.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if power_foc(10.0**mid, p_max, pbar) >= lam else (lo, mid)
+        return 10.0**hi
+
+    def gain_sets(self, g_star):
+        """Gains straddling the threshold ulp by ulp, gains just above it,
+        and a spread that holds it."""
+        ulps = g_star * (1.0 + np.arange(-64, 65) * np.finfo(float).eps)
+        above = g_star * (1.0 + 10.0 ** np.linspace(-15, 0, 200))
+        spread = g_star * 10.0 ** np.linspace(-3, 3, 400)
+        return {"ulps": ulps, "above": above, "spread": spread}
+
+    @pytest.mark.parametrize("p_max_factor", [1.0, 100.0, 1e6])
+    @pytest.mark.parametrize("price", [0.0, 0.3, 0.999, "below"])
+    def test_bitwise_equal_to_the_vector_test(self, p_max_factor, price):
+        pbar, p_max = self.PBAR, p_max_factor * self.PBAR
+        lam = float(np.nextafter(1.0 / pbar, 0.0)) if price == "below" else price / pbar
+        g_star = self.threshold(lam, pbar, p_max) if lam > 0.0 else 1.0
+        for name, g in self.gain_sets(g_star).items():
+            fast = solve_optimal_power(g, pbar, lam, p_max, 1e-6 * pbar)
+            vector = solve_optimal_power(g, np.asarray(pbar), lam, p_max, 1e-6 * pbar)
+            assert fast.tobytes() == vector.tobytes(), name
+
+    @pytest.mark.parametrize("p_max_factor", [1.0, 100.0, 1e6])
+    def test_the_scalar_decides_clear_cases(self, monkeypatch, p_max_factor):
+        pbar, p_max, lam = self.PBAR, p_max_factor * self.PBAR, 0.3 / self.PBAR
+        g_star = self.threshold(lam, pbar, p_max)
+        sizes = []
+        real = subpolicy.power_foc
+        monkeypatch.setattr(
+            subpolicy, "power_foc", lambda g, *a: sizes.append(np.size(g)) or real(g, *a)
+        )
+        solve_optimal_power(g_star * 10.0 ** np.linspace(-6, 3, 300), pbar, lam, p_max)
+        solve_optimal_power(g_star * np.linspace(1.001, 50.0, 300), pbar, lam, p_max)
+        assert sizes == [300]  # inconclusive at a capped smallest gain, then not
+
+
+class TestLambertSeriesSelection:
+    """``lambert_w0`` computes the branch-point series only on the entries
+    that can take it, with the bits of computing both guesses everywhere."""
+
+    @staticmethod
+    def both_guesses(z, offset):
+        q = np.sqrt(2.0 * np.clip(offset, 0.0, 1.0))
+        series = -1.0 + q * (1.0 + q * (-1.0 / 3.0 + q * 11.0 / 72.0))
+        guess = np.where(z < 0.0, series, subpolicy._winitzki(z))
+        return np.where(q < 1e-3, guess, subpolicy._halley(z, guess.copy()))
+
+    def test_negative_zero(self):
+        z = np.array([-0.0, 0.0, -0.0, 1.0])
+        for offset in (None, E * z + 1.0):
+            w = lambert_w0(z, offset)
+            ref = self.both_guesses(z, E * z + 1.0 if offset is None else offset)
+            assert w.tobytes() == ref.tobytes()
+        assert lambert_w0(np.float64(-0.0)).tobytes() == self.both_guesses(
+            np.float64(-0.0), 1.0
+        ).tobytes()
+
+    def test_offsets_straddling_the_series_cut(self):
+        # Offsets ulp by ulp around 5e-7, where sqrt(2 offset) crosses 1e-3,
+        # and around the selection's margin above it; negative z as the
+        # offsets say, and non-negative z with the same offsets.
+        cut = 5e-7
+        offsets = np.concatenate([
+            cut * (1.0 + np.arange(-40, 41) * np.finfo(float).eps),
+            subpolicy._SERIES_OFFSET * (1.0 + np.arange(-40, 41) * np.finfo(float).eps),
+            cut * 10.0 ** np.linspace(-3, 3, 101),
+            [0.0, -0.0, -1e-3, np.nan, 5e-324, 1.0, 2.0],
+        ])
+        q = np.sqrt(2.0 * np.clip(offsets, 0.0, 1.0))
+        assert (q < 1e-3).any() and (q >= 1e-3).any()
+        for z in ((offsets - 1.0) / E, np.abs((offsets - 1.0) / E), np.full(offsets.size, 3.0)):
+            w = lambert_w0(z, offsets)
+            assert w.tobytes() == self.both_guesses(z, offsets).tobytes()
+
+    def test_no_entry_near_the_branch_point(self):
+        z = 10.0 ** np.linspace(-12, 12, 500)
+        assert lambert_w0(z).tobytes() == self.both_guesses(z, E * z + 1.0).tobytes()
 
 
 def direct_price(problem, lam, gains):
@@ -573,7 +693,7 @@ class TestOnlinePolicy:
         problem = dataclasses.replace(policy.problem, head=policy.problem.end - 1)
         table = ValueTable(problem.head, problem.end, policy.table.values[-2:])
         batch = _run_episode_batch(
-            problem, policy.lam, table, {problem.head: np.full((3, 1), 0.9)}
+            problem, policy.lam, table, {problem.head: np.full((3, 1), 0.9)}, hop_times=True
         )
         assert np.all(batch.frames == 1)
         assert np.all(batch.evals == 1)
@@ -584,7 +704,7 @@ class TestOnlinePolicy:
         table = ValueTable(0, 2, np.array([3.0, 100.0, 0.0]))
         policy = calibrate_lambda(problem, stream(10, "cal"))
         cube = {0: np.array([[1.0, 1.0]]), 1: np.array([[1.0]])}
-        batch = _run_episode_batch(problem, policy.lam, table, cube)
+        batch = _run_episode_batch(problem, policy.lam, table, cube, hop_times=True)
         # Equal gains, far smaller cost-to-go: straight to node 2.
         assert first_hops(batch, 0)[0] == 2
         assert batch.frames[0] == 1
@@ -592,7 +712,7 @@ class TestOnlinePolicy:
     def test_argmin_matches_exhaustive_candidate_scan(self, policy):
         problem = policy.problem
         cube = draw_episode_cube(problem, stream(11, "csi"), 20)
-        batch = _run_episode_batch(problem, policy.lam, policy.table, cube)
+        batch = _run_episode_batch(problem, policy.lam, policy.table, cube, hop_times=True)
         for e, first in enumerate(first_hops(batch, problem.head)):
             csi = {s: cube[s][e] for s in cube}
             _, _, hops = greedy_unroll(problem, policy.lam, policy.table, csi)
@@ -602,7 +722,7 @@ class TestOnlinePolicy:
         problem = policy.problem
         cube = draw_episode_cube(problem, stream(11, "end"), 30)
         assert problem.end not in cube  # no CSI is drawn for the end node
-        batch = _run_episode_batch(problem, policy.lam, policy.table, cube)
+        batch = _run_episode_batch(problem, policy.lam, policy.table, cube, hop_times=True)
         # Every delivery ends with a hop into the end node, and none leaves it.
         assert np.all(batch.hop_times[:, -1] > 0.0)
 
@@ -615,7 +735,7 @@ class TestEpisodes:
     def test_forward_progress_and_termination(self, policy):
         problem = policy.problem
         cube = draw_episode_cube(problem, stream(13, "ep"), 40)
-        batch = _run_episode_batch(problem, policy.lam, policy.table, cube)
+        batch = _run_episode_batch(problem, policy.lam, policy.table, cube, hop_times=True)
         for e in range(40):
             hops = [problem.head] + [
                 problem.head + 1 + k for k in np.flatnonzero(batch.hop_times[e])
@@ -665,7 +785,7 @@ class TestEpisodes:
     def test_batch_runner_matches_per_episode_path(self, policy):
         problem = policy.problem
         cube = draw_episode_cube(problem, stream(17, "cube"), 16)
-        batch = _run_episode_batch(problem, policy.lam, policy.table, cube)
+        batch = _run_episode_batch(problem, policy.lam, policy.table, cube, hop_times=True)
         for e in range(16):
             csi = {s: cube[s][e] for s in cube}
             t, energy, hops = greedy_unroll(problem, policy.lam, policy.table, csi)
@@ -717,7 +837,7 @@ class TestEngineMatchesReferenceWalk:
 
     @staticmethod
     def assert_same_batch(problem, lam, table, cube):
-        batch = _run_episode_batch(problem, lam, table, cube)
+        batch = _run_episode_batch(problem, lam, table, cube, hop_times=True)
         ref = reference_episode_batch(problem, lam, table, cube)
         for field in EpisodeBatch._fields:
             assert np.array_equal(getattr(batch, field), getattr(ref, field)), field
@@ -751,6 +871,100 @@ class TestEngineMatchesReferenceWalk:
         self.assert_same_batch(problem, episode_policy.lam, episode_policy.table, cube)
 
 
+def two_level_five_node_problem(levels=None):
+    """Enumerable gains on a 5-node line, two levels per link: a product
+    cube of 1024 rows whose blocks at nodes 1 and 2 reach PRICE_CHUNK // 2."""
+    topology = line_topology(0.0, 1.1, 2.0, 3.2, 4.0)
+    links = {
+        (s, m): ((0.4 * topology.pathloss[s, m], 1.7 * topology.pathloss[s, m]), (0.35, 0.65))
+        for s in range(4)
+        for m in range(s + 1, 5)
+    }
+    return SegmentProblem(head=0, end=4, gains=DiscreteGains(links), pbar=2.0, p_max=200.0,
+                          p_floor=2e-6, mc_samples=1, episodes=1, power_levels=levels)
+
+
+class TestLazyPricing:
+    """The engine prices a node left out of ``priced`` on the rows that reach
+    it; the batch and every calibration output equal eager pricing, bit for
+    bit."""
+
+    @staticmethod
+    def engine_variants(problem, lam, table, cube):
+        eager = _run_episode_batch(problem, lam, table, cube, hop_times=True)
+        nodes = range(problem.head, problem.end)
+        priced = dict(zip(nodes, _pricer(problem, [cube[s] for s in nodes])(lam)))
+        head_only = {problem.head: priced[problem.head]}
+        return eager, [
+            _run_episode_batch(problem, lam, table, cube, {}, hop_times=True),
+            _run_episode_batch(problem, lam, table, cube, head_only, hop_times=True),
+            _run_episode_batch(problem, lam, table, cube, priced, hop_times=True),
+        ]
+
+    def assert_same(self, problem, lam, table, cube):
+        eager, lazy = self.engine_variants(problem, lam, table, cube)
+        for batch in lazy:
+            for field in EpisodeBatch._fields:
+                assert np.array_equal(getattr(batch, field), getattr(eager, field)), field
+        bare = _run_episode_batch(problem, lam, table, cube, {})
+        assert bare.hop_times is None
+        for field in ("t_sum", "e_sum", "frames", "evals", "max_step"):
+            assert np.array_equal(getattr(bare, field), getattr(eager, field)), field
+
+    @pytest.mark.parametrize("levels", [None, (0.5, 2.0, 6.0, 18.0, 54.0)])
+    def test_engine_on_a_cube_of_more_than_a_chunk(self, bench_topology, levels):
+        problem = dataclasses.replace(
+            rayleigh_problem(bench_topology, 0, 5, pbar=6.0, n=300), power_levels=levels
+        )
+        cube = draw_episode_cube(problem, stream(34, "ep"), PRICE_CHUNK + 300)
+        for price in (0.0, 0.4, 0.97):
+            lam = price / problem.pbar
+            self.assert_same(problem, lam, offline_recursion(problem, lam, stream(34, "rec")),
+                             cube)
+
+    @pytest.mark.parametrize("levels", [None, (0.4, 0.8, 1.6, 3.2, 6.4)])
+    def test_engine_on_enumerable_gains(self, levels):
+        problem = two_level_five_node_problem(levels)
+        cube, _ = _episode_cube(problem, None, 1)
+        for lam in (0.0, 0.3, 1.0 / problem.pbar):
+            self.assert_same(problem, lam, offline_recursion(problem, lam), cube)
+
+    @staticmethod
+    def calibrate_both(problem, rng_key, monkeypatch):
+        """(policy, priced gains) with the size rule, then with every block
+        in the fused pass (a chunk too large for any block to be left out)."""
+        results = []
+        real = subpolicy.solve_optimal_power
+        for chunk in (PRICE_CHUNK, 10**9):
+            gains = []
+            monkeypatch.setattr(subpolicy, "PRICE_CHUNK", chunk)
+            monkeypatch.setattr(
+                subpolicy, "solve_optimal_power",
+                lambda g, *a: gains.append(np.size(g)) or real(g, *a),
+            )
+            results.append((calibrate_lambda(problem, stream(35, rng_key)), sum(gains)))
+        return results
+
+    @pytest.mark.parametrize(
+        "case", ["rayleigh", "enumerable"]
+    )
+    def test_calibration_outputs_equal_eager_pricing(self, bench_topology, monkeypatch, case):
+        if case == "rayleigh":
+            problem = dataclasses.replace(
+                rayleigh_problem(bench_topology, 0, 5, pbar=6.0, n=300), episodes=PRICE_CHUNK
+            )
+        else:
+            problem = two_level_five_node_problem()
+            cube, _ = _episode_cube(problem, None, 1)
+            assert [cube[s].size >= PRICE_CHUNK // 2 for s in range(4)] == [True, True, True,
+                                                                           False]
+        (lazy, lazy_gains), (eager, eager_gains) = self.calibrate_both(problem, case, monkeypatch)
+        assert lazy_gains < eager_gains  # the later large blocks were priced in part
+        assert lazy.lam == eager.lam and lazy.report == eager.report
+        assert lazy.table.values.tobytes() == eager.table.values.tobytes()
+        assert lazy.metrics == eager.metrics
+
+
 def walk_metrics(problem, lam, table):
     """Exact (rate, time-averaged power) of the table's policy, by recursion
     over every trajectory and the joint CSI states it meets."""
@@ -765,7 +979,7 @@ def walk_metrics(problem, lam, table):
         tail = table.values[s - problem.head + 1 :]
         for pg, gains in problem.gains.joint_states(s, problem.end):
             ((costs, powers),) = _pricer(problem, [gains[None, :]])(lam)
-            _, pick, power = _decide(costs, powers, tail)
+            pick, power = _decide(costs, powers, tail)
             m = s + 1 + int(pick[0])
             g = float(gains[int(pick[0])])
             t = 1.0 / np.log1p(g * float(power[0]))
