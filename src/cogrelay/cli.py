@@ -60,28 +60,6 @@ MASTER_COLUMNS = {"master_objective": "best_objective", "master_iterations": "it
 RESULT_COLUMNS = METRIC_COLUMNS + tuple(MASTER_COLUMNS)
 RATE_COLUMNS = ("u_min", "u_weighted", "u_empirical", "u_empirical_se", "master_objective")
 
-VERIFY_REPORT_SCHEMA = {
-    "type": "object",
-    "required": ["format_version", "seed", "results", "all_passed"],
-    "properties": {
-        "format_version": {"type": "integer"},
-        "seed": {"type": "integer"},
-        "all_passed": {"type": "boolean"},
-        "results": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["check", "passed", "detail"],
-                "properties": {
-                    "check": {"type": "string"},
-                    "passed": {"type": "boolean"},
-                    "detail": {"type": "string"},
-                },
-            },
-        },
-    },
-}
-
 
 class ConfigError(ValueError):
     pass
@@ -746,7 +724,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "verify":
-            return cmd_verify(args.out, args.seed if args.seed is not None else 20260810)
+            seed = oracle.VERIFY_SEED if args.seed is None else args.seed
+            return cmd_verify(args.out, seed)
         raw = read_config(args.config)  # the flags are written in, to be checked as keys
         if args.seed is not None:
             raw["seed"] = args.seed

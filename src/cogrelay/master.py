@@ -11,7 +11,7 @@ reported rather than the last.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import permutations, repeat
 from typing import Callable
 
 import numpy as np
@@ -28,6 +28,11 @@ from .subpolicy import (
 )
 
 Pair = tuple[int, int]
+
+# Relative tolerances: of the budget projection's bisection, and of the
+# budget overspend that ``objective`` still accepts.
+PROJECTION_TOL = 1e-12
+BUDGET_TOL = 1e-6
 
 
 def section_rates(
@@ -68,7 +73,6 @@ def project_budget(
     prob_table: dict[Pair, float],
     p0: float,
     p_floor: float | dict[Pair, float],
-    tol: float = 1e-12,
 ) -> dict[Pair, float]:
     """Projection onto the budget set in the probability-weighted metric.
 
@@ -90,7 +94,7 @@ def project_budget(
     def weighted_total(shift: float) -> float:
         return float(w @ np.maximum(y - shift, floor))
 
-    if weighted_total(0.0) <= p0 * (1.0 + tol):
+    if weighted_total(0.0) <= p0 * (1.0 + PROJECTION_TOL):
         return dict(zip(pairs, (float(v) for v in np.maximum(y, floor))))
     lo, hi = 0.0, float(np.max(y - floor))
     for _ in range(200):
@@ -99,7 +103,7 @@ def project_budget(
             lo = mid
         else:
             hi = mid
-        if hi - lo <= tol * max(hi, 1.0):
+        if hi - lo <= PROJECTION_TOL * max(hi, 1.0):
             break
     x = np.maximum(y - hi, floor)
     return dict(zip(pairs, (float(v) for v in x)))
@@ -132,6 +136,15 @@ class MasterOptions:
                 raise ValueError(f"{key} must be non-negative, not {getattr(self, key)}")
         if not 0.0 <= self.pair_prob_cutoff <= 1.0:  # it compares occurrence probabilities
             raise ValueError(f"pair_prob_cutoff must be in [0, 1], not {self.pair_prob_cutoff}")
+
+    def step(self, p0: float, t: int) -> float:
+        """The ascent's step ``a / (b + t)`` at iteration ``t``."""
+        return (p0 / 2.0 if self.step_a is None else self.step_a) / (self.step_b + t)
+
+    def balanced(self, u_min: float, u_weighted: float) -> bool:
+        """Whether the end section's rate is within the tie tolerance of the
+        minimum section rate, so the weighted and min-section forms agree."""
+        return u_weighted <= u_min * (1.0 + self.tie_tolerance)
 
 
 @dataclass(frozen=True)
@@ -273,11 +286,10 @@ def objective(
     prob_table: dict[Pair, float],
     p0: float,
     last: int,
-    budget_tol: float = 1e-6,
 ) -> float:
     """Minimum section rate of an allocation; rejects budget violations."""
     spent = sum(prob_table[p] * v for p, v in allocation.items())
-    if spent > p0 * (1.0 + budget_tol):
+    if spent > p0 * (1.0 + BUDGET_TOL):
         raise ValueError(f"allocation spends {spent:.6g} > budget {p0:.6g}")
     return float(np.min(section_rates(prob_table, u_table, last)))
 
@@ -312,6 +324,10 @@ def subgradient(
 
 # Smallest budget share of any pair, as a fraction of the total budget.
 ALLOCATION_FLOOR_FRAC = 1e-8
+# The exchange polish's step sizes, as fractions of the total budget, and
+# its cap on accepted moves over all of them.
+POLISH_FRACTIONS = (0.25, 0.1, 0.04, 0.015, 0.006)
+POLISH_MAX_MOVES = 400
 
 
 def _exchange_polish(
@@ -321,8 +337,6 @@ def _exchange_polish(
     last: int,
     p0: float,
     floors: dict[Pair, float],
-    fractions=(0.25, 0.1, 0.04, 0.015, 0.006),
-    max_moves: int = 400,
 ) -> tuple[dict[Pair, float], float, dict[Pair, CalibratedPolicy]]:
     """Greedy budget exchanges between pairs at shrinking step sizes.
 
@@ -342,27 +356,22 @@ def _exchange_polish(
     best_alloc = dict(allocation)
     best_value, best_policies = value_of(best_alloc)
     moves = 0
-    for frac in fractions:
+    for frac in POLISH_FRACTIONS:
         improved = True
-        while improved and moves < max_moves:
+        while improved and moves < POLISH_MAX_MOVES:
             improved = False
-            for src in pairs:
-                for dst in pairs:
-                    if src == dst:
-                        continue
-                    give = min(
-                        frac * p0, weights[src] * (best_alloc[src] - floors[src])
-                    )
-                    if give <= 0.0:
-                        continue
-                    trial = dict(best_alloc)
-                    trial[src] = best_alloc[src] - give / weights[src]
-                    trial[dst] = best_alloc[dst] + give / weights[dst]
-                    value, policies = value_of(trial)
-                    if value > best_value * (1.0 + 1e-12) + 1e-300:
-                        best_value, best_alloc, best_policies = value, trial, policies
-                        moves += 1
-                        improved = True
+            for src, dst in permutations(pairs, 2):
+                give = min(frac * p0, weights[src] * (best_alloc[src] - floors[src]))
+                if give <= 0.0:
+                    continue
+                trial = dict(best_alloc)
+                trial[src] = best_alloc[src] - give / weights[src]
+                trial[dst] = best_alloc[dst] + give / weights[dst]
+                value, policies = value_of(trial)
+                if value > best_value * (1.0 + 1e-12) + 1e-300:
+                    best_value, best_alloc, best_policies = value, trial, policies
+                    moves += 1
+                    improved = True
     return best_alloc, best_value, best_policies
 
 
@@ -410,7 +419,6 @@ def solve_master(
         for p in pairs
     }
     allocation = project_budget({p: p0 / mass for p in pairs}, weights, p0, floors)
-    step_a = options.step_a if options.step_a is not None else p0 / 2.0
 
     best_obj = -np.inf
     best_alloc = dict(allocation)
@@ -432,7 +440,7 @@ def solve_master(
         norm = float(np.linalg.norm(g))
         if norm == 0.0:
             break
-        step = step_a / (options.step_b + t)
+        step = options.step(p0, t)
         moved = {p: allocation[p] + step * grad[p] / norm for p in pairs}
         allocation = project_budget(moved, weights, p0, floors)
 
@@ -450,7 +458,7 @@ def solve_master(
     rates = section_rates(weights, u_table, last)
     u_min = float(np.min(rates))
     u_weighted = float(rates[last - 1])
-    balance_active = u_weighted <= u_min * (1.0 + options.tie_tolerance)
+    balance_active = options.balanced(u_min, u_weighted)
     return MasterSolution(
         allocation=best_alloc,
         trace=tuple(trace),

@@ -66,7 +66,11 @@ class Topology:
         dist = np.abs(x[:, None] - x[None, :])
         gains = np.zeros((n, n))
         off = ~np.eye(n, dtype=bool)
-        gains[off] = dist[off] ** (-float(alpha))
+        with np.errstate(over="ignore"):
+            gains[off] = dist[off] ** (-float(alpha))
+        if not ((gains[off] > 0.0) & (gains[off] < np.inf)).all():
+            raise ValueError(f"alpha {alpha:g} takes the path loss |x_i - x_j|**-alpha of a link "
+                             f"between {pos[0]:g} and {pos[-1]:g} to 0 or infinity")
         gains.setflags(write=False)
         return cls(positions=pos, alpha=float(alpha), pathloss=gains)
 

@@ -29,15 +29,23 @@ import numpy as np
 
 from . import master as master_mod
 from .model import Topology, segment_probabilities, PuActivityModel
+from .seeding import stream
 from .subpolicy import (
     CalibratedPolicy,
     DiscreteGains,
+    RayleighGains,
     SegmentProblem,
     _run_episode_batch,
+    calibrate_lambda,
     draw_episode_cube,
+    offline_recursion,
+    power_foc,
+    solve_optimal_power,
 )
 
 ENUMERATION_GUARD = 10_000_000
+# Root seed of the verification battery's streams, unless one is given.
+VERIFY_SEED = 20260810
 
 
 class OracleGuardError(RuntimeError):
@@ -77,43 +85,30 @@ class TinyInstance:
         return {p: v for p, v in table.items() if p[1] > p[0] and v > 0.0}
 
 
-def _slots(problem: SegmentProblem):
-    """Per-node decision slots: channel states and candidate actions."""
-    slots = []
-    for s in range(problem.head, problem.end):
-        states = list(problem.gains.joint_states(s, problem.end))
-        actions = [
-            (k, p)
-            for k in range(problem.end - s)
-            for p in problem.power_levels
-        ]
-        slots.append((s, states, actions))
-    return slots
-
-
-def policy_space_size(problem: SegmentProblem) -> int:
-    total = 1
-    for _, states, actions in _slots(problem):
-        total *= len(actions) ** len(states)
-        if total > ENUMERATION_GUARD:
-            return total
-    return total
-
-
 def _action_tables(problem: SegmentProblem):
-    """Precomputed (next node, hop time, hop energy) per (node, state, action)."""
+    """Per-node state probabilities, and (next node, hop time, hop energy)
+    per (node, state, action), of a segment whose policy space is within
+    the enumeration guard; refuses any other."""
+    slots = [
+        (s, list(problem.gains.joint_states(s, problem.end)),
+         [(k, p) for k in range(problem.end - s) for p in problem.power_levels])
+        for s in range(problem.head, problem.end)
+    ]
+    size = 1
+    for _, states, actions in slots:
+        size *= len(actions) ** len(states)
+        if size > ENUMERATION_GUARD:
+            raise OracleGuardError(
+                f"policy space of size {size} exceeds the {ENUMERATION_GUARD} guard"
+            )
+    state_probs = {s: [pg for pg, _ in states] for s, states, _ in slots}
     tables: dict[int, list[list[tuple[int, float, float]]]] = {}
-    for s, states, actions in _slots(problem):
-        rows = []
+    for s, states, actions in slots:
+        tables[s] = []
         for _, gains in states:
-            row = []
-            for k, p in actions:
-                g = float(gains[k])
-                t = 1.0 / math.log1p(g * p)
-                row.append((s + 1 + k, t, p * t))
-            rows.append(row)
-        tables[s] = rows
-    return tables
+            times = [(k, p, 1.0 / math.log1p(float(gains[k]) * p)) for k, p in actions]
+            tables[s].append([(s + 1 + k, t, p * t) for k, p, t in times])
+    return state_probs, tables
 
 
 def _evaluate_policy_recursive(
@@ -146,20 +141,9 @@ def enumerate_policy_values(problem: SegmentProblem) -> list[tuple[float, float]
     The power is the ratio-of-expectations form that the calibration targets,
     evaluated exactly.  Refuses instances beyond the enumeration guard.
     """
-    size = policy_space_size(problem)
-    if size > ENUMERATION_GUARD:
-        raise OracleGuardError(
-            f"policy space of size {size} exceeds the {ENUMERATION_GUARD} guard"
-        )
-    slots = _slots(problem)
-    tables = _action_tables(problem)
-    state_probs = {s: [pg for pg, _ in states] for s, states, _ in slots}
-    slot_keys: list[tuple[int, int]] = []
-    slot_choices: list[range] = []
-    for s, states, actions in slots:
-        for st_idx in range(len(states)):
-            slot_keys.append((s, st_idx))
-            slot_choices.append(range(len(actions)))
+    state_probs, tables = _action_tables(problem)
+    slot_keys = [(s, st_idx) for s, rows in tables.items() for st_idx in range(len(rows))]
+    slot_choices = [range(len(tables[s][st_idx])) for s, st_idx in slot_keys]
     values = []
     for combo in itertools.product(*slot_choices):
         lookup = dict(zip(slot_keys, combo))
@@ -172,28 +156,15 @@ def enumerate_policy_values(problem: SegmentProblem) -> list[tuple[float, float]
 
 
 def enumerate_policy_values_alt(problem: SegmentProblem) -> list[tuple[float, float]]:
-    """Second, independent enumeration: actions are assigned depth-first and
-    each complete policy is evaluated by forward distribution propagation."""
-    size = policy_space_size(problem)
-    if size > ENUMERATION_GUARD:
-        raise OracleGuardError(
-            f"policy space of size {size} exceeds the {ENUMERATION_GUARD} guard"
-        )
-    slots = _slots(problem)
-    slot_list: list[tuple[int, int, list[tuple[int, float, float]], float]] = []
-    for s, states, actions in slots:
-        for st_idx, (pg, gains) in enumerate(states):
-            moves = []
-            for k, p in actions:
-                g = float(gains[k])
-                t = 1.0 / math.log1p(g * p)
-                moves.append((s + 1 + k, t, p * t))
-            slot_list.append((s, st_idx, moves, pg))
-
-    state_probs: dict[int, list[float]] = {}
-    for s, states, _ in slots:
-        state_probs[s] = [pg for pg, _ in states]
-
+    """Second enumeration: actions are assigned depth-first and each complete
+    policy is evaluated by forward distribution propagation.  It shares only
+    the guard and ``_action_tables`` with ``enumerate_policy_values``; its
+    search and its evaluator stay independent of that function's, so the two
+    cross-check each other."""
+    state_probs, tables = _action_tables(problem)
+    slot_list = [
+        (s, st_idx, moves) for s, rows in tables.items() for st_idx, moves in enumerate(rows)
+    ]
     values: list[tuple[float, float]] = []
     assignment: dict[tuple[int, int], tuple[int, float, float]] = {}
 
@@ -219,7 +190,7 @@ def enumerate_policy_values_alt(problem: SegmentProblem) -> list[tuple[float, fl
         if idx == len(slot_list):
             values.append(forward_value())
             return
-        s, st_idx, moves, _ = slot_list[idx]
+        s, st_idx, moves = slot_list[idx]
         for move in moves:
             assignment[(s, st_idx)] = move
             assign(idx + 1)
@@ -272,13 +243,12 @@ def frontier_rate(frontier: tuple[list[float], list[float]], pbar: float) -> flo
 
 
 def _compositions(total: int, parts: int):
-    """All vectors of ``parts`` non-negative integers summing to ``total``."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """All vectors of ``parts`` non-negative integers summing to ``total``,
+    in lexicographic order: the gaps between ``parts - 1`` bars placed among
+    ``total + parts - 1`` slots."""
+    for bars in itertools.combinations(range(total + parts - 1), parts - 1):
+        edges = (-1, *bars, total + parts - 1)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
 
 
 def brute_force_original(
@@ -312,26 +282,23 @@ def brute_force_original(
             np.min(master_mod.section_rates(prob_table, u_table, last))
         )
 
+    def extras():
+        for allocation in extra_allocations:
+            spent = sum(prob_table[p] * v for p, v in allocation.items())
+            if spent > p0 * (1.0 + 1e-9):
+                raise ValueError("extra allocation violates the budget")
+            yield {pair: allocation.get(pair, 0.0) for pair in pairs}
+
+    grid = (
+        {pair: (combo[k] / resolution) * p0 / prob_table[pair] for k, pair in enumerate(pairs)}
+        for combo in _compositions(resolution, len(pairs))
+    )
     best_value = -math.inf
     best_alloc: dict[tuple[int, int], float] = {}
-    for combo in _compositions(resolution, len(pairs)):
-        allocation = {
-            pair: (combo[k] / resolution) * p0 / prob_table[pair]
-            for k, pair in enumerate(pairs)
-        }
+    for allocation in itertools.chain(grid, extras()):
         value = evaluate(allocation)
         if value > best_value:
-            best_value = value
-            best_alloc = allocation
-    for allocation in extra_allocations:
-        spent = sum(prob_table[p] * v for p, v in allocation.items())
-        if spent > p0 * (1.0 + 1e-9):
-            raise ValueError("extra allocation violates the budget")
-        full = {pair: allocation.get(pair, 0.0) for pair in pairs}
-        value = evaluate(full)
-        if value > best_value:
-            best_value = value
-            best_alloc = full
+            best_value, best_alloc = value, allocation
     return best_value, best_alloc
 
 
@@ -459,10 +426,12 @@ def verify_sequence_lemma(
     return float(np.sum(p * a * b))
 
 
-def random_centered_monotone(
-    rng: np.random.Generator, max_len: int = 20
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n = int(rng.integers(2, max_len + 1))
+# Longest sequence pair that ``random_centered_monotone`` draws.
+SEQUENCE_MAX_LEN = 20
+
+
+def random_centered_monotone(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    n = int(rng.integers(2, SEQUENCE_MAX_LEN + 1))
     p = rng.uniform(0.0, 1.0, size=n)
     p /= p.sum()
     a = np.sort(rng.normal(size=n))
@@ -575,8 +544,6 @@ def _check_sequence(rng: np.random.Generator) -> tuple[bool, str]:
 
 
 def _check_power_foc(rng: np.random.Generator) -> tuple[bool, str]:
-    from .subpolicy import power_foc, solve_optimal_power
-
     worst = 0.0
     for _ in range(1000):
         g = float(rng.uniform(0.05, 20.0))
@@ -605,8 +572,6 @@ def _frozen_tiny_instance() -> TinyInstance:
 
 
 def _check_recursion_reference(rng: np.random.Generator) -> tuple[bool, str]:
-    from .subpolicy import offline_recursion
-
     instance = _frozen_tiny_instance()
     worst = 0.0
     for head, end in ((0, 1), (0, 2), (1, 3), (0, 3)):
@@ -622,8 +587,6 @@ def _check_recursion_reference(rng: np.random.Generator) -> tuple[bool, str]:
 
 
 def _check_subproblem_dominance(rng: np.random.Generator) -> tuple[bool, str]:
-    from .subpolicy import calibrate_lambda
-
     instance = _frozen_tiny_instance()
     ok = True
     details = []
@@ -647,8 +610,6 @@ def _check_subproblem_dominance(rng: np.random.Generator) -> tuple[bool, str]:
 
 
 def _check_covariance(rng: np.random.Generator) -> tuple[bool, str]:
-    from .subpolicy import RayleighGains, calibrate_lambda
-
     topology = Topology.from_positions((0.0, 1.0, 2.0, 3.0), alpha=2.0)
     problem = SegmentProblem(
         head=0,
@@ -676,10 +637,8 @@ VERIFICATION_CHECKS = (
 )
 
 
-def run_verification_suite(seed: int = 20260810) -> dict:
+def run_verification_suite(seed: int = VERIFY_SEED) -> dict:
     """Run the full battery; the report is a stable JSON-ready document."""
-    from .seeding import stream
-
     results = []
     for name, check in VERIFICATION_CHECKS:
         passed, detail = check(stream(seed, "verify", name))

@@ -40,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .master import SolverOptions, section_rates
+from .master import ALLOCATION_FLOOR_FRAC, SolverOptions, section_rates
 from .model import (
     IID_MODE,
     MAX_PRIMARIES,
@@ -100,6 +100,12 @@ class RouteSpec:
         object.__setattr__(self, "topology", Topology.from_positions(pos, self.alpha))
 
 
+# Smallest SNR of a hop at the floor power before fading: the floor factor of
+# the smallest pair budget, ``ALLOCATION_FLOOR_FRAC * p0``, over the longest
+# link.  Below it a faded hop's airtime, or its square, can overflow.
+MIN_FLOOR_SNR = 1e-100
+
+
 @dataclass(frozen=True)
 class StudySpec:
     """One experiment point: environment, budget, sampling effort, seeds.
@@ -131,6 +137,15 @@ class StudySpec:
             raise ValueError(f"prob_samples must be positive, not {self.prob_samples}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, not {self.seed}")
+        factor = self.solver.p_floor_factor
+        snr = factor * ALLOCATION_FLOOR_FRAC * self.p0 * self.topology().pathloss[0, -1]
+        if not snr >= MIN_FLOOR_SNR:
+            raise ValueError(f"p_floor_factor {factor:g} at the power budget {self.p0:g} gives the "
+                             f"floor power an SNR of {snr:.3g} on the longest link, below "
+                             f"{MIN_FLOOR_SNR:g}")
+        if not self.solver.master.step(self.p0, 0) < math.inf:
+            raise ValueError(f"the master's first step, step_a / step_b, overflows at step_b "
+                             f"{self.solver.master.step_b:g}")
         act = self.activity
         if act.mode == SPATIAL_MODE:
             primaries = act.rho_p * field_window(act, self.route.topology.positions)[2]
@@ -289,7 +304,7 @@ def _run_segments(
         u_empirical_se=u_emp_se,
         total_power=float(total_power),
         total_power_se=float(total_power_se),
-        balance_consistent=u_weighted <= u_min * 1.01 + 1e-300,
+        balance_consistent=spec.solver.master.balanced(u_min, u_weighted),
     )
 
 
@@ -361,8 +376,6 @@ def transmit_mass(kind: str, spec: StudySpec) -> float:
 
 def run_baseline(kind: str, spec: StudySpec, activity: EpochActivity) -> RunMetrics:
     """Simulate one reference scheme at a power-fair constant transmit power."""
-    if kind not in SCHEMES or kind == "proposed":
-        raise ValueError(f"unknown baseline kind {kind!r}")
     mass = transmit_mass(kind, spec)
     if mass <= 0.0:
         return RunMetrics(kind, spec.p0, spec.epochs, spec.seed)
@@ -387,16 +400,12 @@ def _run_segmentwise_baseline(
         else:  # baselines 1 and 3: the head transmits straight to the end
             hops = [pair]
         n = epochs.size
-        hop_times = np.zeros((n, end - head))
         t_sum = np.zeros(n)
         for src, dst in hops:  # summed hop by hop, as one delivery accrues its time
             links = activity.adjacent if dst == src + 1 else activity.direct
-            g = links[epochs, src] * topology.pathloss[src, dst]
-            dt = 1.0 / np.log1p(g * p_c)
-            hop_times[:, dst - head - 1] = dt
-            t_sum += dt
+            t_sum += 1.0 / np.log1p(links[epochs, src] * topology.pathloss[src, dst] * p_c)
         return EpisodeBatch(
-            t_sum, p_c * t_sum, np.full(n, len(hops)), np.full(n, end - head), 1, hop_times
+            t_sum, p_c * t_sum, np.full(n, len(hops)), np.full(n, end - head), 1, None
         )
 
     return _run_segments(kind, spec, run_pair, activity)

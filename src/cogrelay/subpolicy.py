@@ -22,7 +22,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -323,35 +323,26 @@ class DiscreteGains:
         return np.stack(cols, axis=1)
 
     def joint_states(self, source: int, end: int) -> Iterator[tuple[float, np.ndarray]]:
-        """All joint local-CSI realizations at ``source`` with probabilities."""
-        cands = list(range(source + 1, end + 1))
-        tables = [self.links[(source, m)] for m in cands]
-
-        def rec(k: int, prob: float, acc: list[float]):
-            if k == len(tables):
-                yield prob, np.asarray(acc)
-                return
-            values, probs = tables[k]
-            for v, p in zip(values, probs):
-                if p == 0.0:
-                    continue
-                yield from rec(k + 1, prob * p, acc + [v])
-
-        yield from rec(0, 1.0, [])
+        """All joint local-CSI realizations at ``source``, with probabilities:
+        one nonzero-probability level per link ``source -> m``, ``m`` from
+        ``source + 1`` to ``end``, the last link varying fastest.  A state's
+        probability multiplies its levels' from the first link on."""
+        levels = [
+            [(v, p) for v, p in zip(*self.links[(source, m)]) if p != 0.0]
+            for m in range(source + 1, end + 1)
+        ]
+        for state in itertools.product(*levels):
+            values, probs = zip(*state) if state else ((), ())
+            yield math.prod(probs, start=1.0), np.asarray(values)
 
     def fingerprint(self) -> tuple:
         return ("discrete", tuple(sorted((k, v) for k, v in self.links.items())))
 
 
-def deterministic_gains(topology: Topology, pairs: Iterable[tuple[int, int]] | None = None) -> DiscreteGains:
+def deterministic_gains(topology: Topology) -> DiscreteGains:
     """Single-level gain tables equal to the path loss (no fading)."""
-    n = topology.node_count
-    if pairs is None:
-        pairs = [(s, m) for s in range(n - 1) for m in range(s + 1, n)]
-    links = {
-        (s, m): ((float(topology.pathloss[s, m]),), (1.0,)) for s, m in pairs
-    }
-    return DiscreteGains(links)
+    pairs = itertools.combinations(range(topology.node_count), 2)
+    return DiscreteGains({(s, m): ((float(topology.pathloss[s, m]),), (1.0,)) for s, m in pairs})
 
 
 # ---------------------------------------------------------------------------
@@ -625,9 +616,10 @@ class EpisodeBatch(NamedTuple):
     delivery time, energy, hop count and candidate evaluations;
     ``max_step`` is the largest candidate count of one hop decision.
     ``hop_times[e, k]`` is the airtime of the hop into node ``head + 1 + k``
-    in episode ``e`` (zero where no hop lands there); the engine fills it
-    only on request and leaves it None otherwise, since
-    ``_metrics_from_batch`` does not read it.
+    in episode ``e`` (zero where no hop lands there).  Only the engine fills
+    it, and only on request (``hop_times=True``); every other batch, the
+    baselines' included, holds None, since ``_metrics_from_batch`` does not
+    read it.
     """
 
     t_sum: np.ndarray
@@ -778,12 +770,6 @@ def estimate_segment_metrics(
 # ---------------------------------------------------------------------------
 
 
-def _max_power(problem: SegmentProblem) -> float:
-    if problem.power_levels is not None:
-        return max(problem.power_levels)
-    return problem.p_max
-
-
 class _Iterate(NamedTuple):
     """One multiplier's evaluation in calibration: its table and episode
     batch (without ``hop_times``), and the batch's rate and spend, the two
@@ -854,7 +840,8 @@ def calibrate_lambda(
     # With a zero multiplier every link transmits at the largest power, so the
     # achieved time-averaged power equals it; no sampling needed for the
     # budget-slack test.
-    if _max_power(problem) <= pbar * (1.0 + power_tolerance):
+    levels = problem.power_levels
+    if (problem.p_max if levels is None else max(levels)) <= pbar * (1.0 + power_tolerance):
         return finish(evaluate(0.0), True, True)
 
     lo, hi = 0.0, 1.0 / pbar

@@ -1,19 +1,24 @@
+import contextlib
+import copy
 import csv
 import hashlib
+import io
 import json
 import math
+import tempfile
 import time
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
 import cogrelay.cli
 import cogrelay.master
 import cogrelay.sim
 from cogrelay.cli import (
     RESULT_COLUMNS,
-    VERIFY_REPORT_SCHEMA,
     ConfigError,
     _pair_artifact_path,
     _parse_grid_flag,
@@ -27,6 +32,29 @@ from cogrelay.cli import (
     parse_config,
 )
 from cogrelay.subpolicy import CalibrationError
+
+# The document ``cogrelay verify`` writes to ``verify_report.json``.
+VERIFY_REPORT_SCHEMA = {
+    "type": "object",
+    "required": ["format_version", "seed", "results", "all_passed"],
+    "properties": {
+        "format_version": {"type": "integer"},
+        "seed": {"type": "integer"},
+        "all_passed": {"type": "boolean"},
+        "results": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["check", "passed", "detail"],
+                "properties": {
+                    "check": {"type": "string"},
+                    "passed": {"type": "boolean"},
+                    "detail": {"type": "string"},
+                },
+            },
+        },
+    },
+}
 
 
 def base_config(**overrides):
@@ -922,6 +950,36 @@ class TestMainEntry:
     def test_largest_budget_is_accepted(self, budget):
         assert parse_config(base_config(budget=budget)).spec.p0 == 1e100
 
+    @pytest.mark.parametrize(
+        "edits, expected",
+        [
+            ({"solver": {"p_floor_factor": 1e-320}},
+             "p_floor_factor 9.99989e-321 at the power budget 100 gives the floor power an SNR"),
+            ({"budget": {"P0": 1e-300}},
+             "p_floor_factor 1e-06 at the power budget 1e-300 gives the floor power an SNR of "
+             "4e-316 on the longest link, below 1e-100"),
+            ({"model": {"positions": [0.0, 2.0, 5.0], "alpha": 1e300}},
+             "alpha 1e+300 takes the path loss |x_i - x_j|**-alpha of a link between 0 and 5"),
+            ({"model": {"positions": [0.0, 0.99, 1.001], "alpha": 1e5}},
+             "alpha 100000 takes the path loss"),
+            ({"solver": {"master": {"step_b": 1e-320}}},
+             "the master's first step, step_a / step_b, overflows at step_b 9.99989e-321"),
+        ],
+        ids=["p_floor_factor", "P0", "alpha-underflow", "alpha-overflow", "step_b"],
+    )
+    def test_unworkable_hop_snr_or_step_is_an_exit_2_error(self, tmp_path, capsys, edits,
+                                                          expected):
+        cfg_path = write_config(tmp_path, base_config(**edits))
+        code = main(["calibrate", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {expected}") and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_small_budget_above_the_floor_snr_bound_is_accepted(self):
+        # 1e-6 x 1e-8 x P0 x 5**-2 is 4e-66 at P0 1e-50.
+        assert parse_config(base_config(budget={"P0": 1e-50})).spec.p0 == 1e-50
+
     SPATIAL_5 = {"mode": "spatial-field", "rho_p": 0.4, "p_active": 0.5, "d0": 0.8,
                  "strip_width": 1.0}
 
@@ -1067,3 +1125,86 @@ class TestMainEntry:
         missing.write_text("{not json")
         code = main(["calibrate", "--config", str(missing), "--out", str(tmp_path / "o")])
         assert code == 2
+
+
+# Config documents for the property test: small runs (at most 5 nodes, 20
+# epochs, 50 samples, 2 master iterations, 0.4 primaries per unit of field).
+_SMALL = {
+    "version": 1,
+    "seed": 3,
+    "model": {"positions": [0.0, 1.5, 3.2, 5.0], "alpha": 2.0},
+    "activity": {"mode": "iid-bernoulli", "p_avail": 0.8},
+    "budget": {"P0_dB": 20.0},
+    "schemes": ["proposed", "baseline1", "baseline2", "baseline3", "baseline4"],
+    "solver": {"mc_samples": 50, "episodes": 50, "master": {"max_iterations": 2}},
+    "sim": {"epochs": 20, "baseline_warmup": 4, "prob_samples": 50},
+}
+_COMMON_KEYS = [
+    ("version",), ("seed",), ("schemes",), ("model",), ("model", "alpha"), ("activity",),
+    ("activity", "mode"), ("activity", "epoch_frames"), ("budget",), ("budget", "P0_dB"),
+    ("budget", "P0"), ("solver",), ("solver", "mc_samples"), ("solver", "episodes"),
+    ("solver", "power_tolerance"), ("solver", "p_max_factor"), ("solver", "p_floor_factor"),
+    ("solver", "master"), *(("solver", "master", key) for key in cogrelay.cli.MASTER_KEYS),
+    ("sim",), ("sim", "epochs"), ("sim", "baseline_warmup"), ("sim", "prob_samples"),
+    ("output",), ("output", "rate_units"), ("sweep",),
+]
+# Each base document, and the keys that the test sets on it.
+DOCUMENT_BASES = [
+    (_SMALL, [*_COMMON_KEYS, ("model", "positions"), ("activity", "p_avail")]),
+    ({**_SMALL, "budget": {"P0": 100.0}},
+     [*_COMMON_KEYS, ("model", "positions"), ("activity", "p_avail")]),
+    ({**_SMALL, "activity": {**SPATIAL_ACTIVITY, "strip_width": 1.0}},
+     [*_COMMON_KEYS, ("model", "positions"),
+      *(("activity", key) for key in ("rho_p", "p_active", "d0", "strip_width"))]),
+    ({**_SMALL, "model": {"nodes": 5, "span": 5.0, "min_gap": 0.25, "placement_seed": 7}},
+     [*_COMMON_KEYS, ("activity", "p_avail"),
+      *(("model", key) for key in ("nodes", "span", "min_gap", "placement_seed"))]),
+]
+# Keys that size a run keep their small value at most.
+SIZE_CAPS = {("model", "nodes"): 5, ("sim", "epochs"): 20, ("solver", "mc_samples"): 50,
+             ("solver", "episodes"): 50, ("solver", "master", "max_iterations"): 2,
+             ("sim", "baseline_warmup"): 4, ("sim", "prob_samples"): 50}
+MISSING = "<missing>"
+EDGE_VALUES = [0, 0.0, -1, -0.5, -1e300, 1e-320, 5e-324, 1e300, 0.5, 1.5, 2, "x", "1",
+               "1e300", True, False, None, [], {}, [1.0], MISSING]
+
+
+def set_key(doc: dict, path: tuple[str, ...], value) -> None:
+    """Set (or, for ``MISSING``, delete) ``path`` in ``doc``, unless a section on
+    the way is not an object."""
+    for key in path[:-1]:
+        doc = doc.setdefault(key, {}) if isinstance(doc, dict) else None
+    if not isinstance(doc, dict):
+        return
+    if path in SIZE_CAPS and type(value) in (int, float):
+        value = min(value, SIZE_CAPS[path])
+    if value == MISSING:
+        doc.pop(path[-1], None)
+    else:
+        doc[path[-1]] = copy.deepcopy(value)  # a later edit may write into it
+
+
+@st.composite
+def config_documents(draw):
+    base, keys = draw(st.sampled_from(DOCUMENT_BASES))
+    doc = copy.deepcopy(base)
+    edits = st.tuples(st.sampled_from(keys), st.sampled_from(EDGE_VALUES))
+    for path, value in draw(st.lists(edits, min_size=1, max_size=3)):
+        set_key(doc, path, value)
+    return doc
+
+
+class TestConfigDocuments:
+    @seed(20260810)
+    @settings(max_examples=300, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(config_documents())
+    def test_calibrate_then_simulate_exits_0_or_2(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path = write_config(Path(tmp), doc)
+            for command in ("calibrate", "simulate"):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    code = main([command, "--config", str(cfg_path), "--out", f"{tmp}/o"])
+                assert code in (0, 2), (command, code)
+                assert code == 0 or err.getvalue().startswith("error:"), err.getvalue()

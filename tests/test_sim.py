@@ -667,3 +667,94 @@ class TestExactConstantPowerBaselines:
         beyond = [row for row in rows if abs(row[-1]) > 4.0]
         assert rows
         assert not beyond, f"{len(beyond)} of {len(rows)} rows beyond 4 SE: {beyond}"
+
+
+
+@functools.lru_cache(maxsize=None)
+def hop_by_hop_exact_rates(s: tuple[float, ...]) -> dict[tuple[int, int], float]:
+    """Baseline 4's exact pair rates for hop SNR scales ``s[k] = p_c
+    pathloss[k, k+1]``.
+
+    A delivery over pair (i, j) takes T = sum_k t_k, k = i..j-1, with
+    independent t_k = 1 / ln(1 + s_k X), X ~ Exp(1).  Since 1/T is the
+    integral of e^{-uT} over u > 0, E[1/T] = int_0^inf prod_k E[e^{-u t_k}] du,
+    and each factor is a one-dimensional integral over X.
+    """
+    from scipy.integrate import quad
+
+    def integral(f):
+        return quad(f, 0.0, math.inf, epsabs=0.0, epsrel=1e-10, limit=200)[0]
+
+    @functools.lru_cache(maxsize=None)
+    def laplace(k: int, u: float) -> float:  # E[e^{-u t_k}]
+        def f(x):
+            t = math.log1p(s[k] * x)
+            return math.exp(-x - u / t) if t > 0.0 else 0.0
+
+        return integral(f)
+
+    return {
+        (i, j): integral(lambda u: math.prod(laplace(k, u) for k in range(i, j)))
+        for i in range(len(s)) for j in range(i + 1, len(s) + 1)
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def hop_by_hop_run(activity: str, seed: int):
+    """Baselines 3 and 4 on the README config (``activity`` "iid") or on it
+    with a spatial field, and the hop SNR scales ``s`` of baseline 4."""
+    spec = readme_spec(**(README_SPATIAL if activity == "spatial" else {}))
+    spec = dataclasses.replace(spec, seed=seed)
+    p_c = spec.p0 / transmit_mass("baseline4", spec)
+    epochs = spec.epoch_activity()
+    runs = {kind: run_baseline(kind, spec, epochs) for kind in ("baseline3", "baseline4")}
+    return runs, tuple(p_c * np.diag(spec.topology().pathloss, 1))
+
+
+class TestExactHopByHopBaseline:
+    """Baseline 4 hops node by node at a constant power p_c, so its pair
+    rates have the exact form of ``hop_by_hop_exact_rates``.
+
+    Every simulated pair rate, at five seeds, must lie within 4 SE of it.
+    """
+
+    @pytest.mark.parametrize("activity", ["iid", "spatial"])
+    def test_one_hop_integral_equals_the_exponential_integral(self, activity):
+        from scipy.special import exp1
+
+        _, s = hop_by_hop_run(activity, 1)
+        exact = hop_by_hop_exact_rates(s)
+        for k, s_k in enumerate(s):
+            assert exact[(k, k + 1)] == pytest.approx(math.exp(1 / s_k) * exp1(1 / s_k), rel=1e-9)
+
+    @pytest.mark.parametrize("activity", ["iid", "spatial"])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_one_hop_pairs_are_baseline_3_rows(self, activity, seed):
+        # On a one-hop pair both baselines send the same hop at the same
+        # power, so baseline 3's rows carry over, misses included.
+        runs, _ = hop_by_hop_run(activity, seed)
+        hop = {p: st for p, st in runs["baseline4"].pair_stats.items() if p[1] == p[0] + 1}
+        assert hop
+        assert hop == {p: runs["baseline3"].pair_stats[p] for p in hop}
+
+    # The one miss, iid seed 1, is baseline 3's pair (2, 3) (RATE_SE_MISS):
+    # the pair is one hop, so the row is the same.
+    @pytest.mark.parametrize(
+        "activity, seed",
+        [
+            pytest.param(
+                activity, seed, marks=RATE_SE_MISS if (activity, seed) == ("iid", 1) else ()
+            )
+            for activity, seed in itertools.product(("iid", "spatial"), (1, 2, 3, 4, 5))
+        ],
+    )
+    def test_pair_rates_match_the_laplace_integral(self, activity, seed):
+        runs, s = hop_by_hop_run(activity, seed)
+        exact = hop_by_hop_exact_rates(s)
+        rows = []
+        for pair, st in runs["baseline4"].pair_stats.items():
+            assert st.episodes >= 2 and st.rate_se > 0.0, (seed, pair)
+            rows.append((pair, st.episodes, (st.rate - exact[pair]) / st.rate_se))
+        beyond = [row for row in rows if abs(row[-1]) > 4.0]
+        assert len(rows) == len(exact)
+        assert not beyond, f"{len(beyond)} of {len(rows)} rows beyond 4 SE: {beyond}"
