@@ -28,6 +28,7 @@ from . import oracle
 from .master import (
     MasterOptions,
     MasterSolution,
+    Pair,
     RateModel,
     SolverOptions,
     pair_problem,
@@ -36,11 +37,10 @@ from .master import (
     solve_master,
 )
 from .model import IID_MODE, SPATIAL_MODE, PuActivityModel
-from .seeding import path_fingerprint, stream
+from .seeding import stream
 from .sim import (
     SCHEMES,
     CoverageError,
-    Pair,
     RouteSpec,
     RunMetrics,
     StudySpec,
@@ -137,6 +137,9 @@ OUTPUT_KEYS = ("rate_units",)
 GRID_KEYS = {"p0_db": ("budget", "P0_dB"), "p0": ("budget", "P0"), "nodes": ("model", "nodes"),
              "alpha": ("model", "alpha"), "p_avail": ("activity", "p_avail"),
              "p_block": ("activity", "p_avail")}
+# The most points a sweep grid may hold, from the config and ``--grid`` flags
+# together: each point is a full calibrate plus simulate.
+MAX_SWEEP_POINTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -301,10 +304,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"grid key {key!r} sets {target}, which mode {mode!r} does not read")
         if not values:
             raise ConfigError(f"grid key {key!r} in config section 'sweep.grid' has no values")
-        for i, value in enumerate(values):
-            if value in values[:i]:
-                raise ConfigError(f"grid key {key!r} in config section 'sweep.grid' repeats "
-                                  f"the value {value:g}")
+        if len(set(values)) < len(values):
+            value = next(v for i, v in enumerate(values) if v in values[:i])
+            raise ConfigError(f"grid key {key!r} in config section 'sweep.grid' repeats "
+                              f"the value {value:g}")
+    if (count := math.prod(map(len, grid.values()))) > MAX_SWEEP_POINTS:
+        raise ConfigError(f"grid keys {', '.join(map(repr, sorted(grid)))} make {count} points, "
+                          f"more than the {MAX_SWEEP_POINTS} a sweep may run")
     return _build(ExperimentConfig, _section(raw, "output"), "output", OUTPUT_KEYS,
                   spec=spec, grid=grid, **_fields(ExperimentConfig, raw, "<root>", ("schemes",)))
 
@@ -488,9 +494,8 @@ def cmd_calibrate(cfg: ExperimentConfig, out: Path, threads: int = 1) -> int:
         return 0
     solution = _solve(spec, threads)
     for pair, policy in sorted(solution.policies.items()):
-        payload = policy_to_payload(
-            policy, seed_path=path_fingerprint(*pair_seed_path(spec.seed, pair))
-        )
+        seed_path = "/".join(map(str, pair_seed_path(spec.seed, pair)))
+        payload = policy_to_payload(policy, seed_path=seed_path)
         atomic_write_json(_pair_artifact_path(out, pair), payload)
     node_count = spec.topology().node_count
     total_entries = sum(policy.table.entries for policy in solution.policies.values())
@@ -664,6 +669,9 @@ def _parse_grid_flag(text: str) -> tuple[str, tuple[float, ...]]:
     values = []
     v = start
     while v <= stop + 1e-9:
+        if len(values) == MAX_SWEEP_POINTS:
+            raise ConfigError(f"--grid key {key!r} makes more than the {MAX_SWEEP_POINTS} "
+                              "points a sweep may run")
         values.append(round(v, 12))
         v += step
     return key, tuple(values)

@@ -56,15 +56,10 @@ def _encode(part: int | str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def seed_sequence(root: int, *path: int | str) -> np.random.SeedSequence:
-    """SeedSequence for the stream addressed by ``path`` under ``root``."""
-    key = tuple(_encode(p) for p in path)
-    return np.random.SeedSequence(entropy=root, spawn_key=key)
-
-
 def stream(root: int, *path: int | str) -> np.random.Generator:
     """Generator for the stream addressed by ``path`` under ``root``."""
-    return np.random.Generator(np.random.PCG64(seed_sequence(root, *path)))
+    seq = np.random.SeedSequence(entropy=root, spawn_key=tuple(_encode(p) for p in path))
+    return np.random.Generator(np.random.PCG64(seq))
 
 
 def _words(n: int) -> tuple[int, ...]:
@@ -176,8 +171,3 @@ def streams(
             seeds[rows] = _seed_state(np.array([entropy[r] for r in rows], dtype=np.uint32))
         for words in seeds:
             yield np.random.Generator(np.random.PCG64(_SeedWords(words)))
-
-
-def path_fingerprint(*path: int | str) -> str:
-    """Short printable tag for a seed path, used in artifacts and manifests."""
-    return "/".join(str(p) for p in path)

@@ -40,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .master import ALLOCATION_FLOOR_FRAC, SolverOptions, section_rates
+from .master import ALLOCATION_FLOOR_FRAC, Pair, SolverOptions, section_rates
 from .model import (
     IID_MODE,
     MAX_PRIMARIES,
@@ -62,8 +62,6 @@ from .subpolicy import (
     _run_episode_batch,
     draw_episode_cube,
 )
-
-Pair = tuple[int, int]
 
 SCHEMES = ("proposed", "baseline1", "baseline2", "baseline3", "baseline4")
 

@@ -195,6 +195,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             _parse_grid_flag("p0_db=0:40:-5")
 
+    def test_a_grid_of_exactly_the_most_sweep_points_is_accepted(self):
+        key, values = _parse_grid_flag("p0_db=0:9999:1")
+        assert values == tuple(float(v) for v in range(10_000))
+        cfg = parse_config(base_config(sweep={"grid": {key: list(values)}}))
+        assert cfg.grid == {"p0_db": values}
+        with pytest.raises(ConfigError, match="more than the 10000 points"):
+            _parse_grid_flag("p0_db=0:10000:1")
+
 
 class TestCalibrateCommand:
     def test_writes_pair_artifacts_and_manifest(self, tmp_path):
@@ -221,6 +229,14 @@ class TestCalibrateCommand:
         out = tmp_path / "solver"
         assert main(["calibrate", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+
+    def test_each_pair_artifact_names_its_calibration_stream(self, tmp_path):
+        cfg_path = write_config(tmp_path, base_config(seed=5))
+        out = tmp_path / "out"
+        assert main(["calibrate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        for i, j in [(0, 1), (0, 2), (1, 2)]:
+            payload = json.loads(_pair_artifact_path(out, (i, j)).read_text())
+            assert payload["seed_path"] == f"5/pair/{i}/{j}"
 
     def test_pairs_are_calibrated_at_their_allocated_budgets(self, tmp_path):
         cfg_path = write_config(tmp_path, base_config())
@@ -831,6 +847,29 @@ class TestSweepCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith(
             "error: grid key 'p0_db' in config section 'sweep.grid' repeats the value 20")
+        assert not (tmp_path / "o").exists()
+
+    # One flag never passes STOP (1e17 + 1 == 1e17), the other holds 1e10 values.
+    @pytest.mark.parametrize("flag", ["p0_db=1e17:1e18:1", "p0_db=0:1e7:1e-3"])
+    def test_a_grid_flag_of_too_many_points_is_an_exit_2_error(self, tmp_path, capsys, flag):
+        cfg_path = write_config(tmp_path, base_config())
+        code = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                     "--grid", flag])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --grid key 'p0_db' makes more than the 10000 points a sweep may run\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_a_config_grid_of_too_many_points_is_an_exit_2_error(self, tmp_path, capsys):
+        grid = {"p0_db": [float(k) for k in range(30)],
+                "alpha": [2.0 + 0.1 * k for k in range(30)],
+                "p_avail": [0.01 * (k + 1) for k in range(30)]}
+        cfg_path = write_config(tmp_path, base_config(sweep={"grid": grid}))
+        code = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: grid keys 'alpha', 'p0_db', 'p_avail' make 27000 points, "
+            "more than the 10000 a sweep may run\n")
         assert not (tmp_path / "o").exists()
 
     def test_unknown_grid_flag_key_is_an_exit_2_error(self, tmp_path, capsys):

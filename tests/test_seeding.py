@@ -7,12 +7,16 @@ fails here before it moves an output.
 """
 
 import itertools
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cogrelay
 from cogrelay.seeding import CHUNK_ROWS, _encode, stream, streams
 
 ROOTS = [
@@ -115,3 +119,18 @@ elements = st.one_of(
 )
 def test_random_paths_match_numpy(root, paths):
     assert_bitwise(root, paths)
+
+
+# The package root imports nothing, so a module loads only the modules it
+# imports itself.
+@pytest.mark.parametrize("module, loads", [
+    ("cogrelay.seeding", []),
+    ("cogrelay.subpolicy", ["cogrelay.model", "cogrelay.seeding"]),
+])
+def test_importing_a_module_loads_only_its_own_imports(module, loads):
+    code = (f"import sys, {module}; "
+            "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'cogrelay')))")
+    src = str(Path(cogrelay.__file__).parents[1])
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True, cwd=src)
+    assert result.stdout.split() == sorted(["cogrelay", module, *loads])
