@@ -72,22 +72,18 @@ def project_budget(
     allocation: dict[Pair, float],
     prob_table: dict[Pair, float],
     p0: float,
-    p_floor: float | dict[Pair, float],
+    p_floor: dict[Pair, float],
 ) -> dict[Pair, float]:
     """Projection onto the budget set in the probability-weighted metric.
 
     The weighted projection onto ``{x >= floor, sum Pr*x <= p0}`` reduces to
-    a uniform downward shift clipped at the (possibly per-pair) floor, with
-    the shift found by bisection on the single dual variable of the budget
-    constraint.
+    a uniform downward shift clipped at each pair's floor, with the shift
+    found by bisection on the single dual variable of the budget constraint.
     """
     pairs = sorted(allocation)
     w = np.asarray([prob_table[p] for p in pairs])
     y = np.asarray([allocation[p] for p in pairs])
-    if isinstance(p_floor, dict):
-        floor = np.asarray([p_floor[p] for p in pairs])
-    else:
-        floor = np.full(len(pairs), float(p_floor))
+    floor = np.asarray([p_floor[p] for p in pairs])
     if float(w @ floor) > p0 * (1.0 + 1e-12):
         raise ValueError("budget cannot cover the power floor on every pair")
 
@@ -331,10 +327,9 @@ POLISH_MAX_MOVES = 400
 
 
 def _exchange_polish(
-    rate_model,
+    score: Callable[[dict[Pair, float]], tuple[float, dict[Pair, CalibratedPolicy]]],
     allocation: dict[Pair, float],
     weights: dict[Pair, float],
-    last: int,
     p0: float,
     floors: dict[Pair, float],
 ) -> tuple[dict[Pair, float], float, dict[Pair, CalibratedPolicy]]:
@@ -347,14 +342,8 @@ def _exchange_polish(
     model is noise-free (exact evaluations); the caller gates on that.
     """
     pairs = sorted(allocation)
-
-    def value_of(alloc):
-        policies = rate_model.evaluate_many(alloc)
-        u = {p: policy.metrics.rate for p, policy in policies.items()}
-        return objective(alloc, u, weights, p0, last), policies
-
     best_alloc = dict(allocation)
-    best_value, best_policies = value_of(best_alloc)
+    best_value, best_policies = score(best_alloc)
     moves = 0
     for frac in POLISH_FRACTIONS:
         improved = True
@@ -367,7 +356,7 @@ def _exchange_polish(
                 trial = dict(best_alloc)
                 trial[src] = best_alloc[src] - give / weights[src]
                 trial[dst] = best_alloc[dst] + give / weights[dst]
-                value, policies = value_of(trial)
+                value, policies = score(trial)
                 if value > best_value * (1.0 + 1e-12) + 1e-300:
                     best_value, best_alloc, best_policies = value, trial, policies
                     moves += 1
@@ -420,13 +409,16 @@ def solve_master(
     }
     allocation = project_budget({p: p0 / mass for p in pairs}, weights, p0, floors)
 
+    def score(alloc: dict[Pair, float]) -> tuple[float, dict[Pair, CalibratedPolicy]]:
+        policies = rate_model.evaluate_many(alloc)
+        u_table = {p: policy.metrics.rate for p, policy in policies.items()}
+        return objective(alloc, u_table, weights, p0, last), policies
+
     best_obj = -np.inf
     best_alloc = dict(allocation)
     trace: list[float] = []
     for t in range(options.max_iterations):
-        policies = rate_model.evaluate_many(allocation)
-        u_table = {p: policy.metrics.rate for p, policy in policies.items()}
-        obj = objective(allocation, u_table, weights, p0, last)
+        obj, policies = score(allocation)
         trace.append(obj)
         if obj > best_obj:
             best_obj = obj
@@ -448,9 +440,7 @@ def solve_master(
     # Polish only exact rate models; see _exchange_polish.  A zero rate_se
     # does not show exactness: a single Monte-Carlo episode has it too.
     if all(policy.problem.gains.enumerable for policy in policies.values()):
-        best_alloc, polished, policies = _exchange_polish(
-            rate_model, best_alloc, weights, last, p0, floors
-        )
+        best_alloc, polished, policies = _exchange_polish(score, best_alloc, weights, p0, floors)
         if polished > best_obj:
             best_obj = polished
             trace.append(polished)

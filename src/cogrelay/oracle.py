@@ -203,20 +203,17 @@ def enumerate_policy_values_alt(problem: SegmentProblem) -> list[tuple[float, fl
 class BruteForceResult:
     rate: float
     power: float
-    n_policies: int
-    n_feasible: int
 
 
-def brute_force_subproblem(problem: SegmentProblem, pbar: float) -> BruteForceResult:
-    """Constrained optimum over all deterministic stationary policies."""
-    values = enumerate_policy_values(problem)
-    feasible = [(u, p) for u, p in values if p <= pbar * (1.0 + 1e-12)]
+def brute_force_subproblem(problem: SegmentProblem) -> BruteForceResult:
+    """Optimum over all deterministic stationary policies within the
+    problem's power budget."""
+    pbar = problem.pbar
+    feasible = [(u, p) for u, p in enumerate_policy_values(problem) if p <= pbar * (1.0 + 1e-12)]
     if not feasible:
         raise ValueError(f"no policy meets the power budget {pbar}")
     best = max(feasible, key=lambda t: t[0])
-    return BruteForceResult(
-        rate=best[0], power=best[1], n_policies=len(values), n_feasible=len(feasible)
-    )
+    return BruteForceResult(rate=best[0], power=best[1])
 
 
 def pair_frontier(values: Sequence[tuple[float, float]]) -> tuple[list[float], list[float]]:
@@ -344,23 +341,19 @@ class ExchangeInstance:
             total += float(w) * float(v)
         return total
 
-    def max_min(self) -> float:
-        best = -math.inf
+    def _joint_values(self) -> list[list[float]]:
+        """Every row's value at every joint choice, one list per choice."""
         rows = range(self.weights.shape[0])
-        for combo in itertools.product(*(range(t.size) for t in self.tables)):
-            f = [float(t[k]) for t, k in zip(self.tables, combo)]
-            best = max(best, min(self._row_value(m, f) for m in rows))
-        return best
+        return [
+            [self._row_value(m, [float(t[k]) for t, k in zip(self.tables, combo)]) for m in rows]
+            for combo in itertools.product(*(range(t.size) for t in self.tables))
+        ]
+
+    def max_min(self) -> float:
+        return max(min(values) for values in self._joint_values())
 
     def min_max(self) -> float:
-        worst = math.inf
-        for m in range(self.weights.shape[0]):
-            best = -math.inf
-            for combo in itertools.product(*(range(t.size) for t in self.tables)):
-                f = [float(t[k]) for t, k in zip(self.tables, combo)]
-                best = max(best, self._row_value(m, f))
-            worst = min(worst, best)
-        return worst
+        return min(max(column) for column in zip(*self._joint_values()))
 
     def separable_value(self) -> float:
         f_star = [float(np.max(t)) for t in self.tables]
@@ -442,7 +435,7 @@ def random_centered_monotone(rng: np.random.Generator) -> tuple[np.ndarray, np.n
 
 
 # ---------------------------------------------------------------------------
-# Covariance of successive cluster times
+# Covariance of successive hop times
 # ---------------------------------------------------------------------------
 
 
@@ -473,10 +466,9 @@ def _cluster_verdict(estimate: float, se: float, eps: float = 0.0) -> str:
 def verify_covariance_property(
     policy: CalibratedPolicy,
     episodes: int,
-    cluster_size: int,
     rng: np.random.Generator,
 ) -> CovarianceReport:
-    """Simulation check that a cluster's airtime is non-positively correlated
+    """Simulation check that each hop's airtime is non-positively correlated
     with the airtime spent reaching it, on monotone-gain line segments.
 
     Statistical honesty rule: an unresolved positive estimate (standard error
@@ -484,18 +476,14 @@ def verify_covariance_property(
     """
     problem = policy.problem
     cube = draw_episode_cube(problem, rng, episodes)
-    hop_times = _run_episode_batch(
-        problem, policy.lam, policy.table, cube, hop_times=True
-    ).hop_times
-    # Hops are grouped by the cluster of their destination node.
-    totals = np.add.reduceat(hop_times, np.arange(0, problem.length, cluster_size), axis=1)
-    n_clusters = totals.shape[1]
+    # Column r holds the airtime of the hop into node head + r + 1.
+    times = _run_episode_batch(problem, policy.lam, policy.table, cube, hop_times=True).hop_times
     clusters = []
     worst = "consistent"
     order = {"consistent": 0, "inconclusive": 1, "violated": 2}
-    for r in range(1, n_clusters):
-        x = totals[:, r]
-        y = totals[:, :r].sum(axis=1)
+    for r in range(1, problem.length):
+        x = times[:, r]
+        y = times[:, :r].sum(axis=1)
         prod = (x - x.mean()) * (y - y.mean())
         est = float(prod.mean())
         se = float(prod.std(ddof=1) / np.sqrt(episodes)) if episodes > 1 else 0.0
@@ -598,7 +586,7 @@ def _check_subproblem_dominance(rng: np.random.Generator) -> tuple[bool, str]:
             abs(a[0] - b[0]) <= 1e-12 and abs(a[1] - b[1]) <= 1e-12
             for a, b in zip(sorted(one), sorted(two))
         )
-        oracle_best = brute_force_subproblem(problem, problem.pbar)
+        oracle_best = brute_force_subproblem(problem)
         policy = calibrate_lambda(problem, rng)
         dominated = policy.metrics.rate <= oracle_best.rate * (1.0 + 1e-12)
         ok = ok and agree and dominated
@@ -622,7 +610,7 @@ def _check_covariance(rng: np.random.Generator) -> tuple[bool, str]:
         episodes=400,
     )
     policy = calibrate_lambda(problem, rng)
-    report = verify_covariance_property(policy, episodes=4000, cluster_size=1, rng=rng)
+    report = verify_covariance_property(policy, episodes=4000, rng=rng)
     return report.verdict != "violated", f"verdict {report.verdict}"
 
 

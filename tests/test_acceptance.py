@@ -339,7 +339,7 @@ class TestCriterion8GapTrend:
         gaps = []
         for length in (1, 2, 3, 4):
             problem = inst.problem(0, length, pbar)
-            oracle = brute_force_subproblem(problem, pbar)
+            oracle = brute_force_subproblem(problem)
             policy = calibrate_lambda(problem, stream(1, "gap", length))
             assert policy.metrics.power_time_avg <= pbar * (1.0 + 1e-12)
             assert policy.metrics.rate <= oracle.rate * (1.0 + 1e-12)

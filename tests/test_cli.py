@@ -195,6 +195,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             _parse_grid_flag("p0_db=0:40:-5")
 
+    def test_a_grid_flag_ends_at_stop_on_any_scale(self):
+        # STOP's slack is a fraction of STEP, so a flag on a small scale
+        # neither runs past STOP nor rounds its values to 0.
+        _, values = _parse_grid_flag("p0=0:1e-10:1e-11")
+        assert len(values) == 11 and values[-1] == 1e-10
+        _, values = _parse_grid_flag("p0=1e-14:5e-14:1e-14")
+        assert values == (1e-14, 2e-14, 3e-14, 4e-14, 5e-14)
+        # The README's and CI's flags, and a decimal step, keep their values.
+        assert _parse_grid_flag("p0_db=0:40:5")[1] == tuple(5.0 * k for k in range(9))
+        assert _parse_grid_flag("p0_db=20:20:1")[1] == (20.0,)
+        assert _parse_grid_flag("p_avail=0.5:0.9:0.1")[1] == (0.5, 0.6, 0.7, 0.8, 0.9)
+
     def test_a_grid_of_exactly_the_most_sweep_points_is_accepted(self):
         key, values = _parse_grid_flag("p0_db=0:9999:1")
         assert values == tuple(float(v) for v in range(10_000))
@@ -273,6 +285,35 @@ class TestCalibrateCommand:
         assert len(master["allocation"]) == 15
         manifest = json.loads((out / "calibration_manifest.json").read_text())
         assert manifest["table_entries_total"] <= 6**3
+
+    def test_twelve_node_route_keeps_the_complexity_bounds(self, tmp_path):
+        # Acceptance criterion 11's bounds at M = 11 relays: one table value
+        # per node of each pair, a total within (M + 1)^3, and per delivery
+        # at most length evaluations a step and length^2 in all.
+        raw = base_config()
+        raw["model"] = {"nodes": 12, "span": 10.0, "min_gap": 0.25, "placement_seed": 7,
+                        "alpha": 2.0}
+        raw["activity"] = {"mode": "iid-bernoulli", "p_avail": 0.85}
+        raw["solver"] = {"mc_samples": 50, "episodes": 50, "master": {"max_iterations": 1}}
+        raw["sim"] = {"epochs": 20}
+        cfg_path = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        assert main(["calibrate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        total = 0
+        for i in range(12):
+            for j in range(i + 1, 12):
+                values = json.loads(_pair_artifact_path(out, (i, j)).read_text())["values"]
+                assert len(values) == j - i + 1
+                total += len(values)
+        manifest = json.loads((out / "calibration_manifest.json").read_text())
+        assert manifest["table_entries_total"] == total == 352
+        assert total <= manifest["table_entries_bound"] == 12**3
+        result = cogrelay.cli.run_point(load_config(cfg_path).spec, ("proposed",))
+        stats = result.metrics["proposed"].pair_stats
+        assert stats
+        for (i, j), pair in stats.items():
+            assert pair.max_step_evals <= j - i
+            assert pair.max_episode_evals <= (j - i) ** 2
 
     def test_threads_do_not_change_the_artifacts(self, tmp_path):
         cfg_path = write_config(tmp_path, base_config())

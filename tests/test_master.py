@@ -80,7 +80,7 @@ class TestProjection:
     def test_interior_point_unchanged(self):
         prob = {(0, 1): 0.5, (1, 2): 0.5}
         alloc = {(0, 1): 1.0, (1, 2): 1.0}
-        out = project_budget(alloc, prob, p0=10.0, p_floor=1e-6)
+        out = project_budget(alloc, prob, p0=10.0, p_floor=dict.fromkeys(prob, 1e-6))
         assert out == alloc
 
     def test_uniform_overshoot_scales_uniformly(self):
@@ -88,7 +88,7 @@ class TestProjection:
         c = 3.0
         p0 = 5.0
         y = c * p0 / sum(prob.values())
-        out = project_budget({k: y for k in prob}, prob, p0, p_floor=1e-9)
+        out = project_budget({k: y for k in prob}, prob, p0, p_floor=dict.fromkeys(prob, 1e-9))
         for v in out.values():
             assert v == pytest.approx(y / c, rel=1e-9)
 
@@ -96,17 +96,31 @@ class TestProjection:
         prob = {(0, k + 1): float(rng.uniform(0.05, 1.0)) for k in range(5)}
         alloc = {k: float(rng.uniform(0.0, 20.0)) for k in prob}
         p0 = 4.0
-        out = project_budget(alloc, prob, p0, p_floor=1e-8)
+        out = project_budget(alloc, prob, p0, p_floor=dict.fromkeys(prob, 1e-8))
         spent = sum(prob[k] * out[k] for k in out)
         assert spent <= p0 * (1.0 + 1e-9)
         # Complementary slackness: if the shift is active the budget binds.
         if any(out[k] < alloc[k] - 1e-12 for k in out):
             assert abs(spent - p0) <= 1e-8 * max(p0, 1.0)
 
+    def test_per_pair_floors(self):
+        # Pair (0, 2)'s floor binds: it stays there, and the other two pairs
+        # shift down by one common amount until the budget binds.
+        prob = {(0, 1): 0.5, (1, 2): 0.3, (0, 2): 0.2}
+        alloc = {(0, 1): 6.0, (1, 2): 5.0, (0, 2): 3.0}
+        floors = {(0, 1): 0.1, (1, 2): 0.2, (0, 2): 2.5}
+        p0 = 3.0
+        out = project_budget(alloc, prob, p0, p_floor=floors)
+        assert out[(0, 2)] == floors[(0, 2)]
+        shift = alloc[(0, 1)] - out[(0, 1)]
+        assert alloc[(1, 2)] - out[(1, 2)] == pytest.approx(shift, rel=1e-9)
+        assert out[(0, 1)] > floors[(0, 1)] and out[(1, 2)] > floors[(1, 2)]
+        assert sum(prob[k] * out[k] for k in out) == pytest.approx(p0, rel=1e-9)
+
     def test_infeasible_floor_rejected(self):
         prob = {(0, 1): 1.0}
         with pytest.raises(ValueError):
-            project_budget({(0, 1): 5.0}, prob, p0=0.5, p_floor=1.0)
+            project_budget({(0, 1): 5.0}, prob, p0=0.5, p_floor=dict.fromkeys(prob, 1.0))
 
 
 def stub_policy(pbar, rate, lam, shadow_price, achieved_power):

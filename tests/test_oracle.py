@@ -69,7 +69,7 @@ class TestSubproblemEnumeration:
     def test_single_hop_single_level_closed_form(self):
         inst = deterministic_instance(nodes=2)
         problem = inst.problem(0, 1, pbar=1.1)
-        result = brute_force_subproblem(problem, 1.1)
+        result = brute_force_subproblem(problem)
         g = float(inst.topology.pathloss[0, 1])
         best_power = max(p for p in inst.power_levels if p <= 1.1)
         assert result.rate == pytest.approx(math.log1p(g * best_power), rel=1e-12)
@@ -94,13 +94,13 @@ class TestSubproblemEnumeration:
     def test_infeasible_budget_rejected(self):
         inst = deterministic_instance(nodes=2)
         with pytest.raises(ValueError):
-            brute_force_subproblem(inst.problem(0, 1, pbar=0.01), 0.01)
+            brute_force_subproblem(inst.problem(0, 1, pbar=0.01))
 
     def test_calibrated_policy_never_beats_oracle(self):
         inst = faded_instance()
         for head, end, pbar in ((0, 1, 1.2), (0, 2, 1.5), (1, 3, 2.0)):
             problem = inst.problem(head, end, pbar)
-            oracle_best = brute_force_subproblem(problem, pbar)
+            oracle_best = brute_force_subproblem(problem)
             policy = calibrate_lambda(problem, stream(1, "dom"))
             assert policy.metrics.power_time_avg <= pbar * (1.0 + 1e-12)
             assert policy.metrics.rate <= oracle_best.rate * (1.0 + 1e-12)
@@ -143,7 +143,7 @@ class TestBruteForceOriginal:
         p0 = 2.0
         value, alloc = brute_force_original(inst, p0, resolution=6)
         problem = inst.problem(0, 2, pbar=p0)
-        direct = brute_force_subproblem(problem, p0)
+        direct = brute_force_subproblem(problem)
         assert value == pytest.approx(direct.rate, rel=1e-12)
         assert set(alloc) == {(0, 2)}
 
@@ -230,8 +230,8 @@ class TestCovariance:
             p_max=200.0, p_floor=2e-6, mc_samples=1, episodes=1,
         )
         policy = calibrate_lambda(problem, stream(5, "cov"))
-        report = verify_covariance_property(policy, episodes=200, cluster_size=1,
-                                            rng=stream(5, "cov-ep"))
+        report = verify_covariance_property(policy, episodes=200, rng=stream(5, "cov-ep"))
+        assert len(report.clusters) == problem.length - 1
         assert report.verdict == "consistent"
         assert all(abs(c.estimate) <= 1e-12 for c in report.clusters)
 
@@ -241,8 +241,8 @@ class TestCovariance:
             p_max=600.0, p_floor=6e-6, mc_samples=400, episodes=400,
         )
         policy = calibrate_lambda(problem, stream(6, "cov"))
-        report = verify_covariance_property(policy, episodes=6000, cluster_size=1,
-                                            rng=stream(6, "cov-ep"))
+        report = verify_covariance_property(policy, episodes=6000, rng=stream(6, "cov-ep"))
+        assert len(report.clusters) == problem.length - 1
         assert report.verdict != "violated"
         for c in report.clusters:
             assert c.estimate <= 3.0 * max(c.se, 1e-15)
