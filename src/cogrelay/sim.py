@@ -316,7 +316,10 @@ def run_proposed(
 
     Segments draw their fading from per-(epoch, segment) streams, so one
     segment's metrics are bit-identical under any change to the other
-    segments' streams.  Each pair's occurrences run as one engine batch.
+    segments' streams.  All of the run's segment occurrences derive their
+    streams through one ``streams`` call, pair by pair in the order the
+    epoch/segment loop visits the pairs, and each pair's occurrences run as
+    one engine batch.
     """
     cutoff = spec.solver.master.pair_prob_cutoff
     for pair, epochs in activity.pair_epochs.items():  # in order of first occurrence
@@ -325,12 +328,17 @@ def run_proposed(
                 f"segment {pair} observed at epoch {epochs[0]} has no calibrated policy; "
                 f"pairs at or below pair_prob_cutoff {cutoff:g} are not calibrated"
             )
+    paths = (
+        ("epoch", e, "segment", *pair)
+        for pair, epochs in sorted(activity.pair_epochs.items())  # _run_segments' order
+        for e in epochs.tolist()
+    )
+    rngs = streams(spec.seed, paths)
 
     def run_pair(pair: Pair, epochs: np.ndarray) -> EpisodeBatch:
         policy = policies[pair]
         cube = {s: np.empty((epochs.size, pair[1] - s)) for s in range(*pair)}
-        rngs = streams(spec.seed, (("epoch", e, "segment", *pair) for e in epochs.tolist()))
-        for row, rng in enumerate(rngs):
+        for row, rng in enumerate(itertools.islice(rngs, epochs.size)):
             for s, block in draw_episode_cube(policy.problem, rng, 1).items():
                 cube[s][row] = block[0]
         return _run_episode_batch(policy.problem, policy.lam, policy.table, cube)
@@ -418,8 +426,9 @@ def _run_store_and_forward(
     warmup = EpochActivity.draw(spec, spec.baseline_warmup, "warmup")
     bits = np.concatenate([warmup.bits, activity.bits])
     gains = np.concatenate([warmup.adjacent, activity.adjacent]) * np.diag(topology.pathloss, 1)
+    hop_times = (1.0 / np.log1p(gains * p_c)).tolist()  # NaN where a hop is unavailable
     epoch_rates: list[float] = []
-    for row, gain in zip(bits.tolist(), gains):
+    for row, hop_time in zip(bits.tolist(), hop_times):
         buffers[0] = True  # the source always has traffic
         delivered = 0
         airtime = 0.0
@@ -428,7 +437,7 @@ def _run_store_and_forward(
                 continue
             if m + 1 < last and buffers[m + 1]:
                 continue  # downstream buffer still occupied
-            airtime += 1.0 / np.log1p(gain[m] * p_c)
+            airtime += hop_time[m]
             buffers[m] = False
             if m + 1 == last:
                 delivered += 1

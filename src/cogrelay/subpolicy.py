@@ -724,11 +724,23 @@ def _metrics_from_batch(
 def draw_episode_cube(
     problem: SegmentProblem, rng: np.random.Generator, episodes: int
 ) -> dict[int, np.ndarray]:
-    """Pre-draw per-node candidate gains for a batch of episodes."""
-    return {
-        s: problem.gains.draw_block(rng, s, problem.end, episodes)
-        for s in range(problem.head, problem.end)
-    }
+    """Pre-draw per-node candidate gains for a batch of episodes: node by
+    node, each node's ``(episodes, candidates)`` block as ``draw_block``
+    draws it.  On Rayleigh gains the blocks are cut from one draw, which
+    yields the same values as drawing them one after another."""
+    nodes = range(problem.head, problem.end)
+    gains = problem.gains
+    if not isinstance(gains, RayleighGains):
+        return {s: gains.draw_block(rng, s, problem.end, episodes) for s in nodes}
+    fading = rng.exponential(1.0, size=episodes * sum(problem.end - s for s in nodes))
+    cube, start = {}, 0
+    for s in nodes:
+        width = problem.end - s
+        stop = start + episodes * width
+        block = fading[start:stop].reshape(episodes, width)
+        cube[s] = block * gains.topology.pathloss[s, s + 1 : problem.end + 1]
+        start = stop
+    return cube
 
 
 def _episode_cube(

@@ -375,6 +375,40 @@ class TestPairBatches:
         assert len(live) > spec.epochs
         assert max(drawn.values()) == 1
 
+    def test_each_segment_occurrence_is_drawn_once_from_one_call(self, monkeypatch):
+        spec = dataclasses.replace(
+            small_spec((0.0, 1.5, 3.2, 5.0), p_avail=1.0, epochs=150, seed=13, n=80, iters=2),
+            activity=SPATIAL, prob_samples=20_000,
+        )
+        policies = run_point(spec, ("baseline4",)).master.policies
+        activity = spec.epoch_activity()
+        assert len(activity.pair_epochs) > 2
+        calls: list[set] = []
+        drawn = Counter()
+        real_streams = sim.streams
+
+        def counting(root, paths):
+            kinds: set = set()
+            calls.append(kinds)
+
+            def counted():
+                for path in paths:
+                    kinds.add(path[2])
+                    drawn[path] += 1
+                    yield path
+
+            return real_streams(root, counted())
+
+        monkeypatch.setattr(sim, "streams", counting)
+        run_proposed(spec, policies, activity)
+        assert calls == [{"segment"}]
+        assert set(drawn) == {
+            ("epoch", e, "segment", *pair)
+            for pair, epochs in activity.pair_epochs.items()
+            for e in epochs.tolist()
+        }
+        assert max(drawn.values()) == 1
+
 
 class TestProposed:
     def test_no_spectrum_no_throughput(self):

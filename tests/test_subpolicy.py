@@ -796,6 +796,32 @@ class TestEpisodes:
             assert batch.evals[e] == sum(problem.end - s for s in hops[:-1])
 
 
+class TestEpisodeCubeDraw:
+    """``draw_episode_cube`` is the per-node ``draw_block`` sequence, bit for
+    bit, and leaves its generator where that sequence does."""
+
+    @staticmethod
+    def assert_block_sequence(problem, episodes):
+        rng, ref = stream(41, "cube"), stream(41, "cube")
+        cube = draw_episode_cube(problem, rng, episodes)
+        assert list(cube) == list(range(problem.head, problem.end))
+        for s, got in cube.items():
+            block = problem.gains.draw_block(ref, s, problem.end, episodes)
+            assert got.shape == block.shape == (episodes, problem.end - s)
+            assert got.tobytes() == block.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("episodes", [1, 7])
+    @pytest.mark.parametrize("head,end", [(4, 5), (0, 11)], ids=["one-hop", "11-hop"])
+    def test_rayleigh(self, head, end, episodes):
+        topology = line_topology(*np.linspace(0.0, 10.0, 12).tolist())
+        self.assert_block_sequence(rayleigh_problem(topology, head, end, pbar=1.0), episodes)
+
+    @pytest.mark.parametrize("episodes", [1, 7])
+    def test_discrete(self, episodes):
+        self.assert_block_sequence(two_level_five_node_problem(), episodes)
+
+
 def reference_episode_batch(problem, lam, table, cube):
     """The episode engine as a per-node loop: at every step, group the live
     episodes by current node and price and decide each group directly."""
