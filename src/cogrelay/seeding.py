@@ -13,28 +13,25 @@ independent, and the mapping is stable across processes and platforms, so
 parallel and serial executions of the same experiment consume identical
 random numbers.
 
-``streams(root, paths)`` is the batched form of the same rule: it yields
-``stream(root, *path)`` for each path, bit for bit, and moves no stream.  It
-runs numpy's ``SeedSequence`` pool mixing and ``generate_state`` as uint32
-array arithmetic over many paths at once, and hands each path's four seed
-words to ``PCG64`` through a minimal ``ISeedSequence``.  It thus relies on
-numpy's ``SeedSequence`` algorithm and on the ``ISeedSequence`` interface;
-``tests/test_seeding.py`` pins both against numpy itself, so a numpy that
-changes either fails there before it moves an output.
+``streams(root, *path)`` is the batched form: a part of its path may be an
+integer array, one stream per entry, and it yields ``stream(root, *row)``
+for each row, bit for bit.  It runs numpy's ``SeedSequence`` mixing as uint32
+array arithmetic over many rows at once and hands each row's seed words to
+``PCG64`` through a minimal ``ISeedSequence``.  ``tests/test_seeding.py`` pins
+both against numpy itself, so a numpy that changes either fails there
+before it moves an output.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
-import itertools
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator
 
 import numpy as np
 
 _WORD = 1 << 63
 
-CHUNK_ROWS = 256  # paths whose seed words are derived in one batch
+CHUNK_ROWS = 1024  # rows whose seed words are derived in one batch
 
 # numpy's SeedSequence: pool size, hash constants and shift.
 _POOL = 4
@@ -62,27 +59,12 @@ def stream(root: int, *path: int | str) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
-def _words(n: int) -> tuple[int, ...]:
+def _words(n: int) -> list[int]:
     """SeedSequence's uint32 words of a non-negative integer, least
     significant first; zero is one word."""
     words = [n & _MASK32]
     while n := n >> 32:
         words.append(n & _MASK32)
-    return tuple(words)
-
-
-@functools.lru_cache(maxsize=4096)
-def _string_words(part: str) -> tuple[int, ...]:
-    return _words(_encode(part))
-
-
-def _path_words(path: Sequence[int | str]) -> list[int]:
-    words: list[int] = []
-    for part in path:
-        if type(part) is int and 0 <= part <= _MASK32:  # one word, the common case
-            words.append(part)
-        else:
-            words += _string_words(part) if isinstance(part, str) else _words(_encode(part))
     return words
 
 
@@ -135,39 +117,56 @@ def _seed_state(entropy: np.ndarray) -> np.ndarray:
 
 
 class _SeedWords(np.random.bit_generator.ISeedSequence):
-    """The four PCG64 seed words of one path, derived in a batch."""
+    """The four PCG64 seed words of one row, derived in a batch."""
+
+    __slots__ = ("words",)
 
     def __init__(self, words: np.ndarray) -> None:
         self.words = words
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
+        if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
             raise ValueError("batched seed words serve only PCG64's generate_state(4, uint64)")
         return self.words
 
 
-def streams(
-    root: int, paths: Iterable[Sequence[int | str]]
-) -> Iterator[np.random.Generator]:
-    """``stream(root, *path)`` for each of ``paths``, in order and bit for bit.
+def streams(root: int, *path: int | str | np.ndarray) -> Iterator[np.random.Generator]:
+    """``stream(root, *row)`` for each row of ``path``, in order and bit for bit.
 
-    The seed words of ``CHUNK_ROWS`` paths at a time are derived in one
-    batch, and each generator is built only when it is asked for, so memory
-    stays bounded however many paths there are.
+    Each part of ``path`` is a string, an int, or a 1-D integer array with
+    entries in ``[0, 2**32)``: the arrays, all of one length, are columns,
+    one row per index, and a path of scalars alone is one row.  Seed words
+    are derived ``CHUNK_ROWS`` rows at a time and each generator is built when
+    it is asked for, so memory stays bounded however many rows there are.
     """
     if root < 0:
         raise ValueError(f"root seed must be non-negative, not {root}")
-    root_words = list(_words(root))
-    # SeedSequence pads a root shorter than its pool with 0s before a spawn key.
-    padded = root_words + [0] * (_POOL - len(root_words))
-    paths = iter(paths)
-    while chunk := list(itertools.islice(paths, CHUNK_ROWS)):
-        entropy = [padded + _path_words(path) if path else root_words for path in chunk]
-        groups: dict[int, list[int]] = {}  # rows by entropy length
-        for row, words in enumerate(entropy):
-            groups.setdefault(len(words), []).append(row)
-        seeds = np.empty((len(chunk), 4), dtype=np.uint64)
-        for rows in groups.values():
-            seeds[rows] = _seed_state(np.array([entropy[r] for r in rows], dtype=np.uint32))
-        for words in seeds:
-            yield np.random.Generator(np.random.PCG64(_SeedWords(words)))
+    words = _words(root)
+    if path:  # SeedSequence pads a root shorter than its pool with 0s before a spawn key
+        words += [0] * (_POOL - len(words))
+    columns, sizes = {}, {}  # entropy word -> its array part; part index -> length
+    for index, part in enumerate(path):
+        if not isinstance(part, np.ndarray):
+            words += _words(_encode(part))
+            continue
+        # One uint32 word per entry: a cast would wrap any other into another stream.
+        if part.ndim != 1 or part.dtype.kind not in "iu":
+            raise ValueError(f"seed-path part {index}: {part.ndim}-D {part.dtype}, not 1-D ints")
+        if part.size and not (part.min() >= 0 and part.max() <= _MASK32):
+            raise ValueError(f"seed-path part {index} has entries outside [0, 2**32)")
+        columns[len(words)], sizes[index] = part, part.size
+        words.append(0)
+    if len(set(sizes.values())) > 1:
+        raise ValueError(f"seed-path array parts differ in length (part: length): {sizes}")
+    rows = next(iter(sizes.values()), 1)
+    template = np.array(words, dtype=np.uint32)
+
+    def generators() -> Iterator[np.random.Generator]:
+        for start in range(0, rows, CHUNK_ROWS):
+            entropy = np.tile(template, (min(CHUNK_ROWS, rows - start), 1))
+            for word, part in columns.items():
+                entropy[:, word] = part[start : start + CHUNK_ROWS]
+            for seed in _seed_state(entropy):
+                yield np.random.Generator(np.random.PCG64(_SeedWords(seed)))
+
+    return generators()

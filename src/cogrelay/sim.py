@@ -189,7 +189,7 @@ class EpochActivity:
     @classmethod
     def draw(cls, spec: StudySpec, count: int, *tag: str) -> EpochActivity:
         """``count`` epochs, epoch ``e`` from stream ``(seed, "activity", *tag, e)``."""
-        gens = streams(spec.seed, (("activity", *tag, e) for e in range(count)))
+        gens = streams(spec.seed, "activity", *tag, np.arange(count))
         topology = spec.topology()
         empty = np.zeros((0, topology.node_count), dtype=np.uint8)
         bits = np.concatenate([empty, *availability_chunks(spec.activity, topology, gens)])
@@ -223,11 +223,7 @@ class EpochActivity:
 def _link_fading(activity: EpochActivity, epochs, heads, ends) -> np.ndarray:
     """The fading of link ``s -> t`` at ``[e, s]`` for each ``(e, s, t)``, else NaN."""
     fading = np.full((activity.bits.shape[0], activity.bits.shape[1] - 1), np.nan)
-    paths = (
-        ("epoch", *activity.tag, e, "link", s, t)
-        for e, s, t in zip(epochs.tolist(), heads.tolist(), ends.tolist())
-    )
-    gens = streams(activity.seed, paths)
+    gens = streams(activity.seed, "epoch", *activity.tag, epochs, "link", heads, ends)
     fading[epochs, heads] = np.fromiter((g.exponential(1.0) for g in gens), float, epochs.size)
     return fading
 
@@ -317,9 +313,10 @@ def run_proposed(
     Segments draw their fading from per-(epoch, segment) streams, so one
     segment's metrics are bit-identical under any change to the other
     segments' streams.  All of the run's segment occurrences derive their
-    streams through one ``streams`` call, pair by pair in the order the
-    epoch/segment loop visits the pairs, and each pair's occurrences run as
-    one engine batch.
+    streams through one ``streams`` call over index columns, pair by pair in
+    the order the epoch/segment loop visits the pairs.  Each pair's
+    occurrences draw their CSI in one ``draw_episode_cube`` call, one
+    generator per row, and run as one engine batch.
     """
     cutoff = spec.solver.master.pair_prob_cutoff
     for pair, epochs in activity.pair_epochs.items():  # in order of first occurrence
@@ -328,19 +325,17 @@ def run_proposed(
                 f"segment {pair} observed at epoch {epochs[0]} has no calibrated policy; "
                 f"pairs at or below pair_prob_cutoff {cutoff:g} are not calibrated"
             )
-    paths = (
-        ("epoch", e, "segment", *pair)
-        for pair, epochs in sorted(activity.pair_epochs.items())  # _run_segments' order
-        for e in epochs.tolist()
+    live = np.flatnonzero(activity.end > activity.head)
+    # Pair by pair, then epoch by epoch: the order _run_segments visits them in.
+    rows = live[np.lexsort((activity.epoch[live], activity.end[live], activity.head[live]))]
+    rngs = streams(
+        spec.seed, "epoch", activity.epoch[rows], "segment", activity.head[rows], activity.end[rows]
     )
-    rngs = streams(spec.seed, paths)
 
     def run_pair(pair: Pair, epochs: np.ndarray) -> EpisodeBatch:
         policy = policies[pair]
-        cube = {s: np.empty((epochs.size, pair[1] - s)) for s in range(*pair)}
-        for row, rng in enumerate(itertools.islice(rngs, epochs.size)):
-            for s, block in draw_episode_cube(policy.problem, rng, 1).items():
-                cube[s][row] = block[0]
+        gens = itertools.islice(rngs, epochs.size)
+        cube = draw_episode_cube(policy.problem, gens, epochs.size)
         return _run_episode_batch(policy.problem, policy.lam, policy.table, cube)
 
     return _run_segments("proposed", spec, run_pair, activity)

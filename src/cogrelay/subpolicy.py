@@ -22,7 +22,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -685,6 +685,21 @@ def _run_episode_batch(
     return EpisodeBatch(t_sum, e_sum, frames, evals, problem.length, times)
 
 
+def _sample_moments(
+    inv: np.ndarray, e_sum: np.ndarray, t_sum: np.ndarray
+) -> tuple[float, float, float, float]:
+    """``np.var(x, ddof=1)`` of ``inv``, ``e_sum`` and ``t_sum``, and
+    ``np.cov(e_sum, t_sum, ddof=1)[0, 1]``, bit for bit, by the primitives
+    numpy computes them with but without its dispatch.  The covariance is
+    the gemm form of the dot product, as ``np.cov`` calls it: ``x @ x.T``
+    shares data, so numpy would switch to syrk and round differently."""
+    n = t_sum.size
+    devs = [x - np.add.reduce(x) / n for x in (inv, e_sum, t_sum)]
+    var_inv, var_e, var_t = (np.add.reduce(np.square(d)) / (n - 1) for d in devs)
+    pair = np.array(devs[1:])
+    return var_inv, var_e, var_t, np.dot(pair, pair.T.conj())[0, 1] * (1.0 / (n - 1))
+
+
 def _metrics_from_batch(
     batch: EpisodeBatch, weights: np.ndarray | None = None
 ) -> SegmentMetrics:
@@ -702,10 +717,8 @@ def _metrics_from_batch(
     ratio = ebar / tbar
     rate_se = ratio_se = 0.0
     if n > 1 and weights is None:
-        rate_se = float(np.std(inv, ddof=1) / np.sqrt(n))
-        var_e = np.var(e_sum, ddof=1)
-        var_t = np.var(t_sum, ddof=1)
-        cov = np.cov(e_sum, t_sum, ddof=1)[0, 1]
+        var_inv, var_e, var_t, cov = _sample_moments(inv, e_sum, t_sum)
+        rate_se = float(np.sqrt(var_inv) / np.sqrt(n))
         ratio_se = float(
             np.sqrt(max(var_e - 2 * ratio * cov + ratio**2 * var_t, 0.0) / n) / tbar
         )
@@ -722,25 +735,41 @@ def _metrics_from_batch(
 
 
 def draw_episode_cube(
-    problem: SegmentProblem, rng: np.random.Generator, episodes: int
+    problem: SegmentProblem,
+    rng: np.random.Generator | Iterable[np.random.Generator],
+    episodes: int,
 ) -> dict[int, np.ndarray]:
     """Pre-draw per-node candidate gains for a batch of episodes: node by
     node, each node's ``(episodes, candidates)`` block as ``draw_block``
     draws it.  On Rayleigh gains the blocks are cut from one draw, which
-    yields the same values as drawing them one after another."""
+    yields the same values as drawing them one after another.
+
+    ``rng`` may also be one generator per episode, exactly ``episodes`` of
+    them, each taken only when its row is drawn.  Row ``r`` is then
+    ``draw_episode_cube(problem, rng[r], 1)``'s row, bit for bit, and each
+    generator is left where that call leaves it.
+    """
     nodes = range(problem.head, problem.end)
     gains = problem.gains
+    rows = None if isinstance(rng, np.random.Generator) else zip(range(episodes), rng, strict=True)
     if not isinstance(gains, RayleighGains):
-        return {s: gains.draw_block(rng, s, problem.end, episodes) for s in nodes}
-    fading = rng.exponential(1.0, size=episodes * sum(problem.end - s for s in nodes))
-    cube, start = {}, 0
-    for s in nodes:
-        width = problem.end - s
-        stop = start + episodes * width
-        block = fading[start:stop].reshape(episodes, width)
-        cube[s] = block * gains.topology.pathloss[s, s + 1 : problem.end + 1]
-        start = stop
-    return cube
+        if rows is None:
+            return {s: gains.draw_block(rng, s, problem.end, episodes) for s in nodes}
+        drawn = [[gains.draw_block(g, s, problem.end, 1) for s in nodes] for _, g in rows]
+        return {s: np.concatenate([row[k] for row in drawn]) for k, s in enumerate(nodes)}
+    widths = [problem.end - s for s in nodes]
+    stops = list(itertools.accumulate(widths))
+    if rows is None:  # node by node, each node's block episode by episode
+        fading = rng.exponential(1.0, size=episodes * stops[-1])
+        blocks = [fading[(stop - width) * episodes : stop * episodes].reshape(episodes, width)
+                  for width, stop in zip(widths, stops)]
+    else:  # episode by episode, each row node by node
+        fading = np.empty((episodes, stops[-1]))
+        for r, g in rows:
+            fading[r] = g.exponential(1.0, size=stops[-1])
+        blocks = [fading[:, stop - width : stop] for width, stop in zip(widths, stops)]
+    pathloss = gains.topology.pathloss
+    return {s: block * pathloss[s, s + 1 : problem.end + 1] for s, block in zip(nodes, blocks)}
 
 
 def _episode_cube(

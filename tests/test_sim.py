@@ -62,6 +62,16 @@ BASELINES = ("baseline1", "baseline2", "baseline3", "baseline4")
 SPATIAL = PuActivityModel(mode=SPATIAL_MODE, rho_p=0.4, p_active=0.5, d0=0.8, strip_width=1.0)
 
 
+def tuple_paths(path):
+    """The tuple path of each row of a column-form ``streams`` path."""
+    if not any(isinstance(part, np.ndarray) for part in path):
+        return [tuple(path)]
+    columns = [
+        part.tolist() if isinstance(part, np.ndarray) else itertools.repeat(part) for part in path
+    ]
+    return list(zip(*columns))
+
+
 class TestEpochActivity:
     @pytest.mark.parametrize("activity", [SPATIAL, PuActivityModel(p_avail=0.6)])
     def test_each_epoch_is_its_own_stream_partitioned(self, activity):
@@ -130,11 +140,11 @@ class TestEpochActivity:
         drawn = Counter()
         real_streams = sim.streams
 
-        def counting(root, paths):
-            for path in paths:
+        def counting(root, *columns):
+            for path in tuple_paths(columns):
                 if "link" in path:
                     drawn[path] += 1
-                yield from real_streams(root, [path])
+                yield from real_streams(root, *path)
 
         monkeypatch.setattr(sim, "streams", counting)
         run_baseline("baseline3", spec, activity)
@@ -362,11 +372,11 @@ class TestPairBatches:
         drawn = Counter()
         real_streams = sim.streams
 
-        def counting(root, paths):
-            for path in paths:
+        def counting(root, *columns):
+            for path in tuple_paths(columns):
                 if "link" in path:
                     drawn[path] += 1
-                yield from real_streams(root, [path])
+                yield from real_streams(root, *path)
 
         monkeypatch.setattr(sim, "streams", counting)
         for kind in BASELINES:
@@ -387,17 +397,13 @@ class TestPairBatches:
         drawn = Counter()
         real_streams = sim.streams
 
-        def counting(root, paths):
+        def counting(root, *columns):
             kinds: set = set()
             calls.append(kinds)
-
-            def counted():
-                for path in paths:
-                    kinds.add(path[2])
-                    drawn[path] += 1
-                    yield path
-
-            return real_streams(root, counted())
+            for path in tuple_paths(columns):
+                kinds.add(path[2])
+                drawn[path] += 1
+            return real_streams(root, *columns)
 
         monkeypatch.setattr(sim, "streams", counting)
         run_proposed(spec, policies, activity)
@@ -408,6 +414,28 @@ class TestPairBatches:
             for e in epochs.tolist()
         }
         assert max(drawn.values()) == 1
+
+    def test_each_pair_draws_its_rows_in_one_cube_call(self, monkeypatch):
+        spec = dataclasses.replace(
+            small_spec((0.0, 1.5, 3.2, 5.0), p_avail=1.0, epochs=150, seed=13, n=80, iters=2),
+            activity=SPATIAL, prob_samples=20_000,
+        )
+        policies = run_point(spec, ("baseline4",)).master.policies
+        activity = spec.epoch_activity()
+        calls = []
+        real_draw = sim.draw_episode_cube
+
+        def counting(problem, rng, episodes):
+            rows = list(rng)
+            calls.append(((problem.head, problem.end), len(rows), episodes))
+            return real_draw(problem, rows, episodes)
+
+        monkeypatch.setattr(sim, "draw_episode_cube", counting)
+        run_proposed(spec, policies, activity)
+        pairs = sorted(activity.pair_epochs.items())
+        assert calls == [(pair, epochs.size, epochs.size) for pair, epochs in pairs]
+        occurrences = int((activity.end > activity.head).sum())
+        assert sum(episodes for _, _, episodes in calls) == occurrences
 
 
 class TestProposed:
@@ -463,15 +491,15 @@ class TestProposed:
 
         real_streams = sim.streams
 
-        def skewed(root, paths):
-            for path in paths:
+        def skewed(root, *columns):
+            for path in tuple_paths(columns):
                 # Perturb every segment stream except the target pair's.
                 if "segment" in path:
                     idx = path.index("segment")
                     pair = (path[idx + 1], path[idx + 2])
                     if pair != target:
                         path = (*path, "skewed")
-                yield from real_streams(root, [path])
+                yield from real_streams(root, *path)
 
         monkeypatch.setattr(sim, "streams", skewed)
         activity = spec.epoch_activity()

@@ -35,6 +35,7 @@ from cogrelay.subpolicy import (
     _price,
     _pricer,
     _run_episode_batch,
+    _sample_moments,
 )
 from cogrelay.oracle import TinyInstance, _frozen_tiny_instance, reference_cost_to_go
 
@@ -821,6 +822,36 @@ class TestEpisodeCubeDraw:
     def test_discrete(self, episodes):
         self.assert_block_sequence(two_level_five_node_problem(), episodes)
 
+    @staticmethod
+    def assert_stacked_rows(problem, episodes):
+        gens = [stream(42, "row", r) for r in range(episodes)]
+        refs = [stream(42, "row", r) for r in range(episodes)]
+        cube = draw_episode_cube(problem, gens, episodes)
+        rows = [draw_episode_cube(problem, ref, 1) for ref in refs]
+        assert list(cube) == list(range(problem.head, problem.end))
+        for s, got in cube.items():
+            stacked = np.concatenate([row[s] for row in rows])
+            assert got.shape == stacked.shape == (episodes, problem.end - s)
+            assert got.tobytes() == stacked.tobytes()
+        for gen, ref in zip(gens, refs):
+            assert gen.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("episodes", [1, 7])
+    @pytest.mark.parametrize("head,end", [(4, 5), (0, 11)], ids=["one-hop", "11-hop"])
+    def test_rayleigh_row_generators_stack_one_episode_cubes(self, head, end, episodes):
+        topology = line_topology(*np.linspace(0.0, 10.0, 12).tolist())
+        self.assert_stacked_rows(rayleigh_problem(topology, head, end, pbar=1.0), episodes)
+
+    @pytest.mark.parametrize("episodes", [1, 7])
+    def test_discrete_row_generators_stack_one_episode_cubes(self, episodes):
+        self.assert_stacked_rows(two_level_five_node_problem(), episodes)
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_row_generators_must_match_the_episode_count(self, bench_topology, count):
+        problem = rayleigh_problem(bench_topology, 0, 2, pbar=1.0)
+        with pytest.raises(ValueError, match="zip"):
+            draw_episode_cube(problem, [stream(1, r) for r in range(count)], 3)
+
 
 def reference_episode_batch(problem, lam, table, cube):
     """The episode engine as a per-node loop: at every step, group the live
@@ -1102,6 +1133,25 @@ class TestSegmentMetrics:
             policy = calibrate_lambda(problem, stream(20, "cal"))
             rates.append(policy.metrics.rate)
         assert all(b >= a * (1.0 - 1e-6) for a, b in zip(rates, rates[1:]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 16, 127, 128, 129, 1000, 8191, 8193, 20_000])
+def test_batch_moments_are_numpys_std_var_and_cov(n):
+    # _metrics_from_batch computes its moments by numpy's own primitives; a
+    # numpy release that changes np.std, np.var or np.cov fails here.
+    rng = stream(43, "moments", n)
+    t_sum = rng.exponential(1.0, n) + 0.1
+    e_sum = t_sum * rng.exponential(3.0, n)
+    inv = 1.0 / t_sum
+    expected = (np.var(inv, ddof=1), np.var(e_sum, ddof=1), np.var(t_sum, ddof=1),
+                np.cov(e_sum, t_sum, ddof=1)[0, 1])
+    assert _sample_moments(inv, e_sum, t_sum) == expected
+    got = _metrics_from_batch(EpisodeBatch(t_sum, e_sum, np.ones(n, int), np.ones(n, int), 1, None))
+    tbar, ratio = t_sum.mean(), e_sum.mean() / t_sum.mean()
+    _, var_e, var_t, cov = expected
+    ratio_se = float(np.sqrt(max(var_e - 2 * ratio * cov + ratio**2 * var_t, 0.0) / n) / tbar)
+    assert got.rate_se == float(np.std(inv, ddof=1) / np.sqrt(n))
+    assert (got.rate, got.power_time_avg, got.power_time_se) == (inv.mean(), ratio, ratio_se)
 
 
 class TestDiscreteGains:
